@@ -63,8 +63,6 @@ def _dispatch_config(args: argparse.Namespace) -> DispatchConfig:
         budget_ms=args.budget_ms,
         node_limit=args.node_limit if args.node_limit > 0 else None,
         window=args.window,
-        element_literal=getattr(args, "element_literal", False),
-        branch_priority_first=getattr(args, "branch_priority_first", False),
         emergency_first_fit=getattr(args, "emergency_first_fit", False),
     )
 
@@ -90,8 +88,6 @@ def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--strict-kill", action="store_true", help="kill jobs at expected duration")
     sub.add_argument("--wall-cap-s", type=float, default=0.0, help="abort after this much wall time (0 = off)")
     sub.add_argument("--emergency-first-fit", action="store_true")
-    sub.add_argument("--element-literal", action="store_true", help=argparse.SUPPRESS)
-    sub.add_argument("--branch-priority-first", action="store_true", help=argparse.SUPPRESS)
     _add_solver_flags(sub)
 
 

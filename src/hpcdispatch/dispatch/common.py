@@ -1,6 +1,7 @@
 """Machinery shared by the dispatchers.
 
-Covers the tuning knobs, job priorities, the visible queue window, horizon
+Covers the dispatch settings, the driver that runs one invocation of any
+dispatcher model, job priorities, the visible queue window, horizon
 arithmetic, the integer objective encoding, and heuristic placement on
 per-node free position runs (used by the two-stage dispatcher, by presence
 materialization, and by the optional emergency fallback).
@@ -8,33 +9,48 @@ materialization, and by the optional emergency fallback).
 
 from __future__ import annotations
 
+import time
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from hpcdispatch.dispatch.instance import (
     Allocation,
     AllocationEntry,
+    DispatchDecision,
     DispatchInstance,
+    InvocationStats,
     JobDecision,
     QueuedJob,
     RunningJob,
 )
+from hpcdispatch.kernel import (
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    STATUS_TIMEOUT,
+    IntVar,
+)
+from hpcdispatch.kernel.core import Branching
 from hpcdispatch.kernel.propagators import IndexedArray
 from hpcdispatch.system import SystemModel
 
 
 @dataclass
 class DispatchConfig:
-    """Knobs common to all dispatchers; defaults match the CLI defaults."""
+    """Settings of one dispatcher invocation; defaults match the CLI defaults.
+
+    ``budget_ms`` bounds the wall time of the whole invocation and
+    ``node_limit`` the search decisions of each solve; ``window`` caps the
+    queued jobs one model sees.  ``hcp_max_iterations`` bounds how often the
+    two-stage dispatcher re-plans after failed placements, and
+    ``emergency_first_fit`` turns on the greedy rescue of a fallback.
+    """
 
     budget_ms: float = 2000.0
     node_limit: int | None = 1500
     window: int = 100
     objective_scale: int = 10_000
-    element_literal: bool = False
-    branch_priority_first: bool = False
     hcp_max_iterations: int = 10
     emergency_first_fit: bool = False
 
@@ -227,22 +243,13 @@ class FreeRuns:
             return 0
         return sum(b - a + 1 for a, b in runs)
 
-    def claim(self, node: int, resource: str, length: int, best: bool = False) -> int | None:
-        """Take `length` contiguous cells on the node; returns the local start."""
+    def claim(self, node: int, resource: str, length: int) -> int | None:
+        """Take `length` contiguous cells on the node, first fit; returns the local start."""
         key = (node, resource)
         runs = self.runs.get(key)
         if not runs:
             return None
-        pick = None
-        for i, (a, b) in enumerate(runs):
-            size = b - a + 1
-            if size < length:
-                continue
-            if not best:
-                pick = i
-                break
-            if pick is None or size < runs[pick][1] - runs[pick][0] + 1:
-                pick = i
+        pick = next((i for i, (a, b) in enumerate(runs) if b - a + 1 >= length), None)
         if pick is None:
             return None
         self._touch(key)
@@ -348,3 +355,113 @@ def emergency_dispatch(
         if allocation is not None:
             out.append(JobDecision(entry.job_id, instance.t, allocation))
     return out
+
+
+# -- the driver ----------------------------------------------------------------
+
+
+class BuildTimeout(Exception):
+    """Raised by a model build that runs past the invocation deadline."""
+
+
+def drive(
+    name: str,
+    instance: DispatchInstance,
+    config: DispatchConfig | None,
+    *,
+    size: Callable[[DispatchInstance, list[QueuedJob]], tuple[int, int]],
+    build: Callable[[DispatchInstance, DispatchConfig, list[QueuedJob], set[int], float], Any],
+    branch: Callable[[Any], Branching],
+    decode: Callable[[Any, DispatchInstance, dict[IntVar, int]], list[JobDecision]],
+    attempts: int = 1,
+) -> DispatchDecision:
+    """One dispatcher invocation; the model supplies only its own steps.
+
+    ``size`` gives (scheduling vars, allocation vars) without building.
+    ``build`` makes a handle whose ``solver`` holds the model, with the
+    jobs in its ``held`` set kept from starting at t; it returns None when
+    the model is infeasible as built and may raise BuildTimeout once
+    ``time.perf_counter()`` passes the deadline.  ``decode`` turns an
+    incumbent into one JobDecision per window job; a job it would start at
+    t but cannot place comes back with start t and no allocation.  Such
+    jobs are held and the model rebuilt, up to ``attempts`` builds in all,
+    after which they are deferred to t+1.
+
+    The driver owns the rest: window selection, the budget, statistics,
+    fallback with the optional first-fit rescue, and an independent check
+    of every decision before it leaves.
+    """
+    config = config or DispatchConfig()
+    t0 = time.perf_counter()
+    deadline = t0 + config.budget_ms / 1000.0
+    window, _ = select_window(instance, config)
+    n_sched, n_alloc = size(instance, window)
+    stats = InvocationStats(
+        dispatcher=name,
+        t=instance.t,
+        queue_size=len(instance.queued),
+        window_size=len(window),
+        n_vars=n_sched + n_alloc,
+        n_sched=n_sched,
+        n_alloc=n_alloc,
+    )
+    decision = DispatchDecision(stats=stats)
+    if not window:
+        stats.status = STATUS_OPTIMAL
+        stats.objective = 0
+        stats.wall_ms = (time.perf_counter() - t0) * 1000.0
+        return decision
+
+    t = instance.t
+    held: set[int] = set()
+    jobs: list[JobDecision] | None = None
+    while True:
+        try:
+            handle = build(instance, config, window, held, deadline)
+        except BuildTimeout:
+            stats.status = STATUS_TIMEOUT
+            break
+        if handle is None:
+            stats.status = STATUS_INFEASIBLE
+            break
+        remaining = (deadline - time.perf_counter()) * 1000.0
+        if remaining <= 0.0:
+            stats.status = STATUS_TIMEOUT
+            break
+        result = handle.solver.solve(
+            branch(handle), budget_ms=remaining, node_limit=config.node_limit
+        )
+        stats.status = result.status
+        stats.objective = result.objective
+        stats.decisions += result.stats.decisions
+        stats.fails += result.stats.fails
+        stats.propagations += result.stats.propagations
+        if result.values is None:
+            break
+        decoded = decode(handle, instance, result.values)
+        unplaced = {d.job_id for d in decoded if d.start == t and d.allocation is None}
+        if unplaced and stats.realloc_iterations + 1 < attempts:
+            held |= unplaced
+            stats.realloc_iterations += 1
+            continue
+        stats.deferred = len(unplaced)
+        jobs = [JobDecision(d.job_id, t + 1, None) if d.job_id in unplaced else d for d in decoded]
+        break
+
+    if jobs is None:
+        decision.fallback = True
+    else:
+        decision.jobs = jobs
+        if decision.violations(instance):
+            # A decoded solution failing the independent validator means a
+            # model or propagator bug; refuse to dispatch rather than corrupt state.
+            decision.jobs = []
+            decision.fallback = True
+            stats.status = "decode-error"
+    if decision.fallback and config.emergency_first_fit:
+        decision.jobs = emergency_dispatch(instance, window)
+
+    stats.dispatched = len(decision.dispatched())
+    stats.fallback = decision.fallback
+    stats.wall_ms = (time.perf_counter() - t0) * 1000.0
+    return decision

@@ -9,27 +9,23 @@ is bounded, and on hitting the bound the placeable subset is dispatched.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from hpcdispatch.dispatch.common import (
     DispatchConfig,
     FreeRuns,
-    emergency_dispatch,
+    drive,
+    emergency_dispatch,  # noqa: F401 -- a bench/run.py:install_spans hook
     horizon,
     objective_terms,
     place_job,
-    priority,
     residual,
-    select_window,
+    select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
     unit_demands,
 )
 from hpcdispatch.dispatch.instance import (
-    Allocation,
     DispatchDecision,
     DispatchInstance,
-    InvocationStats,
     JobDecision,
     QueuedJob,
 )
@@ -40,7 +36,6 @@ from hpcdispatch.kernel import Cumulative, IntVar, Solver, Task
 class _JobVars:
     entry: QueuedJob
     start: IntVar
-    neg_priority: Fraction
 
 
 @dataclass
@@ -53,23 +48,18 @@ def _build_schedule_model(
     instance: DispatchInstance,
     config: DispatchConfig,
     window: list[QueuedJob],
-    eoh: int,
-    deferred: set[int],
+    held: set[int],
+    deadline: float,
 ) -> Hcp19Handle:
+    """The pooled schedule; jobs in ``held`` failed placement and start after t."""
     system = instance.system
     t = instance.t
+    eoh = horizon(t, window, instance.running)
     solver = Solver("hcp19")
     handle = Hcp19Handle(solver=solver)
     for entry in window:
-        lo = t + 1 if entry.job_id in deferred else t
-        svar = solver.new_var(lo, eoh, f"s{entry.job_id}")
-        handle.jobs.append(
-            _JobVars(
-                entry=entry,
-                start=svar,
-                neg_priority=-priority(entry.arrival, entry.d_expected, t),
-            )
-        )
+        lo = t + 1 if entry.job_id in held else t
+        handle.jobs.append(_JobVars(entry=entry, start=solver.new_var(lo, eoh, f"s{entry.job_id}")))
     running_start: dict[int, IntVar] = {}
     for resource in system.resources:
         tasks = []
@@ -85,8 +75,8 @@ def _build_schedule_model(
                 tasks.append(Task(running_start[run.job_id], residual(run, t), total))
         if tasks:
             solver.add(Cumulative(tasks, system.total_capacity[resource]))
-    weights, _constant = objective_terms(window, config.objective_scale)
-    solver.minimize([jv.start for jv in handle.jobs], weights, _constant)
+    weights, constant = objective_terms(window, config.objective_scale)
+    solver.minimize([jv.start for jv in handle.jobs], weights, constant)
     return handle
 
 
@@ -102,91 +92,33 @@ def _make_branch(handle: Hcp19Handle):
     return branch
 
 
+def _place(
+    handle: Hcp19Handle, instance: DispatchInstance, values: dict[IntVar, int]
+) -> list[JobDecision]:
+    """Best-fit placement of every job the schedule starts at t, window order."""
+    system = instance.system
+    free = FreeRuns(system, instance.running, instance.t)
+    out: list[JobDecision] = []
+    for jv in handle.jobs:
+        start = values[jv.start]
+        allocation = None
+        if start == instance.t:
+            unit_req = unit_demands(system, jv.entry)
+            allocation = place_job(system, free, jv.entry.rn, unit_req, best=True)
+        out.append(JobDecision(jv.entry.job_id, start, allocation))
+    return out
+
+
+def _size(instance: DispatchInstance, window: list[QueuedJob]) -> tuple[int, int]:
+    return len(window), 0
+
+
 def build_and_solve_hcp19(
     instance: DispatchInstance, config: DispatchConfig | None = None
 ) -> DispatchDecision:
     config = config or DispatchConfig()
-    t0 = time.perf_counter()
-    t = instance.t
-    stats = InvocationStats(
-        dispatcher="hcp19", t=t, queue_size=len(instance.queued)
+    return drive(
+        "hcp19", instance, config,
+        size=_size, build=_build_schedule_model, branch=_make_branch, decode=_place,
+        attempts=config.hcp_max_iterations,
     )
-    decision = DispatchDecision(stats=stats)
-    window, _ = select_window(instance, config)
-    eoh = horizon(t, window, instance.running)
-    stats.window_size = len(window)
-    stats.n_sched = len(window)
-    stats.n_vars = len(window)
-    if not window:
-        stats.status = "optimal"
-        stats.objective = 0
-        stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-        return decision
-
-    system = instance.system
-    deferred: set[int] = set()
-    iterations = max(1, config.hcp_max_iterations)
-    for iteration in range(iterations):
-        remaining = config.budget_ms - (time.perf_counter() - t0) * 1000.0
-        if remaining <= 0.0:
-            stats.status = "timeout"
-            decision.fallback = True
-            break
-        handle = _build_schedule_model(instance, config, window, eoh, deferred)
-        result = handle.solver.solve(
-            _make_branch(handle), budget_ms=remaining, node_limit=config.node_limit
-        )
-        stats.status = result.status
-        stats.objective = result.objective
-        stats.decisions += result.stats.decisions
-        stats.fails += result.stats.fails
-        stats.propagations += result.stats.propagations
-        if result.values is None:
-            decision.fallback = True
-            break
-
-        values = result.values
-        free = FreeRuns(system, instance.running, t)
-        placements: dict[int, Allocation] = {}
-        failures: list[int] = []
-        for jv in handle.jobs:
-            if values[jv.start] != t:
-                continue
-            unit_req = unit_demands(system, jv.entry)
-            allocation = place_job(system, free, jv.entry.rn, unit_req, best=True)
-            if allocation is None:
-                failures.append(jv.entry.job_id)
-            else:
-                placements[jv.entry.job_id] = allocation
-
-        if failures and iteration + 1 < iterations:
-            deferred.update(failures)
-            stats.realloc_iterations += 1
-            continue
-
-        jobs: list[JobDecision] = []
-        for jv in handle.jobs:
-            job_id = jv.entry.job_id
-            start = values[jv.start]
-            if job_id in placements:
-                jobs.append(JobDecision(job_id, t, placements[job_id]))
-            elif start == t:
-                # Iteration bound hit: dispatch the placeable subset, hold the rest.
-                jobs.append(JobDecision(job_id, t + 1, None))
-                stats.deferred += 1
-            else:
-                jobs.append(JobDecision(job_id, start, None))
-        decision.jobs = jobs
-        if decision.violations(instance):
-            decision.jobs = []
-            decision.fallback = True
-            stats.status = "decode-error"
-        break
-
-    if decision.fallback and config.emergency_first_fit:
-        decision.jobs = emergency_dispatch(instance, window)
-
-    stats.dispatched = len(decision.dispatched())
-    stats.fallback = decision.fallback
-    stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return decision

@@ -12,30 +12,28 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from hpcdispatch.dispatch.common import (
+    BuildTimeout,
     DispatchConfig,
     FreeRuns,
-    emergency_dispatch,
+    drive,
+    emergency_dispatch,  # noqa: F401 -- a bench/run.py:install_spans hook
     horizon,
     objective_terms,
     place_units_on_nodes,
-    priority,
     replicas,
     residual,
-    select_window,
+    select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
     unit_demands,
 )
 from hpcdispatch.dispatch.instance import (
     DispatchDecision,
     DispatchInstance,
-    InvocationStats,
     JobDecision,
     QueuedJob,
 )
 from hpcdispatch.kernel import (
-    STATUS_TIMEOUT,
     BoolSumEq,
     Cumulative,
     IntVar,
@@ -44,37 +42,28 @@ from hpcdispatch.kernel import (
 )
 
 
-class _BuildTimeout(Exception):
-    """Raised when the budget expires while the model is still being built."""
-
-
 @dataclass
 class _JobVars:
     entry: QueuedJob
     start: IntVar
     # presence variables in branching order: fullest candidate node first
     presences: list[tuple[int, int, IntVar]]  # (node, replica index, var)
-    neg_priority: Fraction
 
 
 @dataclass
 class Pcp19Handle:
     solver: Solver
-    window: list[QueuedJob]
-    eoh: int
     jobs: list[_JobVars] = field(default_factory=list)
     n_sched: int = 0
     n_alloc: int = 0
-    constant: int = 0
 
     @property
     def n_vars(self) -> int:
         return self.n_sched + self.n_alloc
 
 
-def count_presence_vars(instance: DispatchInstance, config: DispatchConfig) -> tuple[int, int]:
+def count_presence_vars(instance: DispatchInstance, window: list[QueuedJob]) -> tuple[int, int]:
     """(scheduling vars, presence vars) without building anything."""
-    window, _ = select_window(instance, config)
     total = 0
     for entry in window:
         unit_req = unit_demands(instance.system, entry)
@@ -94,18 +83,18 @@ def _free_at_t(instance: DispatchInstance) -> list[dict[str, int]]:
 
 
 def build_pcp19(
-    instance: DispatchInstance, config: DispatchConfig, deadline: float | None = None
+    instance: DispatchInstance,
+    config: DispatchConfig,
+    window: list[QueuedJob],
+    deadline: float | None = None,
 ) -> Pcp19Handle:
-    """Construct the replicated model; raises _BuildTimeout past the deadline."""
+    """Construct the replicated model; raises BuildTimeout past the deadline."""
     system = instance.system
     t = instance.t
-    window, _ = select_window(instance, config)
     eoh = horizon(t, window, instance.running)
     solver = Solver("pcp19")
-    handle = Pcp19Handle(solver=solver, window=window, eoh=eoh)
+    handle = Pcp19Handle(solver=solver)
     handle.n_sched = len(window)
-    if not window:
-        return handle
 
     free_now = _free_at_t(instance)
     # Tasks feeding each per-(node, resource) capacity constraint.
@@ -113,7 +102,7 @@ def build_pcp19(
 
     for entry in window:
         if deadline is not None and time.perf_counter() > deadline:
-            raise _BuildTimeout
+            raise BuildTimeout
         svar = solver.new_var(t, eoh, f"s{entry.job_id}")
         unit_req = unit_demands(system, entry)
         counts = replicas(system, entry.rn, unit_req)
@@ -126,7 +115,7 @@ def build_pcp19(
         presences: list[tuple[int, int, IntVar]] = []
         for batch, node in enumerate(node_order):
             if deadline is not None and batch % 128 == 0 and time.perf_counter() > deadline:
-                raise _BuildTimeout
+                raise BuildTimeout
             for j in range(counts[node - 1]):
                 xvar = solver.new_var(0, 1, f"x{entry.job_id}.{node}.{j}")
                 presences.append((node, j, xvar))
@@ -136,14 +125,7 @@ def build_pcp19(
                         Task(svar, entry.d_expected, q, presence=xvar)
                     )
         solver.add(BoolSumEq([x for _, _, x in presences], entry.rn))
-        handle.jobs.append(
-            _JobVars(
-                entry=entry,
-                start=svar,
-                presences=presences,
-                neg_priority=-priority(entry.arrival, entry.d_expected, t),
-            )
-        )
+        handle.jobs.append(_JobVars(entry=entry, start=svar, presences=presences))
 
     for run in instance.running:
         dur = residual(run, t)
@@ -156,11 +138,10 @@ def build_pcp19(
 
     for batch, ((node, resource), tasks) in enumerate(sorted(node_tasks.items())):
         if deadline is not None and batch % 64 == 0 and time.perf_counter() > deadline:
-            raise _BuildTimeout
+            raise BuildTimeout
         solver.add(Cumulative(tasks, system.cap(node, resource)))
 
     weights, constant = objective_terms(window, config.objective_scale)
-    handle.constant = constant
     solver.minimize([jv.start for jv in handle.jobs], weights, constant)
     return handle
 
@@ -184,90 +165,37 @@ def _make_branch(handle: Pcp19Handle):
 
 def _materialize(
     handle: Pcp19Handle, instance: DispatchInstance, values: dict[IntVar, int]
-) -> tuple[list[JobDecision], int]:
+) -> list[JobDecision]:
     """Turn node assignments into concrete positions, first fit per node.
 
     The per-node capacity constraints guarantee enough free cells in total
-    but not a contiguous stretch; a job whose cells are too fragmented is
-    deferred to the next cycle rather than split.
+    but not a contiguous stretch; a job whose cells are too fragmented
+    comes back unplaced, and the driver defers it to the next cycle rather
+    than split it.
     """
     system = instance.system
     free = FreeRuns(system, instance.running, instance.t)
     out: list[JobDecision] = []
-    deferred = 0
     for jv in handle.jobs:
         start = values[jv.start]
-        if start != instance.t:
-            out.append(JobDecision(jv.entry.job_id, start, None))
-            continue
-        nodes = sorted(
-            node for node, _j, xvar in jv.presences if values[xvar] == 1
-        )
-        unit_req = unit_demands(system, jv.entry)
-        allocation = place_units_on_nodes(system, free, nodes, unit_req)
-        if allocation is None:
-            out.append(JobDecision(jv.entry.job_id, instance.t + 1, None))
-            deferred += 1
-        else:
-            out.append(JobDecision(jv.entry.job_id, start, allocation))
-    return out, deferred
+        allocation = None
+        if start == instance.t:
+            nodes = sorted(node for node, _j, xvar in jv.presences if values[xvar] == 1)
+            unit_req = unit_demands(system, jv.entry)
+            allocation = place_units_on_nodes(system, free, nodes, unit_req)
+        out.append(JobDecision(jv.entry.job_id, start, allocation))
+    return out
+
+
+def _build(instance, config, window, held, deadline) -> Pcp19Handle:
+    # Decoding defers unplaceable jobs without a re-plan, so held stays empty.
+    return build_pcp19(instance, config, window, deadline)
 
 
 def build_and_solve_pcp19(
     instance: DispatchInstance, config: DispatchConfig | None = None
 ) -> DispatchDecision:
-    config = config or DispatchConfig()
-    t0 = time.perf_counter()
-    deadline = t0 + config.budget_ms / 1000.0
-    stats = InvocationStats(
-        dispatcher="pcp19", t=instance.t, queue_size=len(instance.queued)
+    return drive(
+        "pcp19", instance, config,
+        size=count_presence_vars, build=_build, branch=_make_branch, decode=_materialize,
     )
-    decision = DispatchDecision(stats=stats)
-
-    n_sched, n_alloc = count_presence_vars(instance, config)
-    stats.window_size = n_sched
-    stats.n_sched = n_sched
-    stats.n_alloc = n_alloc
-    stats.n_vars = n_sched + n_alloc
-
-    window: list[QueuedJob] = []
-    try:
-        handle = build_pcp19(instance, config, deadline)
-        window = handle.window
-        if not window:
-            stats.status = "optimal"
-            stats.objective = 0
-            stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-            return decision
-        remaining = config.budget_ms - (time.perf_counter() - t0) * 1000.0
-        if remaining <= 0.0:
-            raise _BuildTimeout
-        result = handle.solver.solve(
-            _make_branch(handle), budget_ms=remaining, node_limit=config.node_limit
-        )
-        stats.status = result.status
-        stats.objective = result.objective
-        stats.decisions = result.stats.decisions
-        stats.fails = result.stats.fails
-        stats.propagations = result.stats.propagations
-        if result.values is None:
-            decision.fallback = True
-        else:
-            decision.jobs, stats.deferred = _materialize(handle, instance, result.values)
-            if decision.violations(instance):
-                decision.jobs = []
-                decision.fallback = True
-                stats.status = "decode-error"
-    except _BuildTimeout:
-        stats.status = STATUS_TIMEOUT
-        decision.fallback = True
-        if not window:
-            window, _ = select_window(instance, config)
-
-    if decision.fallback and config.emergency_first_fit:
-        decision.jobs = emergency_dispatch(instance, window)
-
-    stats.dispatched = len(decision.dispatched())
-    stats.fallback = decision.fallback
-    stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return decision

@@ -11,33 +11,30 @@ cumulatives provide relaxation pruning.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from hpcdispatch.dispatch.common import (
     DispatchConfig,
-    emergency_dispatch,
+    drive,
+    emergency_dispatch,  # noqa: F401 -- a bench/run.py:install_spans hook
     horizon,
     objective_terms,
     owner_index,
     priority,
     requested_resources,
     residual,
-    select_window,
+    select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
     unit_demands,
 )
 from hpcdispatch.dispatch.instance import (
     AllocationEntry,
     DispatchDecision,
     DispatchInstance,
-    InvocationStats,
     JobDecision,
     QueuedJob,
 )
 from hpcdispatch.kernel import (
-    STATUS_INFEASIBLE,
-    STATUS_TIMEOUT,
     AllDifferent,
     Box,
     Cumulative,
@@ -62,12 +59,9 @@ class _JobVars:
 @dataclass
 class ModelHandle:
     solver: Solver
-    window: list[QueuedJob]
-    eoh: int
     jobs: list[_JobVars] = field(default_factory=list)
     n_sched: int = 0
     n_alloc: int = 0
-    constant: int = 0
     infeasible_build: bool = False
 
     @property
@@ -75,17 +69,22 @@ class ModelHandle:
         return self.n_sched + self.n_alloc
 
 
-def build_pcp20(instance: DispatchInstance, config: DispatchConfig) -> ModelHandle:
+def count_position_vars(instance: DispatchInstance, window: list[QueuedJob]) -> tuple[int, int]:
+    """(scheduling vars, position vars) of the joint model, without building it."""
+    system = instance.system
+    return len(window), sum(e.rn * len(requested_resources(system, e)) for e in window)
+
+
+def build_pcp20(
+    instance: DispatchInstance, config: DispatchConfig, window: list[QueuedJob]
+) -> ModelHandle:
     """Construct the joint model for the visible window."""
     system = instance.system
     t = instance.t
-    window, _ = select_window(instance, config)
     eoh = horizon(t, window, instance.running)
     solver = Solver("pcp20")
-    handle = ModelHandle(solver=solver, window=window, eoh=eoh)
+    handle = ModelHandle(solver=solver)
     handle.n_sched = len(window)
-    if not window:
-        return handle
 
     for entry in window:
         svar = solver.new_var(t, eoh, f"s{entry.job_id}")
@@ -95,17 +94,14 @@ def build_pcp20(instance: DispatchInstance, config: DispatchConfig) -> ModelHand
             q = unit_req[resource]
             idx = owner_index(system, resource)
             # A q-wide claim at y occupies y..y+q-1, so y and y+q-1 must
-            # share a node block.  The default bakes that into the domain;
-            # element_literal posts it as a constraint instead.
-            span = idx.span_filter(q - 1) if q > 1 and not config.element_literal else None
+            # share a node block; the span filter bakes that into the domain.
+            span = idx.span_filter(q - 1) if q > 1 else None
             for unit in range(entry.rn):
                 yvar = solver.new_var(
                     1, system.total_capacity[resource], f"y{entry.job_id}.{resource}.{unit}"
                 )
                 if span is not None and not apply_span_filter(yvar, span):
                     handle.infeasible_build = True
-                if config.element_literal and q > 1:
-                    solver.add(ElementEqual(idx, yvar, idx, yvar, 0, q - 1))
                 positions.append((resource, unit, yvar, q))
                 handle.n_alloc += 1
         handle.jobs.append(
@@ -177,16 +173,14 @@ def build_pcp20(instance: DispatchInstance, config: DispatchConfig) -> ModelHand
                 solver.add(AllDifferent(by_res[r]))
 
     weights, constant = objective_terms(window, config.objective_scale)
-    handle.constant = constant
     solver.minimize([jv.start for jv in handle.jobs], weights, constant)
     return handle
 
 
-def make_branch(handle: ModelHandle, config: DispatchConfig):
+def make_branch(handle: ModelHandle):
     """Earliest-startable job first; fix its start low, then its tightest
     position variable high (best fit).  Ties: priority, then job id."""
     jobs = handle.jobs
-    priority_first = config.branch_priority_first
 
     def branch():
         best = None
@@ -196,10 +190,7 @@ def make_branch(handle: ModelHandle, config: DispatchConfig):
             s_unfixed = s.lo != s.hi
             if not s_unfixed and all(y.lo == y.hi for _, _, y, _ in jv.positions):
                 continue
-            if priority_first:
-                key = (jv.neg_priority, s.lo, jv.entry.job_id)
-            else:
-                key = (s.lo, jv.neg_priority, jv.entry.job_id)
+            key = (s.lo, jv.neg_priority, jv.entry.job_id)
             if best_key is None or key < best_key:
                 best_key = key
                 best = jv
@@ -243,56 +234,17 @@ def _decode(
     return out
 
 
+def _build(instance, config, window, held, deadline) -> ModelHandle | None:
+    # Decoding never leaves a job unplaced, so held stays empty; the build
+    # does not watch the deadline.
+    handle = build_pcp20(instance, config, window)
+    return None if handle.infeasible_build else handle
+
+
 def solve_pcp20(
     instance: DispatchInstance, config: DispatchConfig | None = None
 ) -> DispatchDecision:
-    config = config or DispatchConfig()
-    t0 = time.perf_counter()
-    handle = build_pcp20(instance, config)
-    stats = InvocationStats(
-        dispatcher="pcp20",
-        t=instance.t,
-        queue_size=len(instance.queued),
-        window_size=len(handle.window),
-        n_vars=handle.n_vars,
-        n_sched=handle.n_sched,
-        n_alloc=handle.n_alloc,
+    return drive(
+        "pcp20", instance, config,
+        size=count_position_vars, build=_build, branch=make_branch, decode=_decode,
     )
-    decision = DispatchDecision(stats=stats)
-    if not handle.window:
-        stats.status = "optimal"
-        stats.objective = 0
-        stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-        return decision
-
-    remaining = config.budget_ms - (time.perf_counter() - t0) * 1000.0
-    if handle.infeasible_build or remaining <= 0.0:
-        stats.status = STATUS_INFEASIBLE if handle.infeasible_build else STATUS_TIMEOUT
-        decision.fallback = True
-    else:
-        result = handle.solver.solve(
-            make_branch(handle, config), budget_ms=remaining, node_limit=config.node_limit
-        )
-        stats.status = result.status
-        stats.objective = result.objective
-        stats.decisions = result.stats.decisions
-        stats.fails = result.stats.fails
-        stats.propagations = result.stats.propagations
-        if result.values is None:
-            decision.fallback = True
-        else:
-            decision.jobs = _decode(handle, instance, result.values)
-            if decision.violations(instance):
-                # A decoded solution failing the independent validator means
-                # a propagator bug; refuse to dispatch rather than corrupt state.
-                decision.jobs = []
-                decision.fallback = True
-                stats.status = "decode-error"
-
-    if decision.fallback and config.emergency_first_fit:
-        decision.jobs = emergency_dispatch(instance, handle.window)
-
-    stats.dispatched = len(decision.dispatched())
-    stats.fallback = decision.fallback
-    stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return decision

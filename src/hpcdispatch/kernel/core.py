@@ -155,7 +155,6 @@ class SearchStats:
     propagations: int = 0
     wall_ms: float = 0.0
     best_objective: int | None = None
-    proved: bool = False
     status: str = STATUS_TIMEOUT
 
 
@@ -340,7 +339,6 @@ class Solver:
 
         if not self.propagate_all():
             stats.status = STATUS_INFEASIBLE
-            stats.proved = True
             stats.wall_ms = (time.perf_counter() - start) * 1000.0
             return SolveResult(STATUS_INFEASIBLE, None, None, stats)
 
@@ -377,7 +375,6 @@ class Solver:
         self.decision_depth = 0
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         if exhausted:
-            stats.proved = True
             stats.status = STATUS_OPTIMAL if best is not None else STATUS_INFEASIBLE
         else:
             stats.status = STATUS_FEASIBLE if best is not None else STATUS_TIMEOUT

@@ -378,8 +378,8 @@ class ElementEqual(Propagator):
 
     Arrays are constants indexed 1-based.  Filtering is exact on the index
     domains: a position survives only if some position of the other index
-    maps to the same value.  When both indices are the same variable the
-    constraint degenerates to a static unary filter, computed once.
+    maps to the same value.  Both indices may be one variable; the filter
+    is then sound but no longer exact.
 
     Reasoning is run-based so long arrays with few distinct values (node
     ownership maps) cost O(runs + holes) per propagation, not O(length).
@@ -403,54 +403,12 @@ class ElementEqual(Propagator):
         self.index_b = index_b
         self.offset_a = offset_a
         self.offset_b = offset_b
-        self.same_var = index_a is index_b
-        self._filtered = False
-        if self.same_var:
-            self._valid_windows = self._agreement_windows()
-
-    def _agreement_windows(self) -> list[tuple[int, int]]:
-        """Index windows where both lookups are in range and values agree."""
-        values_a = self.array_a.values
-        values_b = self.array_b.values
-        if self.array_a is self.array_b:
-            if self.offset_a == self.offset_b:
-                return [(1 - self.offset_a, len(values_a) - self.offset_a)]
-            runs = self.array_a.runs
-            if len({value for _, _, value in runs}) == len(runs):
-                # No value repeats across runs (ownership maps), so the
-                # lookups agree exactly when both land in the same run.
-                # With repeats that test would miss cross-run matches;
-                # fall through to the position scan instead.
-                delta = abs(self.offset_b - self.offset_a)
-                shift = min(self.offset_a, self.offset_b)
-                return [
-                    (first - shift, last - delta - shift)
-                    for first, last, _ in runs
-                    if last - delta >= first
-                ]
-        lo_v = max(1 - self.offset_a, 1 - self.offset_b)
-        hi_v = min(len(values_a) - self.offset_a, len(values_b) - self.offset_b)
-        windows = []
-        open_at = None
-        for v in range(lo_v, hi_v + 1):
-            if values_a[v + self.offset_a - 1] == values_b[v + self.offset_b - 1]:
-                if open_at is None:
-                    open_at = v
-            elif open_at is not None:
-                windows.append((open_at, v - 1))
-                open_at = None
-        if open_at is not None:
-            windows.append((open_at, hi_v))
-        return windows
 
     def post(self, solver: Solver) -> None:
         solver.watch(self.index_a, self)
-        if not self.same_var:
-            solver.watch(self.index_b, self)
+        solver.watch(self.index_b, self)
 
     def propagate(self, solver: Solver) -> bool:
-        if self.same_var:
-            return self._propagate_unary(solver)
         if not self._clamp(self.index_a, self.offset_a, len(self.array_a)):
             return False
         if not self._clamp(self.index_b, self.offset_b, len(self.array_b)):
@@ -466,25 +424,6 @@ class ElementEqual(Propagator):
         if common != reach_b:
             if not self._prune(self.index_b, self.offset_b, self.array_b, common):
                 return False
-        return True
-
-    def _propagate_unary(self, solver: Solver) -> bool:
-        if self._filtered:
-            return True
-        windows = self._valid_windows
-        if not windows:
-            return False
-        var = self.index_a
-        if not var.set_min(windows[0][0]):
-            return False
-        if not var.set_max(windows[-1][1]):
-            return False
-        for (_, prev_hi), (next_lo, _) in zip(windows, windows[1:]):
-            if prev_hi + 1 <= next_lo - 1:
-                if not var.remove_range(prev_hi + 1, next_lo - 1):
-                    return False
-        if solver.decision_depth == 0:
-            self._filtered = True  # domains only shrink; the filter is permanent
         return True
 
     @staticmethod

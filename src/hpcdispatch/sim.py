@@ -49,7 +49,6 @@ class SimConfig:
     retry_interval_s: int = 60
     max_stall_retries: int = 50
     dump_dir: str | Path | None = None
-    validate_events: bool = True
 
 
 @dataclass
@@ -296,11 +295,10 @@ def run_simulation(
             f"t={t} dispatch queued={len(instance.queued)} window={decision.stats.window_size}"
             f" dispatched={started} fallback={int(decision.fallback)}"
         )
-        if config.validate_events:
-            mutual = validate_mutual(system, active_uses())
-            if mutual:
-                detail = "; ".join(str(p) for p in mutual[:5])
-                raise SimulationError(f"occupancy sweep failed at t={t}: {detail}")
+        mutual = validate_mutual(system, active_uses())
+        if mutual:
+            detail = "; ".join(str(p) for p in mutual[:5])
+            raise SimulationError(f"occupancy sweep failed at t={t}: {detail}")
 
         if started:
             stall_retries = 0
@@ -387,10 +385,8 @@ def write_artifacts(result: SimResult, out_dir: str | Path) -> dict[str, Path]:
                 }
             )
         done = result.completed()
-        avg_sd = statistics.fmean([o.slowdown for o in done]) if done else 0.0
-        sd_sd = statistics.pstdev([o.slowdown for o in done]) if done else 0.0
-        avg_w = statistics.fmean([float(o.wait) for o in done]) if done else 0.0
-        sd_w = statistics.pstdev([float(o.wait) for o in done]) if done else 0.0
+        avg_sd, sd_sd = result._stat([o.slowdown for o in done])
+        avg_w, sd_w = result._stat([float(o.wait) for o in done])
         writer.writerow(
             {
                 "job_id": "avg",

@@ -58,9 +58,6 @@ class SystemModel:
     def cap(self, node: int, resource: str) -> int:
         return self.caps[node - 1].get(resource, 0)
 
-    def max_cap(self, resource: str) -> int:
-        return max((caps.get(resource, 0) for caps in self.caps), default=0)
-
     def position_to_node(self, resource: str, position: int) -> int:
         owner = self.owner.get(resource)
         if not owner or not 1 <= position <= len(owner):
@@ -207,9 +204,9 @@ def validate_allocation(
     """Check a candidate set of uses against already-accepted ones.
 
     Violations reported: a position range crossing a node boundary, the same
-    position held by two time-overlapping units, and one unit's ranges
-    spread over different nodes.  ``existing`` is assumed internally valid;
-    it is only checked for conflicts with the candidate.
+    position held twice at overlapping times (even by one unit), and one
+    unit's ranges spread over different nodes.  ``existing`` is assumed
+    internally valid; it is only checked for conflicts with the candidate.
     """
     existing = list(existing)
     candidate = list(candidate)
@@ -234,10 +231,7 @@ def validate_allocation(
 
     for i, use in enumerate(candidate):
         for other in candidate[i + 1 :]:
-            same_unit = (use.job_id, use.unit) == (other.job_id, other.unit)
-            if not same_unit and _overlap(use, other):
-                violations.append(_booking_violation(use, other))
-            elif same_unit and use.resource == other.resource and _overlap(use, other):
+            if _overlap(use, other):
                 violations.append(_booking_violation(use, other))
         for other in existing:
             if _overlap(use, other):
@@ -278,8 +272,6 @@ def validate_mutual(system: SystemModel, uses: Sequence[ResourceUse]) -> list[Vi
             use = resource_uses[idx]
             for other_idx in active:
                 other = resource_uses[other_idx]
-                if (use.job_id, use.unit) == (other.job_id, other.unit):
-                    continue
                 if not (use.t_start >= other.t_end or other.t_start >= use.t_end):
                     violations.append(_booking_violation(use, other))
             active.add(idx)

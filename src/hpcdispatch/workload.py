@@ -14,7 +14,7 @@ import os
 import random
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator
+from typing import Iterable
 
 SWF_COMMENT = ";"
 
@@ -334,8 +334,3 @@ def generate_trace(spec: TraceSpec) -> list[JobRecord]:
             make_job(i, rng.randint(1, spec.users), int(clock), nodes, demand, runtime)
         )
     return jobs
-
-
-def iter_arrivals(jobs: list[JobRecord]) -> Iterator[JobRecord]:
-    """Jobs in arrival order with ties broken by id (simulation order)."""
-    return iter(sorted(jobs, key=lambda j: (j.submit, j.job_id)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from hpcdispatch.dispatch import DispatchConfig, DispatchInstance
+from hpcdispatch.dispatch.common import select_window
 from hpcdispatch.dispatch.instance import AllocationEntry, QueuedJob, RunningJob
 from hpcdispatch.dispatch.pcp19 import build_pcp19, _make_branch as pcp19_branch
 from hpcdispatch.dispatch.pcp20 import build_pcp20, make_branch as pcp20_branch
@@ -197,6 +198,11 @@ def eurora_style_queue(rng: random.Random, size: int, t: int = 1000) -> list[Que
 # -- raw-model solves exposing the full assignment -----------------------------
 
 
+def window_of(instance: DispatchInstance, config: DispatchConfig | None = None) -> list[QueuedJob]:
+    """The queued jobs a dispatcher model would see."""
+    return select_window(instance, config or DispatchConfig())[0]
+
+
 def _unlimited(budget_ms: float) -> DispatchConfig:
     return DispatchConfig(budget_ms=budget_ms, node_limit=None)
 
@@ -209,10 +215,10 @@ def full_pcp20(instance: DispatchInstance, budget_ms: float = 120_000.0):
     proved optimality.
     """
     config = _unlimited(budget_ms)
-    handle = build_pcp20(instance, config)
+    handle = build_pcp20(instance, config, window_of(instance, config))
     if handle.infeasible_build:
         return None, None
-    result = handle.solver.solve(pcp20_branch(handle, config), budget_ms=budget_ms)
+    result = handle.solver.solve(pcp20_branch(handle), budget_ms=budget_ms)
     assert result.status == STATUS_OPTIMAL, f"pcp20 did not finish: {result.status}"
     system = instance.system
     plan = {}
@@ -234,9 +240,10 @@ def full_pcp20(instance: DispatchInstance, budget_ms: float = 120_000.0):
 def full_pcp19(instance: DispatchInstance, budget_ms: float = 120_000.0):
     """(objective, plan) with plan[job_id] = (start, sorted node tuple)."""
     config = _unlimited(budget_ms)
-    handle = build_pcp19(instance, config)
-    if not handle.window:
+    window = window_of(instance, config)
+    if not window:
         return 0, {}
+    handle = build_pcp19(instance, config, window)
     result = handle.solver.solve(pcp19_branch(handle), budget_ms=budget_ms)
     assert result.status == STATUS_OPTIMAL, f"pcp19 did not finish: {result.status}"
     plan = {}

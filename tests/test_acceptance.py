@@ -80,9 +80,10 @@ def test_variable_count_law(capsys):
     sizes = itertools.islice(itertools.cycle(range(1, 51)), 200)
     for count, size in enumerate(sizes, start=1):
         instance = support.instance_on(EURORA, 1000, support.eurora_style_queue(rng, size))
-        handle = build_pcp20(instance, config)
+        window = support.window_of(instance, config)
+        handle = build_pcp20(instance, config, window)
         closed_form = oracles.expected_vars_pcp20(instance)
-        n19 = sum(count_presence_vars(instance, config))
+        n19 = sum(count_presence_vars(instance, window))
         if handle.n_vars != closed_form:
             problems.append(f"#{count} joint count {handle.n_vars} != closed form {closed_form}")
         ratio = handle.n_vars / n19
@@ -118,8 +119,9 @@ def test_system_size_independence(capsys):
     for nodes in (2, 64, 1173):
         system = support.system_of((nodes, caps), name=f"synth{nodes}")
         instance = support.instance_on(system, 600, queue)
-        joint.append(build_pcp20(instance, DispatchConfig()).n_vars)
-        replicated.append(sum(count_presence_vars(instance, DispatchConfig())))
+        window = support.window_of(instance)
+        joint.append(build_pcp20(instance, DispatchConfig(), window).n_vars)
+        replicated.append(sum(count_presence_vars(instance, window)))
     elapsed = time.perf_counter() - started
     ok = (
         len(set(joint)) == 1

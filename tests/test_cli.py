@@ -218,3 +218,6 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--trace", "t.jsonl", "--system", "eurora", "--element-literal"])
+    assert exc.value.code == 2

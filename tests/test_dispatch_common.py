@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import support
+from hpcdispatch.dispatch import DISPATCHERS, hcp19, pcp19, pcp20
 from hpcdispatch.dispatch.common import (
     DispatchConfig,
     FreeRuns,
@@ -24,7 +25,7 @@ from hpcdispatch.dispatch.common import (
     slowdown_weight,
     unit_demands,
 )
-from hpcdispatch.dispatch.instance import allocation_uses
+from hpcdispatch.dispatch.instance import AllocationEntry, JobDecision, allocation_uses
 from hpcdispatch.system import validate_mutual
 
 
@@ -183,14 +184,6 @@ def test_claim_is_left_aligned_and_splits_runs():
     assert free.claim(1, "core", 2) is None
 
 
-def test_claim_best_prefers_tightest_run():
-    _, free = make_free()
-    # runs are [1,2] and [5,8]; best-fit for length 2 picks the exact hole
-    assert free.claim(1, "core", 2, best=True) == 1
-    free2 = make_free()[1]
-    assert free2.claim(1, "core", 4, best=True) == 5
-
-
 def test_transactions_roll_back_claims():
     _, free = make_free()
     before = {k: [run[:] for run in v] for k, v in free.runs.items()}
@@ -281,3 +274,58 @@ def test_emergency_dispatch_takes_what_fits():
     for d in decisions:
         uses.extend(allocation_uses(d.job_id, d.allocation, 5, 6))
     assert validate_mutual(system, uses) == []
+
+
+# -- the driver ------------------------------------------------------------------------------
+
+DECODERS = {
+    "pcp20": (pcp20, "_decode"),
+    "pcp19": (pcp19, "_materialize"),
+    "hcp19": (hcp19, "_place"),
+}
+
+
+def one_node_half_busy():
+    """Cores 1-2 of a four-core node run job 9; job 1 wants two cores now."""
+    system = support.system_of((1, {"core": 4}))
+    running = [
+        support.running(system, 9, start=0, d_expected=50, placements=[(0, 1, "core", 1, 2)])
+    ]
+    queued = [support.queued(1, submit=0, rn=1, unit_req={"core": 2}, d_expected=10)]
+    return support.instance_on(system, t=5, queued_jobs=queued, running_jobs=running)
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCHERS))
+@pytest.mark.parametrize("rescue", [False, True])
+def test_decode_guard_refuses_an_overlapping_decision(name, rescue, monkeypatch):
+    module, decoder = DECODERS[name]
+
+    def overlapping(handle, instance, values):
+        return [JobDecision(1, instance.t, (AllocationEntry(0, "core", 2, 2),))]
+
+    monkeypatch.setattr(module, decoder, overlapping)
+    instance = one_node_half_busy()
+    config = DispatchConfig(budget_ms=10_000, node_limit=None, emergency_first_fit=rescue)
+    decision = DISPATCHERS[name](instance, config)
+    assert decision.stats.status == "decode-error"
+    assert decision.fallback and decision.stats.fallback
+    if rescue:
+        # The first-fit rescue takes the free cores 3-4 instead.
+        assert [d.allocation for d in decision.dispatched()] == [
+            (AllocationEntry(0, "core", 3, 2),)
+        ]
+    else:
+        assert decision.dispatched() == []
+    assert decision.stats.dispatched == len(decision.dispatched())
+    assert decision.violations(instance) == []
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCHERS))
+def test_empty_window_is_optimal_at_zero(name):
+    system = support.system_of((1, {"core": 4}))
+    unfittable = [support.queued(1, submit=0, rn=1, unit_req={"core": 8}, d_expected=10)]
+    decision = DISPATCHERS[name](support.instance_on(system, t=3, queued_jobs=unfittable))
+    stats = decision.stats
+    assert (stats.status, stats.objective) == ("optimal", 0)
+    assert (stats.queue_size, stats.window_size, stats.n_vars) == (1, 0, 0)
+    assert decision.jobs == [] and not decision.fallback

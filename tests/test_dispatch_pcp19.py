@@ -27,9 +27,10 @@ def test_presence_count_matches_oracle_and_build():
     for _ in range(10):
         jobs = support.eurora_style_queue(rng, rng.randint(1, 15))
         instance = support.instance_on(system, t=1000, queued_jobs=jobs)
-        n_sched, n_alloc = count_presence_vars(instance, DispatchConfig())
+        window = support.window_of(instance)
+        n_sched, n_alloc = count_presence_vars(instance, window)
         assert n_sched + n_alloc == oracles.expected_vars_pcp19(instance)
-        handle = build_pcp19(instance, DispatchConfig())
+        handle = build_pcp19(instance, DispatchConfig(), window)
         assert (handle.n_sched, handle.n_alloc) == (n_sched, n_alloc)
 
 
@@ -39,7 +40,7 @@ def test_serial_job_replicates_once_per_node():
         system, t=0,
         queued_jobs=[support.queued(1, 0, rn=1, unit_req={"core": 4, "mem": 4}, d_expected=60)],
     )
-    n_sched, n_alloc = count_presence_vars(instance, DispatchConfig())
+    n_sched, n_alloc = count_presence_vars(instance, support.window_of(instance))
     assert (n_sched, n_alloc) == (1, 64)  # one candidate slot on every node
 
 
@@ -50,7 +51,7 @@ def test_presence_vars_scale_with_the_system():
     for nodes in (2, 64, 256):
         system = support.system_of((nodes, {"core": 16, "mem": 16, "gpu": 2, "mic": 2}))
         instance = support.instance_on(system, t=1000, queued_jobs=jobs)
-        n_sched, n_alloc = count_presence_vars(instance, DispatchConfig())
+        n_sched, n_alloc = count_presence_vars(instance, support.window_of(instance))
         sizes.append(n_sched + n_alloc)
     assert sizes[0] < sizes[1] < sizes[2]
 

@@ -5,7 +5,7 @@ import random
 import oracles
 import support
 from hpcdispatch.dispatch.common import DispatchConfig
-from hpcdispatch.dispatch.pcp20 import build_pcp20, solve_pcp20
+from hpcdispatch.dispatch.pcp20 import build_pcp20, count_position_vars, solve_pcp20
 from hpcdispatch.system import preset
 
 
@@ -68,12 +68,10 @@ def test_variable_count_matches_closed_form():
     for _ in range(20):
         jobs = support.eurora_style_queue(rng, rng.randint(1, 30))
         instance = support.instance_on(system, t=1000, queued_jobs=jobs)
-        handle = build_pcp20(instance, DispatchConfig())
+        window = support.window_of(instance)
+        handle = build_pcp20(instance, DispatchConfig(), window)
         assert handle.n_vars == oracles.expected_vars_pcp20(instance)
-        assert handle.n_sched == len(handle.window)
-        assert handle.n_alloc == sum(
-            e.rn * len(e.job.resources()) for e in handle.window
-        )
+        assert (handle.n_sched, handle.n_alloc) == count_position_vars(instance, window)
 
 
 def test_variable_count_ignores_node_count():
@@ -83,7 +81,7 @@ def test_variable_count_ignores_node_count():
     for nodes in (2, 64, 1173):
         system = support.system_of((nodes, {"core": 16, "mem": 16, "gpu": 2, "mic": 2}))
         instance = support.instance_on(system, t=1000, queued_jobs=jobs)
-        counts.append(build_pcp20(instance, DispatchConfig()).n_vars)
+        counts.append(build_pcp20(instance, DispatchConfig(), support.window_of(instance)).n_vars)
     assert counts[0] == counts[1] == counts[2]
 
 
@@ -93,7 +91,7 @@ def test_span_filter_bakes_node_blocks_into_domains():
         system, t=0,
         queued_jobs=[support.queued(1, 0, rn=1, unit_req={"gpu": 2}, d_expected=5)],
     )
-    handle = build_pcp20(instance, DispatchConfig())
+    handle = build_pcp20(instance, DispatchConfig(), support.window_of(instance))
     (jv,) = handle.jobs
     gpu_vars = [y for res, _u, y, _q in jv.positions if res == "gpu"]
     assert len(gpu_vars) == 1
@@ -170,41 +168,3 @@ def test_matches_exhaustive_optimum_on_tiny_instances():
         decision = solve_pcp20(instance, unlimited())
         assert decision.stats.status == "optimal", f"seed {seed}"
         assert decision.stats.objective == best_obj, f"seed {seed}"
-
-
-def test_branch_orders_agree_on_the_optimum():
-    for seed in (3, 11, 28):
-        rng = random.Random(10_000 + seed)
-        instance = support.tiny_instance(rng)
-        rng = random.Random(10_000 + seed)
-        instance2 = support.tiny_instance(rng)
-        base = solve_pcp20(instance, unlimited())
-        config = DispatchConfig(budget_ms=60_000, node_limit=None, branch_priority_first=True)
-        alt = solve_pcp20(instance2, config)
-        assert base.stats.status == alt.stats.status == "optimal"
-        assert base.stats.objective == alt.stats.objective
-
-
-def test_element_literal_is_equivalent_encoding():
-    system = preset("eurora")
-    instance = support.instance_on(
-        system, t=5,
-        queued_jobs=[
-            support.queued(1, submit=0, rn=2, unit_req={"core": 4, "gpu": 2}, d_expected=30),
-            support.queued(2, submit=3, rn=1, unit_req={"core": 1}, d_expected=10),
-        ],
-    )
-    base = solve_pcp20(instance, unlimited())
-    literal = solve_pcp20(
-        instance, DispatchConfig(budget_ms=60_000, node_limit=None, element_literal=True)
-    )
-    assert base.stats.status == literal.stats.status == "optimal"
-    assert base.stats.objective == literal.stats.objective
-    assert base.stats.n_vars == literal.stats.n_vars
-    gpu_starts = [
-        a.position
-        for d in literal.dispatched()
-        for a in d.allocation
-        if a.resource == "gpu"
-    ]
-    assert gpu_starts and all(p % 2 == 1 for p in gpu_starts)

@@ -178,28 +178,6 @@ def test_element_clamps_out_of_range_indices():
     assert (ia.lo, ia.hi) == (0, 2)
 
 
-def test_element_same_var_unit_pair_pattern():
-    # Two adjacent units of one job on a two-wide ownership map: the shared
-    # index must start a same-node pair, so every second position drops out.
-    solver = Solver()
-    y = solver.new_var(1, 4, "y")
-    arr = IndexedArray([1, 1, 2, 2])
-    solver.add(ElementEqual(arr, y, arr, y, offset_a=0, offset_b=1))
-    assert solver.propagate_all()
-    assert sorted(y.iter_values()) == [1, 3]
-
-
-def test_element_same_var_repeated_values_keeps_cross_run_matches():
-    # Runs repeat the value 3, so "same run" understates agreement: v=4
-    # matches through two different runs (positions 5 and 2 both hold 3).
-    solver = Solver()
-    v = solver.new_var(0, 9, "v")
-    arr = IndexedArray([2, 3, 3, 1, 3, 1, 1])
-    solver.add(ElementEqual(arr, v, arr, v, offset_a=1, offset_b=-2))
-    assert solver.propagate_all()
-    assert sorted(v.iter_values()) == [4, 6]
-
-
 def test_element_same_var_same_offset_keeps_everything_in_range():
     solver = Solver()
     v = solver.new_var(-3, 12, "v")

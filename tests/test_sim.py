@@ -1,21 +1,30 @@
 """Event-driven simulation loop, metrics, artifacts, and offline replay."""
 
 import csv
+import hashlib
 
 import pytest
 
 import support
 from hpcdispatch.dispatch import DISPATCHERS, DispatchConfig
-from hpcdispatch.dispatch.instance import DispatchDecision, DispatchInstance, InvocationStats
+from hpcdispatch.dispatch.instance import (
+    AllocationEntry,
+    DispatchDecision,
+    DispatchInstance,
+    InvocationStats,
+    JobDecision,
+)
 from hpcdispatch.sim import (
     REPLAY_FIELDS,
     SimConfig,
+    SimulationError,
     replay_instances,
     run_simulation,
     snapshot_instance,
     write_artifacts,
 )
-from hpcdispatch.workload import make_job
+from hpcdispatch.system import preset
+from hpcdispatch.workload import eurora_mix, generate_trace, gpu_scarce_mix, make_job
 
 
 def one_core():
@@ -141,6 +150,23 @@ def test_stalled_queue_gives_up_after_retries():
     assert any("stall retry=3" in line for line in result.events)
 
 
+def test_overlapping_dispatch_aborts_the_run():
+    def pile_on_core_one(instance, config):
+        jobs = [
+            JobDecision(e.job_id, instance.t, (AllocationEntry(0, "core", 1, 1),))
+            for e in instance.queued
+        ]
+        stats = InvocationStats(dispatcher="stub-pile", t=instance.t)
+        return DispatchDecision(jobs=jobs, stats=stats)
+
+    DISPATCHERS["stub-pile"] = pile_on_core_one
+    try:
+        with pytest.raises(SimulationError, match="double-booking"):
+            run_simulation(two_job_trace(), one_core(), sim_config(dispatcher="stub-pile"))
+    finally:
+        del DISPATCHERS["stub-pile"]
+
+
 def test_wall_cap_aborts_the_run():
     result = run_simulation(two_job_trace(), one_core(), sim_config(wall_cap_s=0.0))
     assert result.dnf
@@ -247,3 +273,64 @@ def test_replay_compares_model_sizes(tmp_path):
     assert row["vars_pcp19"] == 26
     assert row["var_ratio"] == f"{6 / 26:.6f}"
     assert row["obj_ratio"] == "1.000000"
+
+
+# -- golden artifacts -------------------------------------------------------------------
+
+# Decisions must not move when dispatcher code is restructured.  The budget
+# never binds, so every digest depends on the node limit alone.  A runs the
+# default search; B (a burst of wide jobs) and C (GPU-scarce) cap it at 20
+# nodes with a 10-job window and the first-fit rescue, which exercises pcp19
+# timeout fallbacks, hcp19 re-iterations and pcp20 budget-cut incumbents.
+_TIGHT = DispatchConfig(budget_ms=600_000, node_limit=20, window=10, emergency_first_fit=True)
+GOLDEN_SCENARIOS = {
+    "A": (
+        lambda: eurora_mix(jobs=60, seed=7),
+        lambda: preset("eurora"),
+        DispatchConfig(budget_ms=600_000, node_limit=1500),
+    ),
+    "B": (
+        lambda: eurora_mix(
+            jobs=60, seed=11, mean_interarrival=1.0, node_counts=((1, 0.55), (2, 0.30), (4, 0.15))
+        ),
+        lambda: preset("eurora"),
+        _TIGHT,
+    ),
+    "C": (
+        lambda: gpu_scarce_mix(jobs=60, seed=7, mean_interarrival=45.0),
+        lambda: support.system_of(
+            (12, {"core": 16, "mem": 16}), (4, {"core": 16, "mem": 16, "gpu": 2})
+        ),
+        _TIGHT,
+    ),
+}
+# sha256 prefixes of (jobs.csv + events.log, invocations.csv without wall_ms)
+GOLDEN_DIGESTS = {
+    ("A", "pcp20"): ("a2a537b562427c83", "41d9f59092805720"),
+    ("A", "pcp19"): ("a370a73da0c6a5c4", "59107540b59588cf"),
+    ("A", "hcp19"): ("a2a537b562427c83", "87073a899f557741"),
+    ("B", "pcp20"): ("a357b607e5c097a6", "0ae123e72af4050c"),
+    ("B", "pcp19"): ("1287b1bf946cbb4e", "648461019c9c1686"),
+    ("B", "hcp19"): ("f857cd799fad88a0", "8daf57cfd0f26675"),
+    ("C", "pcp20"): ("87e808ab287210f0", "b55cd365378a4fc7"),
+    ("C", "pcp19"): ("98efbb75715a0672", "af749d112f33fc77"),
+    ("C", "hcp19"): ("baba7ee83795b97c", "a262c4b0f7fd5a89"),
+}
+
+
+@pytest.mark.parametrize("scenario, dispatcher", sorted(GOLDEN_DIGESTS))
+def test_golden_artifacts(scenario, dispatcher, tmp_path):
+    spec, system, dispatch = GOLDEN_SCENARIOS[scenario]
+    result = run_simulation(
+        generate_trace(spec()), system(), SimConfig(dispatcher=dispatcher, dispatch=dispatch)
+    )
+    paths = write_artifacts(result, tmp_path)
+    decisions = hashlib.sha256(paths["jobs"].read_bytes() + paths["events"].read_bytes())
+    with paths["invocations"].open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    timing = rows[0].index("wall_ms")
+    untimed = "\n".join(",".join(c for i, c in enumerate(row) if i != timing) for row in rows)
+    stats = hashlib.sha256(untimed.encode())
+    assert (decisions.hexdigest()[:16], stats.hexdigest()[:16]) == GOLDEN_DIGESTS[
+        (scenario, dispatcher)
+    ]

@@ -48,8 +48,6 @@ def test_flattened_position_geometry():
     assert system.node_span[(2, "core")] == (3, 5)
     assert (1, "gpu") not in system.node_span
     assert system.cap(1, "gpu") == 0
-    assert system.max_cap("core") == 3
-    assert system.max_cap("ssd") == 0
 
 
 def test_position_lookups():
@@ -198,6 +196,31 @@ def test_same_unit_same_resource_self_overlap_rejected(two_node_system):
         ResourceUse(1, 1, "core", 1, 1, 2, 4),
     ]
     assert kinds(validate_allocation(two_node_system, [], uses)) == ["double-booking"]
+
+
+VALIDATOR_CASES = {
+    "clean": ([ResourceUse(1, 1, "core", 1, 2, 0, 10), ResourceUse(1, 2, "core", 3, 2, 0, 10)], []),
+    "node-span": ([ResourceUse(1, 1, "core", 2, 2, 0, 1)], ["node-span"]),
+    "unit-split": (
+        [ResourceUse(1, 1, "core", 1, 1, 0, 5), ResourceUse(1, 1, "gpu", 2, 1, 0, 5)],
+        ["unit-split"],
+    ),
+    "cross-job double-booking": (
+        [ResourceUse(1, 1, "core", 1, 1, 0, 5), ResourceUse(2, 1, "core", 1, 1, 4, 6)],
+        ["double-booking"],
+    ),
+    "same-unit self-overlap": (
+        [ResourceUse(1, 1, "core", 1, 1, 0, 5), ResourceUse(1, 1, "core", 1, 1, 2, 4)],
+        ["double-booking"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATOR_CASES))
+def test_validators_agree(two_node_system, case):
+    uses, expected = VALIDATOR_CASES[case]
+    assert kinds(validate_allocation(two_node_system, [], uses)) == expected
+    assert kinds(validate_mutual(two_node_system, uses)) == expected
 
 
 def test_mutual_sweep_scales_past_pairwise():

@@ -9,7 +9,6 @@ from hpcdispatch.workload import (
     eurora_mix,
     generate_trace,
     gpu_scarce_mix,
-    iter_arrivals,
     jobs_from_jsonl,
     jobs_to_jsonl,
     load_trace,
@@ -229,15 +228,6 @@ def test_gpu_scarce_mix_hits_half_gpu_demand():
     gpu = sum(1 for j in jobs if "gpu" in j.demand)
     assert 0.44 < gpu / len(jobs) < 0.56
     assert all(j.node_count <= 2 for j in jobs)
-
-
-def test_iter_arrivals_orders_by_submit_then_id():
-    jobs = [
-        make_job(3, 1, 10, 1, {"core": 1}, 5),
-        make_job(1, 1, 10, 1, {"core": 1}, 5),
-        make_job(2, 1, 4, 1, {"core": 1}, 5),
-    ]
-    assert [j.job_id for j in iter_arrivals(jobs)] == [2, 1, 3]
 
 
 def test_job_record_equality_is_field_wise():
