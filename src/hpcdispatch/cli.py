@@ -34,7 +34,6 @@ from hpcdispatch.workload import (
     gpu_scarce_mix,
     jobs_to_jsonl,
     load_trace,
-    parse_swf,
     render_swf,
     spec_from_dict,
 )
@@ -91,21 +90,14 @@ def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
     _add_solver_flags(sub)
 
 
-def _read_trace(path: str, cores_per_node: int) -> tuple[list, int]:
-    if path.endswith(".swf"):
-        with open(path, "r", encoding="utf-8") as fh:
-            parsed = parse_swf(fh, cores_per_node=cores_per_node)
-        return parsed.jobs, parsed.skipped
-    return load_trace(path, cores_per_node=cores_per_node), 0
-
-
 def _load_jobs(args: argparse.Namespace):
-    jobs, skipped = _read_trace(args.trace, args.cores_per_node)
+    parsed = load_trace(args.trace, args.cores_per_node)
+    jobs = parsed.jobs
     if args.max_jobs > 0:
         jobs = jobs[: args.max_jobs]
     if not jobs:
         raise ValueError(f"trace {args.trace} contains no usable jobs")
-    return jobs, skipped
+    return jobs, parsed.skipped
 
 
 def _sim_config(args: argparse.Namespace, dispatcher: str, dump_dir=None) -> SimConfig:
@@ -273,9 +265,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         )
     if args.trace:
         checked = True
-        jobs, skipped = _read_trace(args.trace, args.cores_per_node)
-        print(f"trace {args.trace}: {len(jobs)} jobs, {skipped} skipped")
-        if not jobs:
+        parsed = load_trace(args.trace, args.cores_per_node)
+        print(f"trace {args.trace}: {len(parsed.jobs)} jobs, {parsed.skipped} skipped")
+        if not parsed.jobs:
             failures += 1
     if args.instance:
         checked = True

@@ -60,7 +60,6 @@ def _build_schedule_model(
     for entry in window:
         lo = t + 1 if entry.job_id in held else t
         handle.jobs.append(_JobVars(entry=entry, start=solver.new_var(lo, eoh, f"s{entry.job_id}")))
-    running_start: dict[int, IntVar] = {}
     for resource in system.resources:
         tasks = []
         for jv in handle.jobs:
@@ -68,11 +67,8 @@ def _build_schedule_model(
             if total > 0:
                 tasks.append(Task(jv.start, jv.entry.d_expected, total))
         for run in instance.running:
-            total = sum(a.extent for a in run.allocation if a.resource == resource)
-            if total > 0:
-                if run.job_id not in running_start:
-                    running_start[run.job_id] = solver.new_var(t, t, f"s_run{run.job_id}")
-                tasks.append(Task(running_start[run.job_id], residual(run, t), total))
+            dur = residual(run, t)
+            tasks += [Task(t, dur, a.extent) for a in run.allocation if a.resource == resource]
         if tasks:
             solver.add(Cumulative(tasks, system.total_capacity[resource]))
     weights, constant = objective_terms(window, config.objective_scale)

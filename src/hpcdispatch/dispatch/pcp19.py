@@ -129,12 +129,9 @@ def build_pcp19(
 
     for run in instance.running:
         dur = residual(run, t)
-        s_fixed = solver.new_var(t, t, f"s_run{run.job_id}")
         for alloc in run.allocation:
             node = system.position_to_node(alloc.resource, alloc.position)
-            node_tasks.setdefault((node, alloc.resource), []).append(
-                Task(s_fixed, dur, alloc.extent)
-            )
+            node_tasks.setdefault((node, alloc.resource), []).append(Task(t, dur, alloc.extent))
 
     for batch, ((node, resource), tasks) in enumerate(sorted(node_tasks.items())):
         if deadline is not None and batch % 64 == 0 and time.perf_counter() > deadline:

@@ -113,17 +113,6 @@ def build_pcp20(
             )
         )
 
-    # Running jobs appear as fixed boxes living on [t, t + residual).
-    running_fixed: list[tuple[IntVar, int, dict[str, list[tuple[IntVar, int]]]]] = []
-    for run in instance.running:
-        dur = residual(run, t)
-        s_fixed = solver.new_var(t, t, f"s_run{run.job_id}")
-        by_resource: dict[str, list[tuple[IntVar, int]]] = {}
-        for alloc in run.allocation:
-            y_fixed = solver.new_var(alloc.position, alloc.position, "")
-            by_resource.setdefault(alloc.resource, []).append((y_fixed, alloc.extent))
-        running_fixed.append((s_fixed, dur, by_resource))
-
     for resource in system.resources:
         boxes: list[Box] = []
         pooled: list[Task] = []
@@ -138,14 +127,14 @@ def build_pcp20(
                     continue
                 boxes.append(Box(jv.start, d, yvar, q))
                 axis.append(Task(yvar, q, d))
-        for s_fixed, dur, by_resource in running_fixed:
-            entries = by_resource.get(resource, ())
-            total = sum(q for _, q in entries)
-            if total > 0:
-                pooled.append(Task(s_fixed, dur, total))
-            for y_fixed, q in entries:
-                boxes.append(Box(s_fixed, dur, y_fixed, q))
-                axis.append(Task(y_fixed, q, dur))
+        # Running jobs are given data: constant parts on [t, t + residual).
+        for run in instance.running:
+            dur = residual(run, t)
+            for alloc in run.allocation:
+                if alloc.resource == resource:
+                    pooled.append(Task(t, dur, alloc.extent))
+                    boxes.append(Box(t, dur, alloc.position, alloc.extent))
+                    axis.append(Task(alloc.position, alloc.extent, dur))
         if boxes:
             solver.add(Diffn(boxes))
         if pooled:

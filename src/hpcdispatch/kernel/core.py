@@ -216,7 +216,6 @@ class Solver:
         self.props: list[Any] = []
         self._trail: list[tuple[int, IntVar, int]] = []
         self._queue: deque = deque()
-        self.decision_depth = 0
         self._objective_vars: list[IntVar] = []
         self._objective_weights: list[int] = []
         self._objective_const = 0
@@ -360,7 +359,6 @@ class Solver:
             var, value = decision
             mark = self.mark()
             frames.append((mark, var, value))
-            self.decision_depth = len(frames)
             stats.decisions += 1
             if var.assign(value) and self.propagate():
                 continue
@@ -372,7 +370,6 @@ class Solver:
         while frames:
             mark, _, _ = frames.pop()
             self.undo_to(mark)
-        self.decision_depth = 0
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         if exhausted:
             stats.status = STATUS_OPTIMAL if best is not None else STATUS_INFEASIBLE
@@ -387,7 +384,6 @@ class Solver:
             mark, var, value = frames.pop()
             self._clear_queue()
             self.undo_to(mark)
-            self.decision_depth = len(frames)
             if var.remove(value):
                 if self._objective_prop is not None and self._objective_bound is not None:
                     self.enqueue(self._objective_prop)

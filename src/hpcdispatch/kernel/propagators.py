@@ -3,7 +3,10 @@
 The set is exactly what the dispatch models need: timetable-filtering
 cumulative (with an optional 0/1 presence variable per task), pairwise
 diffn over rectangles, element equality between two constant arrays,
-forward-checking alldifferent, and a boolean cardinality sum.
+forward-checking alldifferent, and a boolean cardinality sum.  A
+cumulative task or diffn box placed by plain ints is a constant, such as a
+running job: it is folded into a base profile or kept as a fixed rectangle,
+and never watched or pushed.
 """
 
 from __future__ import annotations
@@ -35,19 +38,24 @@ class Propagator:
 
 
 class Task:
-    """Cumulative task: variable start, fixed duration and demand.
+    """Cumulative task: a start, a fixed duration and a fixed demand.
 
-    ``presence`` is an optional 0/1 variable; the task consumes capacity
+    ``start`` is a variable, or a plain int for a constant task.  A variable
+    task may take ``presence``, a 0/1 variable: the task consumes capacity
     only when present.  A missing presence means the task always runs.
     """
 
     __slots__ = ("start", "duration", "demand", "presence")
 
-    def __init__(self, start: IntVar, duration: int, demand: int, presence: IntVar | None = None):
+    def __init__(
+        self, start: IntVar | int, duration: int, demand: int, presence: IntVar | None = None
+    ):
         if duration < 0:
             raise ValueError("task duration must be >= 0")
         if demand < 0:
             raise ValueError("task demand must be >= 0")
+        if presence is not None and isinstance(start, int):
+            raise ValueError("a constant task always runs: it takes no presence")
         self.start = start
         self.duration = duration
         self.demand = demand
@@ -60,7 +68,8 @@ class Cumulative(Propagator):
     The profile of compulsory parts of surely-present tasks must never
     exceed the capacity; present tasks have their start bounds pushed past
     saturated profile segments, and undecided tasks that fit nowhere have
-    their presence forced to 0.
+    their presence forced to 0.  Constant tasks are folded once into a
+    base profile; ``tasks`` keeps only the variable ones.
     """
 
     name = "cumulative"
@@ -69,7 +78,17 @@ class Cumulative(Propagator):
         super().__init__()
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        self.tasks = [t for t in tasks if t.duration > 0 and t.demand > 0]
+        self.tasks: list[Task] = []
+        self.base: dict[int, int] = {}  # profile events of the constant tasks
+        for task in tasks:
+            if task.duration <= 0 or task.demand <= 0:
+                continue
+            if isinstance(task.start, int):
+                end = task.start + task.duration
+                self.base[task.start] = self.base.get(task.start, 0) + task.demand
+                self.base[end] = self.base.get(end, 0) - task.demand
+            else:
+                self.tasks.append(task)
         self.capacity = capacity
 
     def post(self, solver: Solver) -> None:
@@ -98,7 +117,7 @@ class Cumulative(Propagator):
                     else:
                         undecided.append(task)
 
-            segments = _profile(present)
+            segments = _profile(present, self.base)
             for _, _, height in segments:
                 if height > cap:
                     return False
@@ -142,9 +161,9 @@ class Cumulative(Propagator):
                 return True
 
 
-def _profile(tasks: list[Task]) -> list[tuple[int, int, int]]:
-    """Compulsory-part profile as merged (from, to, height) segments."""
-    events: dict[int, int] = {}
+def _profile(tasks: list[Task], base: dict[int, int]) -> list[tuple[int, int, int]]:
+    """Compulsory-part profile over the base events, as (from, to, height) segments."""
+    events = dict(base)
     for task in tasks:
         lst = task.start.hi
         ect = task.start.lo + task.duration
@@ -192,11 +211,11 @@ def _latest_fit(segments, start, duration, demand, cap, own_lo, own_hi, own_dema
 
 
 class Box:
-    """Axis-aligned rectangle with variable origin and fixed edge lengths."""
+    """Axis-aligned rectangle with fixed edge lengths; an int origin makes it fixed."""
 
     __slots__ = ("x", "x_len", "y", "y_len")
 
-    def __init__(self, x: IntVar, x_len: int, y: IntVar, y_len: int):
+    def __init__(self, x: IntVar | int, x_len: int, y: IntVar | int, y_len: int):
         if x_len < 0 or y_len < 0:
             raise ValueError("box edge lengths must be >= 0")
         self.x = x
@@ -212,15 +231,18 @@ class Diffn(Propagator):
     apart: if only one relative order remains possible it is enforced on
     the bounds, and if none remains the constraint fails.  Wakes carry the
     index of the changed box so re-propagation only rescans its pairs.
+    Fixed boxes become (x, x_len, y, y_len) rectangles in ``fixed``, checked
+    against variable boxes only, after each box's variable partners.
     """
 
     name = "diffn"
 
     def __init__(self, boxes: Sequence[Box]):
         super().__init__()
-        self.boxes = [b for b in boxes if b.x_len > 0 and b.y_len > 0]
+        solid = [b for b in boxes if b.x_len > 0 and b.y_len > 0]
+        self.boxes = [b for b in solid if not isinstance(b.x, int)]
+        self.fixed = [(b.x, b.x_len, b.y, b.y_len) for b in solid if isinstance(b.x, int)]
         self._dirty: set[int] | None = _FULL
-        self._rigid: list[bool] | None = None
 
     def post(self, solver: Solver) -> None:
         for idx, box in enumerate(self.boxes):
@@ -236,39 +258,25 @@ class Diffn(Propagator):
 
     def propagate(self, solver: Solver) -> bool:
         boxes = self.boxes
+        fixed = self.fixed
         count = len(boxes)
         while True:
             work = self._dirty
             self._dirty = set()
             if work is _FULL:
-                rigid = self._rigid
-                if rigid is None:
-                    pairs = ((i, j) for i in range(count) for j in range(i + 1, count))
-                else:
-                    # Boxes already fixed at the root fixpoint can never widen
-                    # again, so a pair of them was checked once and stays
-                    # mutually consistent; only pairs with a movable box can
-                    # still prune.
-                    pairs = (
-                        (i, j)
-                        for i in range(count)
-                        for j in range(i + 1, count)
-                        if not (rigid[i] and rigid[j])
-                    )
+                rows = ((i, range(i + 1, count)) for i in range(count))
+            elif not work:
+                return True
             else:
-                if not work:
-                    return True
-                others = range(count)
-                pairs = ((i, j) for i in sorted(work) for j in others if i != j)
-            for i, j in pairs:
-                ok = self._prune_pair(boxes[i], boxes[j])
-                if not ok:
+                rows = ((i, range(count)) for i in sorted(work))
+            for i, partners in rows:
+                a = boxes[i]
+                if not (
+                    all(j == i or self._prune_pair(a, boxes[j]) for j in partners)
+                    and all(_prune_fixed(a, *rect) for rect in fixed)
+                ):
                     self.reset()
                     return False
-            if work is _FULL and self._rigid is None and solver.decision_depth == 0:
-                self._rigid = [
-                    box.x.lo == box.x.hi and box.y.lo == box.y.hi for box in boxes
-                ]
             if not self._dirty:
                 return True
 
@@ -295,6 +303,20 @@ def _force_apart(u: IntVar, u_len: int, v: IntVar, v_len: int) -> bool:
     if not u_first_possible:
         return u.set_min(v.lo + v_len) and v.set_max(u.hi - v_len)
     return True
+
+
+def _prune_fixed(a: Box, x: int, x_len: int, y: int, y_len: int) -> bool:
+    """``Diffn._prune_pair`` against the fixed rectangle at (x, y)."""
+    x_must = a.x.lo + a.x_len > x and x + x_len > a.x.hi
+    y_must = a.y.lo + a.y_len > y and y + y_len > a.y.hi
+    if x_must == y_must:
+        return not x_must
+    u, u_len, v, v_len = (a.y, a.y_len, y, y_len) if x_must else (a.x, a.x_len, x, x_len)
+    before_possible = u.lo + u_len <= v
+    after_possible = v + v_len <= u.hi
+    if before_possible == after_possible:
+        return before_possible
+    return u.set_max(v - u_len) if before_possible else u.set_min(v + v_len)
 
 
 def _value_runs(array: Sequence[int]) -> list[tuple[int, int, int]]:

@@ -443,7 +443,7 @@ def replay_instances(
 ) -> tuple[list[dict], list[str]]:
     """Solve each saved instance with both joint dispatchers; emit ratio rows.
 
-    Returns (rows, notes); unreadable instances are noted and skipped.
+    Returns (rows, notes); unreadable or invalid instances are noted and skipped.
     """
     from hpcdispatch.dispatch.pcp19 import build_and_solve_pcp19
     from hpcdispatch.dispatch.pcp20 import solve_pcp20
@@ -456,6 +456,10 @@ def replay_instances(
             instance = DispatchInstance.load(path)
         except (OSError, ValueError, KeyError) as exc:
             notes.append(f"skipped {path}: {exc}")
+            continue
+        problems = instance.validate()
+        if problems:
+            notes.append(f"skipped {path}: {'; '.join(map(str, problems))}")
             continue
         d20 = solve_pcp20(instance, config)
         d19 = build_and_solve_pcp19(instance, config)

@@ -171,12 +171,16 @@ def jobs_to_jsonl(jobs: Iterable[JobRecord]) -> str:
 
 
 def jobs_from_jsonl(text: str) -> list[JobRecord]:
+    """Parse JSON-lines records; a line without ``id`` or ``runtime`` is a ValueError."""
     jobs = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
+        missing = [key for key in ("id", "runtime") if key not in obj]
+        if missing:
+            raise ValueError(f"trace line {number}: missing {missing[0]!r}")
         jobs.append(
             make_job(
                 obj["id"],
@@ -191,14 +195,14 @@ def jobs_from_jsonl(text: str) -> list[JobRecord]:
     return jobs
 
 
-def load_trace(path: str | os.PathLike, cores_per_node: int = 16) -> list[JobRecord]:
-    """Load a trace file; SWF or JSON-lines is chosen by extension."""
+def load_trace(path: str | os.PathLike, cores_per_node: int = 16) -> ParsedTrace:
+    """Load a trace file, SWF or JSON-lines by extension; only SWF ever skips records."""
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".swf"):
-        return parse_swf(text.splitlines(), cores_per_node).jobs
-    return jobs_from_jsonl(text)
+        return parse_swf(text.splitlines(), cores_per_node)
+    return ParsedTrace(jobs_from_jsonl(text), 0)
 
 
 @dataclass

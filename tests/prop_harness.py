@@ -5,6 +5,9 @@ propagator, runs propagation to a fixpoint, and compares the result
 against exhaustive enumeration from oracles.py: a propagator may keep
 unsupported values (filtering here is not arc consistent) but must never
 drop a supported one, and may only fail when no full assignment exists.
+Cumulative tasks and diffn boxes are sometimes constants (plain ints), so
+base profiles and fixed rectangles are drawn too; the oracles take them as
+fixed values.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ def _domain(var: IntVar) -> list[int]:
     return list(var.iter_values())
 
 
+def _value(term: IntVar | int, lookup: dict) -> int:
+    return term if isinstance(term, int) else lookup[term]
+
+
 def _build(kind: str, rng: random.Random):
     """Returns (solver, vars, ok) with ok judging one full assignment.
 
@@ -51,14 +58,17 @@ def _build(kind: str, rng: random.Random):
     solver = Solver(kind)
     if kind == "cumulative":
         n = rng.randint(1, 4)
-        starts = [_random_var(solver, rng) for _ in range(n)]
+        starts = [
+            rng.randint(-2, 8) if rng.random() < 0.3 else _random_var(solver, rng)
+            for _ in range(n)
+        ]
         durations = [rng.randint(0, 3) for _ in range(n)]
         demands = [rng.randint(0, 3) for _ in range(n)]
         capacity = rng.randint(0, 4)
         presences: list[IntVar | None] = []
-        variables: list[IntVar] = list(starts)
-        for _ in range(n):
-            if rng.random() < 0.4:
+        variables: list[IntVar] = [s for s in starts if not isinstance(s, int)]
+        for start in starts:
+            if not isinstance(start, int) and rng.random() < 0.4:
                 p = solver.new_var(0, 1, f"p{len(presences)}")
                 if rng.random() < 0.3:
                     p.assign(rng.randint(0, 1))
@@ -74,10 +84,9 @@ def _build(kind: str, rng: random.Random):
         )
 
         def ok(values):
-            n_starts = len(starts)
             lookup = dict(zip(variables, values))
             entries = [
-                (lookup[s], d, q, 1 if p is None else lookup[p])
+                (_value(s, lookup), d, q, 1 if p is None else lookup[p])
                 for s, d, q, p in zip(starts, durations, demands, presences)
             ]
             return oracles.cumulative_ok(entries, capacity)
@@ -95,13 +104,21 @@ def _build(kind: str, rng: random.Random):
             pool.append(var)
             return var
 
-        boxes = [Box(pick(), rng.randint(0, 3), pick(), rng.randint(0, 3)) for _ in range(n)]
+        boxes = []
+        for _ in range(n):
+            if rng.random() < 0.3:
+                x, y = rng.randint(-2, 8), rng.randint(-2, 8)
+            else:
+                x, y = pick(), pick()
+            boxes.append(Box(x, rng.randint(0, 3), y, rng.randint(0, 3)))
         solver.add(Diffn(boxes))
-        variables = list(dict.fromkeys([b.x for b in boxes] + [b.y for b in boxes]))
+        variables = list(dict.fromkeys(
+            v for v in [b.x for b in boxes] + [b.y for b in boxes] if not isinstance(v, int)
+        ))
 
         def ok(values):
             lookup = dict(zip(variables, values))
-            rects = [(lookup[b.x], b.x_len, lookup[b.y], b.y_len) for b in boxes]
+            rects = [(_value(b.x, lookup), b.x_len, _value(b.y, lookup), b.y_len) for b in boxes]
             return oracles.diffn_ok(rects)
 
         return solver, variables, ok
@@ -154,7 +171,7 @@ def run_case(kind: str, rng: random.Random) -> str:
     solver, variables, ok = _build(kind, rng)
     before = [_domain(v) for v in variables]
     supported = oracles.support_sets(before, ok)
-    feasible = bool(supported[0]) if variables else True
+    feasible = bool(supported[0]) if variables else ok(())
     outcome = solver.propagate_all()
     if not outcome:
         assert not feasible, (

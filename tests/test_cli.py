@@ -26,7 +26,7 @@ def trace_path(tmp_path_factory):
 
 
 def test_gen_trace_jsonl(trace_path, capsys):
-    jobs = load_trace(trace_path)
+    jobs = load_trace(trace_path).jobs
     assert len(jobs) == 20
     assert main(["validate", "--trace", str(trace_path)]) == EXIT_OK
     assert "20 jobs, 0 skipped" in capsys.readouterr().out
@@ -41,8 +41,8 @@ def test_gen_trace_swf_drops_accelerators(tmp_path, capsys):
     assert code == EXIT_OK
     assert "lose their" in captured.err  # half the mix asks for gpus
     parsed = load_trace(out)
-    assert len(parsed) == 40
-    assert all(j.demand.get("gpu", 0) == 0 for j in parsed)
+    assert len(parsed.jobs) == 40 and parsed.skipped == 0
+    assert all(j.demand.get("gpu", 0) == 0 for j in parsed.jobs)
 
 
 def test_gen_trace_custom_mix_from_config(tmp_path):
@@ -54,7 +54,7 @@ def test_gen_trace_custom_mix_from_config(tmp_path):
          "--config", str(cfg), "--out", str(out)]
     )
     assert code == EXIT_OK
-    assert all(j.node_count == 1 for j in load_trace(out))
+    assert all(j.node_count == 1 for j in load_trace(out).jobs)
 
 
 # -- validate -------------------------------------------------------------------
@@ -75,6 +75,18 @@ def test_validate_rejects_unknown_system(capsys):
 def test_validate_needs_a_target(capsys):
     assert main(["validate"]) == EXIT_RUNTIME
     assert "nothing to validate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_trace_line_without_runtime_is_an_error(tmp_path, capsys, command):
+    trace = tmp_path / "short.jsonl"
+    trace.write_text('{"id": 1, "runtime": 60}\n{"id": 2, "submit": 5}\n', encoding="utf-8")
+    argv = [command, "--trace", str(trace)]
+    if command == "simulate":
+        argv += ["--system", "eurora", "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2" in err and "'runtime'" in err
 
 
 def test_validate_instance_good_and_bad(tmp_path, capsys):

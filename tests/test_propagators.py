@@ -29,6 +29,8 @@ def test_cumulative_rejects_bad_tasks():
         Task(x, 1, -1)
     with pytest.raises(ValueError):
         Cumulative([], -1)
+    with pytest.raises(ValueError):
+        Task(3, 1, 1, presence=solver.new_var(0, 1))  # a constant task always runs
 
 
 def test_cumulative_pushes_start_past_saturated_segment():
@@ -75,6 +77,25 @@ def test_cumulative_ignores_zero_duration_and_zero_demand():
     assert prop.tasks == []
     solver.add(prop)
     assert solver.propagate_all()
+
+
+def test_cumulative_constant_overload_fails_at_root():
+    solver = Solver()
+    x = solver.new_var(0, 9, "x")
+    prop = Cumulative([Task(0, 3, 1), Task(2, 2, 1), Task(x, 1, 1)], capacity=1)
+    assert [task.start for task in prop.tasks] == [x]  # constants live in the base profile
+    solver.add(prop)
+    assert not solver.propagate_all()
+
+
+def test_cumulative_pushes_past_constant_segment_on_both_bounds():
+    solver = Solver()
+    a = solver.new_var(2, 9, "a")
+    b = solver.new_var(0, 5, "b")
+    solver.add(Cumulative([Task(3, 3, 1), Task(a, 2, 1), Task(b, 2, 1)], capacity=1))
+    assert solver.propagate_all()
+    assert (a.lo, a.hi) == (6, 9)  # earliest start clear of the constant block [3, 6)
+    assert (b.lo, b.hi) == (0, 1)  # latest start that ends by 3
 
 
 def test_cumulative_latest_fit_prunes_upper_bound():
@@ -135,6 +156,36 @@ def test_diffn_zero_area_boxes_dropped():
     ay = solver.new_var(0, 0)
     prop = Diffn([Box(ax, 0, ay, 3)])
     assert prop.boxes == []
+
+
+def test_diffn_fixed_rectangle_pushes_box_along_free_axis():
+    # The box shares x-range [1, 3) with the fixed rectangle for sure, so
+    # it must clear the rectangle's y-range [fy, fy + fy_len).
+    for fy, fy_len, y_lo, y_hi, bounds in ((0, 2, 0, 5, (2, 5)), (3, 3, 0, 4, (0, 1))):
+        solver = Solver()
+        x = solver.new_var(1, 1, "x")
+        y = solver.new_var(y_lo, y_hi, "y")
+        prop = Diffn([Box(x, 2, y, 2), Box(0, 3, fy, fy_len)])
+        assert prop.fixed == [(0, 3, fy, fy_len)]
+        solver.add(prop)
+        assert solver.propagate_all()
+        assert (y.lo, y.hi) == bounds
+
+
+def test_diffn_box_forced_into_fixed_rectangle_fails():
+    solver = Solver()
+    x = solver.new_var(0, 1, "x")
+    y = solver.new_var(0, 1, "y")
+    solver.add(Diffn([Box(x, 3, y, 3), Box(2, 2, 2, 2)]))
+    assert not solver.propagate_all()  # [x, x+3) and [y, y+3) both cover 2
+
+
+def test_diffn_leaves_fixed_rectangles_to_the_caller():
+    # Fixed rectangles are given data: they are never checked against each
+    # other, so an overlapping pair must be rejected before the model.
+    solver = Solver()
+    solver.add(Diffn([Box(0, 2, 0, 2), Box(1, 2, 1, 2)]))
+    assert solver.propagate_all()
 
 
 # -- element ------------------------------------------------------------------

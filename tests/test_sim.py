@@ -261,9 +261,28 @@ def test_replay_compares_model_sizes(tmp_path):
     instance.dump(good)
     bad = tmp_path / "instance_000000_broken.json"
     bad.write_text("{not json", encoding="utf-8")
+    # Readable snapshots that validate rejects are skipped too: the models
+    # take running allocations as given and never check them.
+    invalid = {
+        "overlap": ([], [
+            support.running(system, 3, start=80, d_expected=50, placements=[(0, 1, "core", 1, 4)]),
+            support.running(system, 4, start=90, d_expected=50, placements=[(0, 1, "core", 3, 4)]),
+        ]),
+        "range": ([], [
+            support.running(system, 3, start=80, d_expected=50, placements=[(0, 8, "core", 16, 4)]),
+        ]),
+        "arrival": ([support.queued(3, submit=200, rn=1, unit_req={"core": 1}, d_expected=5)], []),
+    }
+    paths = [bad, good]
+    for label, (queued_jobs, running_jobs) in invalid.items():
+        path = tmp_path / f"instance_{label}.json"
+        DispatchInstance(t=100, queued=queued_jobs, running=running_jobs, system=system).dump(path)
+        paths.append(path)
 
-    rows, notes = replay_instances([bad, good], DispatchConfig(budget_ms=10_000, node_limit=None))
-    assert len(notes) == 1 and "broken" in notes[0]
+    rows, notes = replay_instances(paths, DispatchConfig(budget_ms=10_000, node_limit=None))
+    assert len(notes) == 4 and "broken" in notes[0]
+    for note, kind in zip(notes[1:], ("double-booking", "out-of-range", "future-arrival")):
+        assert kind in note
     (row,) = rows
     assert tuple(row) == REPLAY_FIELDS
     assert row["instance"] == "instance_000001_t100"

@@ -5,6 +5,7 @@ import pytest
 from hpcdispatch.workload import (
     DurationPredictor,
     JobRecord,
+    ParsedTrace,
     TraceSpec,
     eurora_mix,
     generate_trace,
@@ -125,11 +126,11 @@ def test_load_trace_dispatches_on_extension(tmp_path):
     jobs = [make_job(1, 1, 0, 1, {"core": 4}, 60)]
     jsonl = tmp_path / "trace.jsonl"
     jsonl.write_text(jobs_to_jsonl(jobs), encoding="utf-8")
-    assert load_trace(str(jsonl)) == jobs
+    assert load_trace(str(jsonl)) == ParsedTrace(jobs, 0)
 
     swf = tmp_path / "trace.swf"
     swf.write_text(render_swf(jobs), encoding="utf-8")
-    assert load_trace(str(swf))[0].demand == {"core": 4}
+    assert load_trace(str(swf)).jobs[0].demand == {"core": 4}
 
 
 # -- prediction --------------------------------------------------------------------
