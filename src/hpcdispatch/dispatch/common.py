@@ -3,8 +3,8 @@
 Covers the dispatch settings, the driver that runs one invocation of any
 dispatcher model, job priorities, the visible queue window, horizon
 arithmetic, the integer objective encoding, and heuristic placement on
-per-node free position runs (used by the two-stage dispatcher, by presence
-materialization, and by the optional emergency fallback).
+one free-position mask per resource (used by the two-stage dispatcher, by
+presence materialization, and by the optional emergency fallback).
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from hpcdispatch.dispatch.instance import (
     JobDecision,
     QueuedJob,
     RunningJob,
+    fits_system,  # noqa: F401 -- a bench/run.py:install_spans hook
+    unit_demands,
 )
 from hpcdispatch.kernel import (
     STATUS_INFEASIBLE,
@@ -50,9 +52,11 @@ class DispatchConfig:
     budget_ms: float = 2000.0
     node_limit: int | None = 1500
     window: int = 100
-    objective_scale: int = 10_000
     hcp_max_iterations: int = 10
     emergency_first_fit: bool = False
+
+
+OBJECTIVE_SCALE = 10_000
 
 
 def priority(arrival: int, duration: int, t: int) -> Fraction:
@@ -64,83 +68,40 @@ def priority(arrival: int, duration: int, t: int) -> Fraction:
     return Fraction(t - arrival + duration, duration)
 
 
-def slowdown_weight(duration: int, scale: int) -> int:
-    """Integer objective weight: scale/duration rounded to nearest, min 1.
+def slowdown_weight(duration: int) -> int:
+    """Integer objective weight: OBJECTIVE_SCALE/duration rounded to nearest, min 1.
 
-    With the default scale of 10^4 the rounding error per job is below
-    5*10^-5 of a slowdown unit, far under the one-second step that
-    separates competing schedules.
+    With a scale of 10^4 the rounding error per job is below 5*10^-5 of a
+    slowdown unit, far under the one-second step that separates competing
+    schedules.
     """
-    return max(1, (2 * scale + duration) // (2 * duration))
+    return max(1, (2 * OBJECTIVE_SCALE + duration) // (2 * duration))
 
 
-def objective_terms(window: Sequence[QueuedJob], scale: int) -> tuple[list[int], int]:
+def objective_terms(window: Sequence[QueuedJob]) -> tuple[list[int], int]:
     """Per-job weights and the constant part of sum(w_i * (s_i - q_i + d_i)).
 
     The variable part is sum(w_i * s_i); running jobs contribute nothing
     the solver can change, so they are left out of the reported value.
     """
-    weights = [slowdown_weight(entry.d_expected, scale) for entry in window]
+    weights = [slowdown_weight(entry.d_expected) for entry in window]
     constant = sum(
         w * (entry.d_expected - entry.arrival) for w, entry in zip(weights, window)
     )
     return weights, constant
 
 
-def requested_resources(system: SystemModel, entry: QueuedJob) -> list[str]:
-    """The job's positive-demand resource types, in system resource order."""
-    return [r for r in system.resources if entry.job.demand.get(r, 0) > 0]
+def select_window(instance: DispatchInstance, config: DispatchConfig) -> list[QueuedJob]:
+    """Visible queue subset: highest priority first, capped at ``config.window``.
 
-
-def unit_demands(system: SystemModel, entry: QueuedJob) -> dict[str, int]:
-    return {r: entry.job.unit_demand(r) for r in requested_resources(system, entry)}
-
-
-def replicas(system: SystemModel, rn: int, unit_req: dict[str, int]) -> list[int]:
-    """Per node (index 0 is node 1): how many units of this job could fit."""
-    out = []
-    for node in range(1, system.node_count + 1):
-        p = rn
-        for resource, q in unit_req.items():
-            p = min(p, system.cap(node, resource) // q)
-            if p == 0:
-                break
-        out.append(p)
-    return out
-
-
-def fits_system(system: SystemModel, entry: QueuedJob) -> bool:
-    """Could the whole job run on an otherwise empty system?"""
-    known = set(system.resources)
-    if any(v > 0 and r not in known for r, v in entry.job.demand.items()):
-        return False
-    unit_req = unit_demands(system, entry)
-    if not unit_req:
-        return False
-    return sum(replicas(system, entry.rn, unit_req)) >= entry.rn
-
-
-def select_window(
-    instance: DispatchInstance, config: DispatchConfig
-) -> tuple[list[QueuedJob], list[QueuedJob]]:
-    """Visible queue subset: fittable jobs, highest priority first, capped.
-
-    Returns (window, unfittable).  Jobs beyond the window cap stay queued
-    silently; unfittable jobs can never run and are reported separately.
+    Jobs beyond the cap stay queued silently.
     """
     t = instance.t
     ranked = sorted(
         instance.queued,
         key=lambda e: (-priority(e.arrival, e.d_expected, t), e.job_id),
     )
-    window: list[QueuedJob] = []
-    unfittable: list[QueuedJob] = []
-    for entry in ranked:
-        if not fits_system(instance.system, entry):
-            unfittable.append(entry)
-        elif len(window) < config.window:
-            window.append(entry)
-    return window, unfittable
+    return ranked[: config.window]
 
 
 def residual(run: RunningJob, t: int) -> int:
@@ -176,94 +137,56 @@ def owner_index(system: SystemModel, resource: str) -> IndexedArray:
 
 
 class FreeRuns:
-    """Contiguous free position runs per (node, resource) at a fixed instant.
+    """Free positions at a fixed instant: one mask per resource.
 
-    Built from the running set at dispatch time; claims are left-aligned
-    within a chosen run.  A small journal supports all-or-nothing placement
-    of multi-unit jobs.
+    ``free[r][p - 1]`` is 1 while position p of r's flattened space is
+    free; every running allocation is zeroed at construction.  Per-node
+    queries read only the node's block ``system.node_span[(node, r)]``, so
+    a claim takes the lowest q consecutive free positions of the block.
+    ``begin``/``rollback``/``commit`` save and restore the masks, which
+    makes placement of a multi-unit job all-or-nothing.
     """
 
-    def __init__(self, system: SystemModel, running: Iterable[RunningJob], t: int):
+    def __init__(self, system: SystemModel, running: Iterable[RunningJob]):
         self.system = system
-        self.runs: dict[tuple[int, str], list[list[int]]] = {}
-        for node in range(1, system.node_count + 1):
-            for resource in system.resources:
-                cap = system.cap(node, resource)
-                if cap > 0:
-                    self.runs[(node, resource)] = [[1, cap]]
+        self.free = {r: bytearray(b"\1") * system.total_capacity[r] for r in system.resources}
         for run in running:
             for entry in run.allocation:
-                node = system.position_to_node(entry.resource, entry.position)
-                local = system.node_local_index(entry.resource, entry.position)
-                self._occupy(node, entry.resource, local, local + entry.extent - 1)
-        self._journal: dict[tuple[int, str], list[list[int]]] | None = None
-
-    def _occupy(self, node: int, resource: str, lo: int, hi: int) -> None:
-        runs = self.runs[(node, resource)]
-        out: list[list[int]] = []
-        for a, b in runs:
-            if hi < a or lo > b:
-                out.append([a, b])
-                continue
-            if a < lo:
-                out.append([a, lo - 1])
-            if hi < b:
-                out.append([hi + 1, b])
-        self.runs[(node, resource)] = out
-
-    # -- transactions ----------------------------------------------------
+                lo = entry.position - 1
+                self.free[entry.resource][lo : lo + entry.extent] = bytes(entry.extent)
+        self._saved: dict[str, bytearray] | None = None
 
     def begin(self) -> None:
-        self._journal = {}
+        self._saved = {r: mask[:] for r, mask in self.free.items()}
 
     def rollback(self) -> None:
-        assert self._journal is not None
-        for key, saved in self._journal.items():
-            self.runs[key] = saved
-        self._journal = None
+        assert self._saved is not None
+        self.free = self._saved
+        self._saved = None
 
     def commit(self) -> None:
-        self._journal = None
+        self._saved = None
 
-    def _touch(self, key: tuple[int, str]) -> None:
-        if self._journal is not None and key not in self._journal:
-            self._journal[key] = [run[:] for run in self.runs[key]]
+    def find(self, node: int, resource: str, q: int) -> int | None:
+        """Start of the node's lowest q consecutive free positions, or None."""
+        span = self.system.node_span.get((node, resource))
+        at = -1 if span is None else self.free[resource].find(b"\1" * q, span[0] - 1, span[1])
+        return None if at < 0 else at + 1
 
-    # -- queries and claims ------------------------------------------------
-
-    def largest_run(self, node: int, resource: str) -> int:
-        runs = self.runs.get((node, resource))
-        if not runs:
-            return 0
-        return max(b - a + 1 for a, b in runs)
+    def claim(self, node: int, resource: str, q: int) -> int | None:
+        """Take what ``find`` returns, if anything; returns its first position."""
+        position = self.find(node, resource, q)
+        if position is not None:
+            self.free[resource][position - 1 : position - 1 + q] = bytes(q)
+        return position
 
     def total_free(self, node: int, resource: str) -> int:
-        runs = self.runs.get((node, resource))
-        if not runs:
-            return 0
-        return sum(b - a + 1 for a, b in runs)
-
-    def claim(self, node: int, resource: str, length: int) -> int | None:
-        """Take `length` contiguous cells on the node, first fit; returns the local start."""
-        key = (node, resource)
-        runs = self.runs.get(key)
-        if not runs:
-            return None
-        pick = next((i for i, (a, b) in enumerate(runs) if b - a + 1 >= length), None)
-        if pick is None:
-            return None
-        self._touch(key)
-        runs = self.runs[key]
-        a, b = runs[pick]
-        if a + length - 1 == b:
-            del runs[pick]
-        else:
-            runs[pick] = [a + length, b]
-        return a
+        span = self.system.node_span.get((node, resource))
+        return 0 if span is None else self.free[resource].count(1, span[0] - 1, span[1])
 
 
 def _unit_fits(free: FreeRuns, node: int, unit_req: dict[str, int]) -> bool:
-    return all(free.largest_run(node, r) >= q for r, q in unit_req.items())
+    return all(free.find(node, r, q) is not None for r, q in unit_req.items())
 
 
 def best_fit_node(
@@ -301,44 +224,37 @@ def place_job(
     unit_req: dict[str, int],
     best: bool = True,
 ) -> Allocation | None:
-    """Heuristically allocate all rn units, or nothing at all."""
-    free.begin()
-    entries: list[AllocationEntry] = []
-    for unit in range(rn):
-        node = (best_fit_node if best else first_fit_node)(system, free, unit_req)
-        if node is None:
-            free.rollback()
-            return None
-        for resource, q in unit_req.items():
-            local = free.claim(node, resource, q)
-            assert local is not None  # guaranteed by _unit_fits
-            first, _ = system.node_span[(node, resource)]
-            entries.append(AllocationEntry(unit, resource, first + local - 1, q))
-    free.commit()
-    return tuple(entries)
+    """Heuristically allocate all rn units, or nothing at all.
+
+    Each unit's node is chosen only after the units before it are claimed.
+    """
+    pick = best_fit_node if best else first_fit_node
+    nodes = (pick(system, free, unit_req) for _ in range(rn))
+    return place_units_on_nodes(system, free, nodes, unit_req)
 
 
 def place_units_on_nodes(
     system: SystemModel,
     free: FreeRuns,
-    node_of_unit: Sequence[int],
+    node_of_unit: Iterable[int | None],
     unit_req: dict[str, int],
 ) -> Allocation | None:
-    """Materialize positions for units whose nodes are already chosen.
+    """Claim positions for units on given nodes, lowest free cells first.
 
-    First-fit within each node; fails (returning None, state untouched)
-    when some node's free cells are too fragmented for a contiguous claim.
+    Nodes are drawn one unit at a time, so a lazy ``node_of_unit`` sees
+    the earlier units' claims.  Fails (returning None, state untouched) on
+    a None node or when some node's free cells are too fragmented for a
+    contiguous claim.
     """
     free.begin()
     entries: list[AllocationEntry] = []
     for unit, node in enumerate(node_of_unit):
         for resource, q in unit_req.items():
-            local = free.claim(node, resource, q)
-            if local is None:
+            position = None if node is None else free.claim(node, resource, q)
+            if position is None:
                 free.rollback()
                 return None
-            first, _ = system.node_span[(node, resource)]
-            entries.append(AllocationEntry(unit, resource, first + local - 1, q))
+            entries.append(AllocationEntry(unit, resource, position, q))
     free.commit()
     return tuple(entries)
 
@@ -347,7 +263,7 @@ def emergency_dispatch(
     instance: DispatchInstance, window: Sequence[QueuedJob]
 ) -> list[JobDecision]:
     """Greedy first-fit used when a solver produced nothing dispatchable."""
-    free = FreeRuns(instance.system, instance.running, instance.t)
+    free = FreeRuns(instance.system, instance.running)
     out: list[JobDecision] = []
     for entry in window:
         unit_req = unit_demands(instance.system, entry)
@@ -370,12 +286,16 @@ def drive(
     config: DispatchConfig | None,
     *,
     size: Callable[[DispatchInstance, list[QueuedJob]], tuple[int, int]],
-    build: Callable[[DispatchInstance, DispatchConfig, list[QueuedJob], set[int], float], Any],
+    build: Callable[[DispatchInstance, list[QueuedJob], set[int], float], Any],
     branch: Callable[[Any], Branching],
     decode: Callable[[Any, DispatchInstance, dict[IntVar, int]], list[JobDecision]],
     attempts: int = 1,
 ) -> DispatchDecision:
     """One dispatcher invocation; the model supplies only its own steps.
+
+    The instance must be valid (``instance.validate()`` finds nothing), so
+    every queued job fits the empty system; the simulator rejects
+    unfittable jobs on arrival and offline replay skips invalid snapshots.
 
     ``size`` gives (scheduling vars, allocation vars) without building.
     ``build`` makes a handle whose ``solver`` holds the model, with the
@@ -394,7 +314,7 @@ def drive(
     config = config or DispatchConfig()
     t0 = time.perf_counter()
     deadline = t0 + config.budget_ms / 1000.0
-    window, _ = select_window(instance, config)
+    window = select_window(instance, config)
     n_sched, n_alloc = size(instance, window)
     stats = InvocationStats(
         dispatcher=name,
@@ -417,7 +337,7 @@ def drive(
     jobs: list[JobDecision] | None = None
     while True:
         try:
-            handle = build(instance, config, window, held, deadline)
+            handle = build(instance, window, held, deadline)
         except BuildTimeout:
             stats.status = STATUS_TIMEOUT
             break

@@ -21,13 +21,13 @@ from hpcdispatch.dispatch.common import (
     place_job,
     residual,
     select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
-    unit_demands,
 )
 from hpcdispatch.dispatch.instance import (
     DispatchDecision,
     DispatchInstance,
     JobDecision,
     QueuedJob,
+    unit_demands,
 )
 from hpcdispatch.kernel import Cumulative, IntVar, Solver, Task
 
@@ -46,7 +46,6 @@ class Hcp19Handle:
 
 def _build_schedule_model(
     instance: DispatchInstance,
-    config: DispatchConfig,
     window: list[QueuedJob],
     held: set[int],
     deadline: float,
@@ -71,7 +70,7 @@ def _build_schedule_model(
             tasks += [Task(t, dur, a.extent) for a in run.allocation if a.resource == resource]
         if tasks:
             solver.add(Cumulative(tasks, system.total_capacity[resource]))
-    weights, constant = objective_terms(window, config.objective_scale)
+    weights, constant = objective_terms(window)
     solver.minimize([jv.start for jv in handle.jobs], weights, constant)
     return handle
 
@@ -93,7 +92,7 @@ def _place(
 ) -> list[JobDecision]:
     """Best-fit placement of every job the schedule starts at t, window order."""
     system = instance.system
-    free = FreeRuns(system, instance.running, instance.t)
+    free = FreeRuns(system, instance.running)
     out: list[JobDecision] = []
     for jv in handle.jobs:
         start = values[jv.start]

@@ -4,15 +4,18 @@ A snapshot captures exactly what a dispatcher sees at one invocation: the
 clock, the queued jobs with their expected durations, the running jobs
 with concrete allocations, and the system.  Snapshots serialize to a
 stable JSON form so dispatchers can be compared offline on the identical
-problems a simulation produced.
+problems a simulation produced.  The demand helpers here say what a
+queued job asks of a system: its per-unit demands, how many of its units
+each node could hold, and whether it fits the empty system at all.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from hpcdispatch.system import (
     PRESET_CONFIGS,
@@ -69,6 +72,39 @@ class RunningJob:
         return self.job.job_id
 
 
+def requested_resources(system: SystemModel, entry: QueuedJob) -> list[str]:
+    """The job's positive-demand resource types, in system resource order."""
+    return [r for r in system.resources if entry.job.demand.get(r, 0) > 0]
+
+
+def unit_demands(system: SystemModel, entry: QueuedJob) -> dict[str, int]:
+    return {r: entry.job.unit_demand(r) for r in requested_resources(system, entry)}
+
+
+def replicas(system: SystemModel, rn: int, unit_req: dict[str, int]) -> list[int]:
+    """Per node (index 0 is node 1): how many units of this job could fit."""
+    out = []
+    for node in range(1, system.node_count + 1):
+        p = rn
+        for resource, q in unit_req.items():
+            p = min(p, system.cap(node, resource) // q)
+            if p == 0:
+                break
+        out.append(p)
+    return out
+
+
+def fits_system(system: SystemModel, entry: QueuedJob) -> bool:
+    """Could the whole job run on an otherwise empty system?"""
+    known = set(system.resources)
+    if any(v > 0 and r not in known for r, v in entry.job.demand.items()):
+        return False
+    unit_req = unit_demands(system, entry)
+    if not unit_req:
+        return False
+    return sum(replicas(system, entry.rn, unit_req)) >= entry.rn
+
+
 def allocation_uses(
     job_id: int, allocation: Iterable[AllocationEntry], t_start: int, t_end: int
 ) -> list[ResourceUse]:
@@ -96,9 +132,14 @@ class DispatchInstance:
     system: SystemModel
 
     def validate(self) -> list[Violation]:
-        """Check snapshot invariants; running jobs must be mutually consistent."""
+        """Check snapshot invariants: every queued job fits the empty system,
+        and running jobs must be mutually consistent."""
         problems: list[Violation] = []
         for entry in self.queued:
+            if not fits_system(self.system, entry):
+                problems.append(
+                    Violation("unfittable", f"job {entry.job_id} cannot fit the empty system")
+                )
             if entry.arrival > self.t:
                 problems.append(
                     Violation("future-arrival", f"job {entry.job_id} queued before its arrival")
@@ -162,64 +203,70 @@ class DispatchInstance:
 
     @classmethod
     def from_payload(cls, data: dict) -> "DispatchInstance":
-        t = int(data["t"])
-        system_payload = data["system"]
-        if isinstance(system_payload, str):
-            system = preset(system_payload)
-        else:
-            system = build_system(system_payload)
+        """Parse the saved form; malformed input is a ValueError naming its part."""
+        if not isinstance(data, dict):
+            raise ValueError("snapshot: not a JSON object")
+        with _payload_part("snapshot"):
+            t = int(data["t"])
+            system_payload = data["system"]
+            if isinstance(system_payload, str):
+                system = preset(system_payload)
+            else:
+                system = build_system(system_payload)
+            queued_payload = list(data.get("queued", []))
+            running_payload = list(data.get("running", []))
         queued = []
-        for entry in data.get("queued", []):
-            rn = int(entry["rn"])
-            req = {str(r): int(v) for r, v in entry["req"].items()}
-            for r, total in req.items():
-                if rn < 1 or total % rn:
-                    raise ValueError(
-                        f"job {entry['id']}: demand {total} for {r!r} not divisible by rn={rn}"
-                    )
-            job = JobRecord(
-                job_id=int(entry["id"]),
-                user_id=int(entry.get("user", 0)),
-                submit=int(entry["q"]),
-                node_count=rn,
-                demand=req,
-                runtime=int(entry["d_real"]),
-            )
-            queued.append(QueuedJob(job=job, d_expected=int(entry["d_expected"])))
+        for number, entry in enumerate(queued_payload, 1):
+            with _payload_part(_entry_label("queued", number, entry)):
+                rn = int(entry["rn"])
+                req = {str(r): int(v) for r, v in entry["req"].items()}
+                for r, total in req.items():
+                    if rn < 1 or total % rn:
+                        raise ValueError(f"demand {total} for {r!r} not divisible by rn={rn}")
+                job = JobRecord(
+                    job_id=int(entry["id"]),
+                    user_id=int(entry.get("user", 0)),
+                    submit=int(entry["q"]),
+                    node_count=rn,
+                    demand=req,
+                    runtime=int(entry["d_real"]),
+                )
+                queued.append(QueuedJob(job=job, d_expected=int(entry["d_expected"])))
         running = []
-        for entry in data.get("running", []):
-            allocation = tuple(
-                AllocationEntry(
-                    unit=int(a["unit"]),
-                    resource=str(a["r"]),
-                    position=int(a["y"]),
-                    extent=int(a["q"]),
+        for number, entry in enumerate(running_payload, 1):
+            with _payload_part(_entry_label("running", number, entry)):
+                allocation = tuple(
+                    AllocationEntry(
+                        unit=int(a["unit"]),
+                        resource=str(a["r"]),
+                        position=int(a["y"]),
+                        extent=int(a["q"]),
+                    )
+                    for a in entry.get("allocation", [])
                 )
-                for a in entry.get("allocation", [])
-            )
-            demand: dict[str, int] = {}
-            units = set()
-            for a in allocation:
-                demand[a.resource] = demand.get(a.resource, 0) + a.extent
-                units.add(a.unit)
-            # The saved form drops the running job's owner and arrival time;
-            # neither influences any dispatcher decision.
-            job = JobRecord(
-                job_id=int(entry["id"]),
-                user_id=0,
-                submit=int(entry["s"]),
-                node_count=max(1, len(units)),
-                demand=demand,
-                runtime=int(entry["d_real"]),
-            )
-            running.append(
-                RunningJob(
-                    job=job,
-                    start=int(entry["s"]),
-                    d_expected=int(entry["d_expected"]),
-                    allocation=allocation,
+                demand: dict[str, int] = {}
+                units = set()
+                for a in allocation:
+                    demand[a.resource] = demand.get(a.resource, 0) + a.extent
+                    units.add(a.unit)
+                # The saved form drops the running job's owner and arrival time;
+                # neither influences any dispatcher decision.
+                job = JobRecord(
+                    job_id=int(entry["id"]),
+                    user_id=0,
+                    submit=int(entry["s"]),
+                    node_count=max(1, len(units)),
+                    demand=demand,
+                    runtime=int(entry["d_real"]),
                 )
-            )
+                running.append(
+                    RunningJob(
+                        job=job,
+                        start=int(entry["s"]),
+                        d_expected=int(entry["d_expected"]),
+                        allocation=allocation,
+                    )
+                )
         return cls(t=t, queued=queued, running=running, system=system)
 
     @classmethod
@@ -229,6 +276,22 @@ class DispatchInstance:
     @classmethod
     def load(cls, path: str | Path) -> "DispatchInstance":
         return cls.loads(Path(path).read_text(encoding="utf-8"))
+
+
+@contextmanager
+def _payload_part(where: str) -> Iterator[None]:
+    """Report a missing key or a mistyped value as a ValueError naming ``where``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _entry_label(kind: str, number: int, entry: object) -> str:
+    job_id = entry.get("id") if isinstance(entry, dict) else None
+    return f"{kind} job {job_id}" if job_id is not None else f"{kind} entry {number}"
 
 
 @dataclass

@@ -22,16 +22,16 @@ from hpcdispatch.dispatch.common import (
     horizon,
     objective_terms,
     place_units_on_nodes,
-    replicas,
     residual,
     select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
-    unit_demands,
 )
 from hpcdispatch.dispatch.instance import (
     DispatchDecision,
     DispatchInstance,
     JobDecision,
     QueuedJob,
+    replicas,
+    unit_demands,
 )
 from hpcdispatch.kernel import (
     BoolSumEq,
@@ -54,12 +54,6 @@ class _JobVars:
 class Pcp19Handle:
     solver: Solver
     jobs: list[_JobVars] = field(default_factory=list)
-    n_sched: int = 0
-    n_alloc: int = 0
-
-    @property
-    def n_vars(self) -> int:
-        return self.n_sched + self.n_alloc
 
 
 def count_presence_vars(instance: DispatchInstance, window: list[QueuedJob]) -> tuple[int, int]:
@@ -71,20 +65,8 @@ def count_presence_vars(instance: DispatchInstance, window: list[QueuedJob]) -> 
     return len(window), total
 
 
-def _free_at_t(instance: DispatchInstance) -> list[dict[str, int]]:
-    """Free cells per node and resource right now (index 0 is node 1)."""
-    system = instance.system
-    free = [dict(caps) for caps in system.caps]
-    for run in instance.running:
-        for alloc in run.allocation:
-            node = system.position_to_node(alloc.resource, alloc.position)
-            free[node - 1][alloc.resource] -= alloc.extent
-    return free
-
-
 def build_pcp19(
     instance: DispatchInstance,
-    config: DispatchConfig,
     window: list[QueuedJob],
     deadline: float | None = None,
 ) -> Pcp19Handle:
@@ -94,9 +76,8 @@ def build_pcp19(
     eoh = horizon(t, window, instance.running)
     solver = Solver("pcp19")
     handle = Pcp19Handle(solver=solver)
-    handle.n_sched = len(window)
 
-    free_now = _free_at_t(instance)
+    free_now = FreeRuns(system, instance.running)
     # Tasks feeding each per-(node, resource) capacity constraint.
     node_tasks: dict[tuple[int, str], list[Task]] = {}
 
@@ -110,7 +91,7 @@ def build_pcp19(
         # Branch on fuller nodes first: best fit at the node granularity.
         node_order = sorted(
             (node for node in range(1, system.node_count + 1) if counts[node - 1] > 0),
-            key=lambda node: (free_now[node - 1].get(r_star, 0), node),
+            key=lambda node: (free_now.total_free(node, r_star), node),
         )
         presences: list[tuple[int, int, IntVar]] = []
         for batch, node in enumerate(node_order):
@@ -119,7 +100,6 @@ def build_pcp19(
             for j in range(counts[node - 1]):
                 xvar = solver.new_var(0, 1, f"x{entry.job_id}.{node}.{j}")
                 presences.append((node, j, xvar))
-                handle.n_alloc += 1
                 for resource, q in unit_req.items():
                     node_tasks.setdefault((node, resource), []).append(
                         Task(svar, entry.d_expected, q, presence=xvar)
@@ -138,7 +118,7 @@ def build_pcp19(
             raise BuildTimeout
         solver.add(Cumulative(tasks, system.cap(node, resource)))
 
-    weights, constant = objective_terms(window, config.objective_scale)
+    weights, constant = objective_terms(window)
     solver.minimize([jv.start for jv in handle.jobs], weights, constant)
     return handle
 
@@ -171,7 +151,7 @@ def _materialize(
     than split it.
     """
     system = instance.system
-    free = FreeRuns(system, instance.running, instance.t)
+    free = FreeRuns(system, instance.running)
     out: list[JobDecision] = []
     for jv in handle.jobs:
         start = values[jv.start]
@@ -184,9 +164,9 @@ def _materialize(
     return out
 
 
-def _build(instance, config, window, held, deadline) -> Pcp19Handle:
+def _build(instance, window, held, deadline) -> Pcp19Handle:
     # Decoding defers unplaceable jobs without a re-plan, so held stays empty.
-    return build_pcp19(instance, config, window, deadline)
+    return build_pcp19(instance, window, deadline)
 
 
 def build_and_solve_pcp19(

@@ -22,10 +22,8 @@ from hpcdispatch.dispatch.common import (
     objective_terms,
     owner_index,
     priority,
-    requested_resources,
     residual,
     select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
-    unit_demands,
 )
 from hpcdispatch.dispatch.instance import (
     AllocationEntry,
@@ -33,6 +31,8 @@ from hpcdispatch.dispatch.instance import (
     DispatchInstance,
     JobDecision,
     QueuedJob,
+    requested_resources,
+    unit_demands,
 )
 from hpcdispatch.kernel import (
     AllDifferent,
@@ -60,13 +60,7 @@ class _JobVars:
 class ModelHandle:
     solver: Solver
     jobs: list[_JobVars] = field(default_factory=list)
-    n_sched: int = 0
-    n_alloc: int = 0
     infeasible_build: bool = False
-
-    @property
-    def n_vars(self) -> int:
-        return self.n_sched + self.n_alloc
 
 
 def count_position_vars(instance: DispatchInstance, window: list[QueuedJob]) -> tuple[int, int]:
@@ -75,16 +69,13 @@ def count_position_vars(instance: DispatchInstance, window: list[QueuedJob]) -> 
     return len(window), sum(e.rn * len(requested_resources(system, e)) for e in window)
 
 
-def build_pcp20(
-    instance: DispatchInstance, config: DispatchConfig, window: list[QueuedJob]
-) -> ModelHandle:
+def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHandle:
     """Construct the joint model for the visible window."""
     system = instance.system
     t = instance.t
     eoh = horizon(t, window, instance.running)
     solver = Solver("pcp20")
     handle = ModelHandle(solver=solver)
-    handle.n_sched = len(window)
 
     for entry in window:
         svar = solver.new_var(t, eoh, f"s{entry.job_id}")
@@ -103,7 +94,6 @@ def build_pcp20(
                 if span is not None and not apply_span_filter(yvar, span):
                     handle.infeasible_build = True
                 positions.append((resource, unit, yvar, q))
-                handle.n_alloc += 1
         handle.jobs.append(
             _JobVars(
                 entry=entry,
@@ -161,7 +151,7 @@ def build_pcp20(
             for r in resources:
                 solver.add(AllDifferent(by_res[r]))
 
-    weights, constant = objective_terms(window, config.objective_scale)
+    weights, constant = objective_terms(window)
     solver.minimize([jv.start for jv in handle.jobs], weights, constant)
     return handle
 
@@ -223,10 +213,10 @@ def _decode(
     return out
 
 
-def _build(instance, config, window, held, deadline) -> ModelHandle | None:
+def _build(instance, window, held, deadline) -> ModelHandle | None:
     # Decoding never leaves a job unplaced, so held stays empty; the build
     # does not watch the deadline.
-    handle = build_pcp20(instance, config, window)
+    handle = build_pcp20(instance, window)
     return None if handle.infeasible_build else handle
 
 

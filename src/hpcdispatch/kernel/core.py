@@ -153,8 +153,6 @@ class SearchStats:
     decisions: int = 0
     fails: int = 0
     propagations: int = 0
-    wall_ms: float = 0.0
-    best_objective: int | None = None
     status: str = STATUS_TIMEOUT
 
 
@@ -328,8 +326,7 @@ class Solver:
         the final incumbent is optimal whenever the tree is exhausted.
         """
         stats = self.stats = SearchStats()
-        start = time.perf_counter()
-        deadline = start + budget_ms / 1000.0 if budget_ms is not None else None
+        deadline = time.perf_counter() + budget_ms / 1000.0 if budget_ms is not None else None
         self._objective_bound = None
         best: dict[IntVar, int] | None = None
         best_obj: int | None = None
@@ -338,7 +335,6 @@ class Solver:
 
         if not self.propagate_all():
             stats.status = STATUS_INFEASIBLE
-            stats.wall_ms = (time.perf_counter() - start) * 1000.0
             return SolveResult(STATUS_INFEASIBLE, None, None, stats)
 
         while True:
@@ -350,7 +346,6 @@ class Solver:
             if decision is None:
                 best_obj = self.objective_value()
                 best = {var: var.lo for var in self.vars}
-                stats.best_objective = best_obj
                 self._objective_bound = best_obj - 1 - self._objective_const
                 if not self._recover(frames):
                     exhausted = True
@@ -370,12 +365,10 @@ class Solver:
         while frames:
             mark, _, _ = frames.pop()
             self.undo_to(mark)
-        stats.wall_ms = (time.perf_counter() - start) * 1000.0
         if exhausted:
             stats.status = STATUS_OPTIMAL if best is not None else STATUS_INFEASIBLE
         else:
             stats.status = STATUS_FEASIBLE if best is not None else STATUS_TIMEOUT
-        stats.best_objective = best_obj
         return SolveResult(stats.status, best_obj, best, stats)
 
     def _recover(self, frames: list[tuple[int, IntVar, int]]) -> bool:

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from hpcdispatch.dispatch import DISPATCHERS, DispatchConfig
-from hpcdispatch.dispatch.common import fits_system
 from hpcdispatch.dispatch.instance import (
     DispatchInstance,
     InvocationStats,
     QueuedJob,
     RunningJob,
+    fits_system,
 )
 from hpcdispatch.system import ResourceUse, SystemModel, validate_allocation, validate_mutual
 from hpcdispatch.workload import PREDICTOR_MODES, DurationPredictor, JobRecord
@@ -454,7 +454,7 @@ def replay_instances(
     for path in paths:
         try:
             instance = DispatchInstance.load(path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             notes.append(f"skipped {path}: {exc}")
             continue
         problems = instance.validate()

@@ -64,12 +64,6 @@ class SystemModel:
             raise ValueError(f"position {position} out of range for {resource!r}")
         return owner[position - 1]
 
-    def node_local_index(self, resource: str, position: int) -> int:
-        """1-based index of the position within its owning node's block."""
-        node = self.position_to_node(resource, position)
-        first, _ = self.node_span[(node, resource)]
-        return position - first + 1
-
     def to_config(self) -> dict:
         """Inline config equivalent to this system (consecutive equal nodes merged)."""
         groups: list[dict] = []
@@ -91,15 +85,18 @@ def build_system(config: dict) -> SystemModel:
     Each group is {"count": n, "cap": {resource: capacity}}; nodes are
     numbered 1..N in group order.
     """
-    groups = config.get("groups")
-    if not groups:
+    groups = config.get("groups") if isinstance(config, dict) else None
+    if not groups or not isinstance(groups, list):
         raise ValueError("system config needs a non-empty 'groups' list")
     node_caps: list[dict[str, int]] = []
-    for group in groups:
-        count = int(group.get("count", 0))
+    for number, group in enumerate(groups, 1):
+        try:
+            count = int(group.get("count", 0))
+            cap = {str(r): int(c) for r, c in group.get("cap", {}).items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"system group {number}: {exc}") from None
         if count < 1:
-            raise ValueError("group count must be >= 1")
-        cap = {str(r): int(c) for r, c in group.get("cap", {}).items()}
+            raise ValueError(f"system group {number}: count must be >= 1")
         node_caps.extend(dict(cap) for _ in range(count))
     return SystemModel(node_caps, name=str(config.get("name", "custom")))
 
@@ -129,13 +126,6 @@ def preset(name: str) -> SystemModel:
         known = ", ".join(sorted(PRESET_CONFIGS))
         raise ValueError(f"unknown system preset {name!r} (known: {known})") from None
     return build_system(config)
-
-
-def system_from_spec(spec: str | dict) -> SystemModel:
-    """Resolve a preset name or an inline config dict."""
-    if isinstance(spec, str):
-        return preset(spec)
-    return build_system(spec)
 
 
 @dataclass(frozen=True)

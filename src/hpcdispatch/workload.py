@@ -171,27 +171,34 @@ def jobs_to_jsonl(jobs: Iterable[JobRecord]) -> str:
 
 
 def jobs_from_jsonl(text: str) -> list[JobRecord]:
-    """Parse JSON-lines records; a line without ``id`` or ``runtime`` is a ValueError."""
+    """Parse JSON-lines records; a malformed line is a ValueError naming it."""
     jobs = []
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError(f"trace line {number}: not a JSON object")
         missing = [key for key in ("id", "runtime") if key not in obj]
         if missing:
             raise ValueError(f"trace line {number}: missing {missing[0]!r}")
-        jobs.append(
-            make_job(
+        req = obj.get("req", {})
+        if not isinstance(req, dict):
+            raise ValueError(f"trace line {number}: 'req' is not an object")
+        try:
+            job = make_job(
                 obj["id"],
                 obj.get("user", 0),
                 obj.get("submit", 0),
                 obj.get("nodes", 1),
-                obj.get("req", {}),
+                req,
                 obj["runtime"],
                 obj.get("requested"),
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"trace line {number}: {exc}") from None
+        jobs.append(job)
     return jobs
 
 

@@ -200,7 +200,7 @@ def eurora_style_queue(rng: random.Random, size: int, t: int = 1000) -> list[Que
 
 def window_of(instance: DispatchInstance, config: DispatchConfig | None = None) -> list[QueuedJob]:
     """The queued jobs a dispatcher model would see."""
-    return select_window(instance, config or DispatchConfig())[0]
+    return select_window(instance, config or DispatchConfig())
 
 
 def _unlimited(budget_ms: float) -> DispatchConfig:
@@ -215,7 +215,7 @@ def full_pcp20(instance: DispatchInstance, budget_ms: float = 120_000.0):
     proved optimality.
     """
     config = _unlimited(budget_ms)
-    handle = build_pcp20(instance, config, window_of(instance, config))
+    handle = build_pcp20(instance, window_of(instance, config))
     if handle.infeasible_build:
         return None, None
     result = handle.solver.solve(pcp20_branch(handle), budget_ms=budget_ms)
@@ -243,7 +243,7 @@ def full_pcp19(instance: DispatchInstance, budget_ms: float = 120_000.0):
     window = window_of(instance, config)
     if not window:
         return 0, {}
-    handle = build_pcp19(instance, config, window)
+    handle = build_pcp19(instance, window)
     result = handle.solver.solve(pcp19_branch(handle), budget_ms=budget_ms)
     assert result.status == STATUS_OPTIMAL, f"pcp19 did not finish: {result.status}"
     plan = {}

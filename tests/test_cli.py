@@ -89,6 +89,32 @@ def test_trace_line_without_runtime_is_an_error(tmp_path, capsys, command):
     assert err.startswith("error:") and "line 2" in err and "'runtime'" in err
 
 
+MALFORMED = {
+    "trace-number": ("--trace", "t.jsonl", "5\n"),
+    "trace-string": ("--trace", "t.jsonl", '"id runtime"\n'),
+    "trace-req-list": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5, "req": [1]}\n'),
+    "trace-req-text": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5, "req": {"core": "x"}}\n'),
+    "snapshot-no-t": ("--instance", "s.json", '{"queued": [], "running": [], "system": "eurora"}'),
+    "snapshot-no-rn": (
+        "--instance", "s.json",
+        '{"t": 5, "system": "eurora", "queued": [{"id": 1, "q": 0, "req": {"core": 1},'
+        ' "d_expected": 5, "d_real": 5}]}',
+    ),
+    "snapshot-list": ("--instance", "s.json", "[1]"),
+    "system-groups-text": ("--system", "sys.json", '{"groups": "x"}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, case):
+    flag, name, text = MALFORMED[case]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", flag, str(path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_validate_instance_good_and_bad(tmp_path, capsys):
     system = support.system_of((2, {"core": 4}))
     instance = support.instance_on(

@@ -1,5 +1,6 @@
-"""Shared dispatcher machinery: priorities, windows, free-run placement."""
+"""Shared dispatcher machinery: priorities, windows, free-position placement."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,21 +13,27 @@ from hpcdispatch.dispatch.common import (
     best_fit_node,
     emergency_dispatch,
     first_fit_node,
-    fits_system,
     horizon,
     objective_terms,
     owner_index,
     place_job,
     place_units_on_nodes,
     priority,
-    replicas,
     residual,
     select_window,
     slowdown_weight,
+)
+from hpcdispatch.dispatch.instance import (
+    AllocationEntry,
+    JobDecision,
+    RunningJob,
+    allocation_uses,
+    fits_system,
+    replicas,
     unit_demands,
 )
-from hpcdispatch.dispatch.instance import AllocationEntry, JobDecision, allocation_uses
 from hpcdispatch.system import validate_mutual
+from hpcdispatch.workload import make_job
 
 
 # -- priorities and weights -------------------------------------------------------
@@ -47,10 +54,10 @@ def test_priority_validates_inputs():
 
 
 def test_slowdown_weight_rounds_to_nearest():
-    assert slowdown_weight(10, 10_000) == 1000
-    assert slowdown_weight(3, 10_000) == 3333
-    assert slowdown_weight(7, 10_000) == 1429  # 1428.57 rounds up
-    assert slowdown_weight(10_000_000, 10_000) == 1  # floor of 1 for huge jobs
+    assert slowdown_weight(10) == 1000
+    assert slowdown_weight(3) == 3333
+    assert slowdown_weight(7) == 1429  # 1428.57 rounds up
+    assert slowdown_weight(10_000_000) == 1  # floor of 1 for huge jobs
 
 
 def test_objective_terms_constant_covers_wait_so_far():
@@ -58,7 +65,7 @@ def test_objective_terms_constant_covers_wait_so_far():
         support.queued(1, submit=0, rn=1, unit_req={"core": 1}, d_expected=10),
         support.queued(2, submit=5, rn=1, unit_req={"core": 1}, d_expected=20),
     ]
-    weights, constant = objective_terms(window, 10_000)
+    weights, constant = objective_terms(window)
     assert weights == [1000, 500]
     assert constant == 1000 * (10 - 0) + 500 * (20 - 5)
 
@@ -97,14 +104,12 @@ def test_select_window_orders_by_priority_then_id():
     system = support.system_of((1, {"core": 8}))
     jobs = [
         support.queued(1, submit=90, rn=1, unit_req={"core": 1}, d_expected=10),  # prio 2
-        support.queued(2, submit=80, rn=1, unit_req={"core": 10}, d_expected=10),  # unfittable
         support.queued(3, submit=98, rn=1, unit_req={"core": 1}, d_expected=1),  # prio 3
         support.queued(4, submit=90, rn=1, unit_req={"core": 2}, d_expected=10),  # prio 2, ties on id
     ]
     instance = support.instance_on(system, t=100, queued_jobs=jobs)
-    window, unfittable = select_window(instance, DispatchConfig())
+    window = select_window(instance, DispatchConfig())
     assert [e.job_id for e in window] == [3, 1, 4]
-    assert [e.job_id for e in unfittable] == [2]
 
 
 def test_select_window_caps_visible_jobs():
@@ -114,9 +119,8 @@ def test_select_window_caps_visible_jobs():
         for i in range(1, 8)
     ]
     instance = support.instance_on(system, t=100, queued_jobs=jobs)
-    window, unfittable = select_window(instance, DispatchConfig(window=3))
+    window = select_window(instance, DispatchConfig(window=3))
     assert len(window) == 3
-    assert not unfittable
     # oldest (largest wait) jobs make the cut
     assert [e.job_id for e in window] == [7, 6, 5]
 
@@ -152,10 +156,11 @@ def test_owner_index_is_cached_per_system():
     assert owner_index(system, "gpu") is idx
 
 
-# -- free runs -----------------------------------------------------------------------------
+# -- free positions ---------------------------------------------------------------------
 
 
 def make_free():
+    """Node 1 runs job 1 on cores 3-4 and gpu 1; node 2 is idle."""
     system = support.system_of((2, {"core": 8, "gpu": 2}))
     running = [
         support.running(
@@ -163,40 +168,88 @@ def make_free():
             placements=[(1, 1, "core", 3, 2), (1, 1, "gpu", 1, 1)],
         )
     ]
-    return system, FreeRuns(system, running, t=10)
+    return system, FreeRuns(system, running)
 
 
 def test_free_runs_reflect_running_jobs():
     _, free = make_free()
-    assert free.runs[(1, "core")] == [[1, 2], [5, 8]]
-    assert free.runs[(1, "gpu")] == [[2, 2]]
-    assert free.runs[(2, "core")] == [[1, 8]]
-    assert free.largest_run(1, "core") == 4
+    assert free.find(1, "core", 4) == 5 and free.find(1, "core", 5) is None
+    assert free.find(1, "gpu", 1) == 2 and free.find(1, "gpu", 2) is None
+    assert free.find(2, "core", 8) == 9
     assert free.total_free(1, "core") == 6
-    assert free.largest_run(1, "mem") == 0  # unknown resource on this system
+    assert free.total_free(2, "gpu") == 2
+    assert free.find(1, "mem", 1) is None  # unknown resource on this system
+    assert free.total_free(1, "mem") == 0
 
 
-def test_claim_is_left_aligned_and_splits_runs():
+def test_claim_takes_the_lowest_free_window():
     _, free = make_free()
-    assert free.claim(1, "core", 2) == 1  # consumes [1,2] exactly
+    assert free.claim(1, "core", 2) == 1  # consumes cores 1-2 exactly
     assert free.claim(1, "core", 3) == 5
-    assert free.runs[(1, "core")] == [[8, 8]]
+    assert free.claim(2, "core", 1) == 9  # positions are global: node 2 starts at 9
+    assert free.total_free(1, "core") == 1
     assert free.claim(1, "core", 2) is None
+    assert free.claim(1, "gpu", 1) == 2
 
 
 def test_transactions_roll_back_claims():
     _, free = make_free()
-    before = {k: [run[:] for run in v] for k, v in free.runs.items()}
     free.begin()
     free.claim(1, "core", 2)
     free.claim(2, "core", 8)
     free.rollback()
-    assert free.runs == before
+    assert (free.total_free(1, "core"), free.total_free(2, "core")) == (6, 8)
+    assert free.claim(1, "core", 2) == 1
 
     free.begin()
     free.claim(2, "core", 8)
     free.commit()
-    assert free.runs[(2, "core")] == []
+    assert free.total_free(2, "core") == 0 and free.find(2, "core", 1) is None
+
+
+def test_claims_match_a_brute_force_scan():
+    rng = random.Random(2024)
+    for _ in range(40):
+        system = support.system_of(
+            (rng.randint(1, 3), {"core": rng.randint(1, 8), "mem": rng.randint(1, 6)}),
+            (rng.randint(1, 3), {"core": rng.randint(1, 8), "gpu": rng.randint(1, 4)}),
+        )
+        busy = {r: set() for r in system.resources}
+        running = []
+        for job_id in range(1, 6):
+            resource = rng.choice(system.resources)
+            first, last = system.blocks[resource][rng.randrange(len(system.blocks[resource]))][:2]
+            position = rng.randint(first, last)
+            extent = rng.randint(1, last - position + 1)
+            cells = set(range(position, position + extent))
+            if cells & busy[resource]:
+                continue
+            busy[resource] |= cells
+            running.append(
+                RunningJob(
+                    job=make_job(job_id, 0, 0, 1, {resource: extent}, 10),
+                    start=0, d_expected=10,
+                    allocation=(AllocationEntry(0, resource, position, extent),),
+                )
+            )
+        free = FreeRuns(system, running)
+        for (node, resource), (first, last) in sorted(system.node_span.items()):
+            for _ in range(3):
+                assert free.total_free(node, resource) == last - first + 1 - len(
+                    busy[resource] & set(range(first, last + 1))
+                )
+                q = rng.randint(1, last - first + 1)
+                expected = next(
+                    (
+                        y for y in range(first, last - q + 2)
+                        if not busy[resource] & set(range(y, y + q))
+                    ),
+                    None,
+                )
+                assert free.find(node, resource, q) == expected
+                assert free.claim(node, resource, q) == expected
+                if expected is not None:
+                    busy[resource] |= set(range(expected, expected + q))
 
 
 # -- node choice and placement ------------------------------------------------------------
@@ -204,7 +257,7 @@ def test_transactions_roll_back_claims():
 
 def test_best_fit_picks_tightest_node():
     system = support.system_of((1, {"core": 8}), (1, {"core": 4}))
-    free = FreeRuns(system, [], t=0)
+    free = FreeRuns(system, [])
     # both fit; node 2 retains the smaller free share of cores
     assert best_fit_node(system, free, {"core": 2}) == 2
     assert first_fit_node(system, free, {"core": 2}) == 1
@@ -212,23 +265,23 @@ def test_best_fit_picks_tightest_node():
 
 def test_best_fit_breaks_ties_on_lower_node_id():
     system = support.system_of((2, {"core": 4}))
-    free = FreeRuns(system, [], t=0)
+    free = FreeRuns(system, [])
     assert best_fit_node(system, free, {"core": 1}) == 1
 
 
 def test_best_fit_ranks_by_dominant_resource():
     system = support.system_of((1, {"core": 16, "gpu": 2}), (1, {"core": 4, "gpu": 2}))
-    free = FreeRuns(system, [], t=0)
+    free = FreeRuns(system, [])
     # core demand dominates gpu demand, so slack is measured in cores
     assert best_fit_node(system, free, {"core": 4, "gpu": 1}) == 2
 
 
 def test_place_job_is_all_or_nothing():
     system = support.system_of((2, {"core": 4}))
-    free = FreeRuns(system, [], t=0)
-    before = {k: [run[:] for run in v] for k, v in free.runs.items()}
+    free = FreeRuns(system, [])
     assert place_job(system, free, rn=3, unit_req={"core": 3}) is None
-    assert free.runs == before  # failed placement leaves no residue
+    # failed placement leaves no residue
+    assert (free.total_free(1, "core"), free.total_free(2, "core")) == (4, 4)
 
     allocation = place_job(system, free, rn=2, unit_req={"core": 3})
     assert allocation is not None
@@ -238,7 +291,7 @@ def test_place_job_is_all_or_nothing():
 
 def test_place_job_result_validates():
     system = support.system_of((2, {"core": 8, "gpu": 2}))
-    free = FreeRuns(system, [], t=0)
+    free = FreeRuns(system, [])
     allocation = place_job(system, free, rn=2, unit_req={"core": 4, "gpu": 1})
     uses = allocation_uses(1, allocation, 0, 10)
     assert validate_mutual(system, uses) == []
@@ -249,14 +302,15 @@ def test_place_units_on_nodes_respects_choice_and_fragmentation():
     running = [
         support.running(system, 9, start=0, d_expected=99, placements=[(1, 1, "core", 2, 1)])
     ]
-    free = FreeRuns(system, running, t=1)
+    free = FreeRuns(system, running)
     # node 1 has free cells {1, 3, 4}: a 2-wide claim works, a 3-wide cannot
     ok = place_units_on_nodes(system, free, [1], {"core": 2})
     assert ok is not None and ok[0].position == 3
 
-    free2 = FreeRuns(system, running, t=1)
-    assert place_units_on_nodes(system, free2, [1], {"core": 3}) is None
-    assert free2.runs[(1, "core")] == [[1, 1], [3, 4]]
+    free2 = FreeRuns(system, running)
+    assert place_units_on_nodes(system, free2, [2, 1], {"core": 3}) is None
+    # the first unit's claim on node 2 was rolled back
+    assert (free2.total_free(1, "core"), free2.total_free(2, "core")) == (3, 4)
 
 
 def test_emergency_dispatch_takes_what_fits():
@@ -323,8 +377,9 @@ def test_decode_guard_refuses_an_overlapping_decision(name, rescue, monkeypatch)
 @pytest.mark.parametrize("name", sorted(DISPATCHERS))
 def test_empty_window_is_optimal_at_zero(name):
     system = support.system_of((1, {"core": 4}))
-    unfittable = [support.queued(1, submit=0, rn=1, unit_req={"core": 8}, d_expected=10)]
-    decision = DISPATCHERS[name](support.instance_on(system, t=3, queued_jobs=unfittable))
+    queued = [support.queued(1, submit=0, rn=1, unit_req={"core": 2}, d_expected=10)]
+    instance = support.instance_on(system, t=3, queued_jobs=queued)
+    decision = DISPATCHERS[name](instance, DispatchConfig(window=0))
     stats = decision.stats
     assert (stats.status, stats.objective) == ("optimal", 0)
     assert (stats.queue_size, stats.window_size, stats.n_vars) == (1, 0, 0)

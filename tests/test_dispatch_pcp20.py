@@ -69,9 +69,9 @@ def test_variable_count_matches_closed_form():
         jobs = support.eurora_style_queue(rng, rng.randint(1, 30))
         instance = support.instance_on(system, t=1000, queued_jobs=jobs)
         window = support.window_of(instance)
-        handle = build_pcp20(instance, DispatchConfig(), window)
-        assert handle.n_vars == oracles.expected_vars_pcp20(instance)
-        assert (handle.n_sched, handle.n_alloc) == count_position_vars(instance, window)
+        handle = build_pcp20(instance, window)
+        assert len(handle.solver.vars) == oracles.expected_vars_pcp20(instance)
+        assert len(handle.solver.vars) == sum(count_position_vars(instance, window))
 
 
 def test_variable_count_ignores_node_count():
@@ -81,7 +81,8 @@ def test_variable_count_ignores_node_count():
     for nodes in (2, 64, 1173):
         system = support.system_of((nodes, {"core": 16, "mem": 16, "gpu": 2, "mic": 2}))
         instance = support.instance_on(system, t=1000, queued_jobs=jobs)
-        counts.append(build_pcp20(instance, DispatchConfig(), support.window_of(instance)).n_vars)
+        handle = build_pcp20(instance, support.window_of(instance))
+        counts.append(len(handle.solver.vars))
     assert counts[0] == counts[1] == counts[2]
 
 
@@ -91,7 +92,7 @@ def test_span_filter_bakes_node_blocks_into_domains():
         system, t=0,
         queued_jobs=[support.queued(1, 0, rn=1, unit_req={"gpu": 2}, d_expected=5)],
     )
-    handle = build_pcp20(instance, DispatchConfig(), support.window_of(instance))
+    handle = build_pcp20(instance, support.window_of(instance))
     (jv,) = handle.jobs
     gpu_vars = [y for res, _u, y, _q in jv.positions if res == "gpu"]
     assert len(gpu_vars) == 1

@@ -101,6 +101,21 @@ def test_validate_flags_future_arrival_and_bad_duration():
     assert kinds == ["bad-duration", "future-arrival"]
 
 
+def test_validate_flags_unfittable_jobs():
+    system = support.system_of((1, {"core": 8}))
+    instance = DispatchInstance(
+        t=100,
+        queued=[
+            support.queued(1, submit=90, rn=1, unit_req={"core": 1}, d_expected=10),
+            support.queued(2, submit=80, rn=1, unit_req={"core": 10}, d_expected=10),
+        ],
+        running=[],
+        system=system,
+    )
+    (problem,) = instance.validate()
+    assert problem.kind == "unfittable" and "job 2" in problem.message
+
+
 def test_validate_flags_overlapping_running_jobs():
     system = support.system_of((1, {"core": 2}))
     runs = [

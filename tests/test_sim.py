@@ -272,6 +272,7 @@ def test_replay_compares_model_sizes(tmp_path):
             support.running(system, 3, start=80, d_expected=50, placements=[(0, 8, "core", 16, 4)]),
         ]),
         "arrival": ([support.queued(3, submit=200, rn=1, unit_req={"core": 1}, d_expected=5)], []),
+        "unfittable": ([support.queued(3, submit=90, rn=1, unit_req={"core": 17}, d_expected=5)], []),
     }
     paths = [bad, good]
     for label, (queued_jobs, running_jobs) in invalid.items():
@@ -280,8 +281,9 @@ def test_replay_compares_model_sizes(tmp_path):
         paths.append(path)
 
     rows, notes = replay_instances(paths, DispatchConfig(budget_ms=10_000, node_limit=None))
-    assert len(notes) == 4 and "broken" in notes[0]
-    for note, kind in zip(notes[1:], ("double-booking", "out-of-range", "future-arrival")):
+    assert len(notes) == 5 and "broken" in notes[0]
+    kinds = ("double-booking", "out-of-range", "future-arrival", "unfittable")
+    for note, kind in zip(notes[1:], kinds):
         assert kind in note
     (row,) = rows
     assert tuple(row) == REPLAY_FIELDS
@@ -301,6 +303,8 @@ def test_replay_compares_model_sizes(tmp_path):
 # default search; B (a burst of wide jobs) and C (GPU-scarce) cap it at 20
 # nodes with a 10-job window and the first-fit rescue, which exercises pcp19
 # timeout fallbacks, hcp19 re-iterations and pcp20 budget-cut incumbents.
+# D is a burst of wide jobs on the 1173-node preset, where hcp19's best-fit
+# placement fails often enough to re-plan (13 times) and roll back claims.
 _TIGHT = DispatchConfig(budget_ms=600_000, node_limit=20, window=10, emergency_first_fit=True)
 GOLDEN_SCENARIOS = {
     "A": (
@@ -322,6 +326,14 @@ GOLDEN_SCENARIOS = {
         ),
         _TIGHT,
     ),
+    "D": (
+        lambda: eurora_mix(
+            jobs=60, seed=7, mean_interarrival=1.0, unit_cores=(12, 20), unit_mem=(8, 64),
+            node_counts=((1, 0.5), (4, 0.3), (16, 0.2)), gpu_fraction=0.2, unit_gpus=(1, 4),
+        ),
+        lambda: preset("kit-forhlr2"),
+        DispatchConfig(budget_ms=600_000, node_limit=1500),
+    ),
 }
 # sha256 prefixes of (jobs.csv + events.log, invocations.csv without wall_ms)
 GOLDEN_DIGESTS = {
@@ -334,6 +346,7 @@ GOLDEN_DIGESTS = {
     ("C", "pcp20"): ("87e808ab287210f0", "b55cd365378a4fc7"),
     ("C", "pcp19"): ("98efbb75715a0672", "af749d112f33fc77"),
     ("C", "hcp19"): ("baba7ee83795b97c", "a262c4b0f7fd5a89"),
+    ("D", "hcp19"): ("a2814ee2c0bc1320", "802f0a50cc73415b"),
 }
 
 

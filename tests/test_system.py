@@ -8,7 +8,6 @@ from hpcdispatch.system import (
     SystemModel,
     build_system,
     preset,
-    system_from_spec,
     validate_allocation,
     validate_mutual,
 )
@@ -54,8 +53,6 @@ def test_position_lookups():
     system = SystemModel([{"core": 2}, {"core": 3}])
     assert system.position_to_node("core", 2) == 1
     assert system.position_to_node("core", 3) == 2
-    assert system.node_local_index("core", 3) == 1
-    assert system.node_local_index("core", 5) == 3
     with pytest.raises(ValueError):
         system.position_to_node("core", 0)
     with pytest.raises(ValueError):
@@ -72,13 +69,6 @@ def test_to_config_round_trip_merges_equal_nodes():
     rebuilt = build_system(config)
     assert rebuilt.caps == system.caps
     assert rebuilt.owner == system.owner
-
-
-def test_system_from_spec_accepts_name_or_dict():
-    assert system_from_spec("eurora").node_count == 64
-    inline = system_from_spec({"groups": [{"count": 3, "cap": {"core": 4}}]})
-    assert inline.node_count == 3
-    assert inline.total_capacity["core"] == 12
 
 
 # -- presets ----------------------------------------------------------------------
