@@ -28,10 +28,9 @@ from hpcdispatch.sim import (
 )
 from hpcdispatch.system import PRESET_CONFIGS, SystemModel, build_system, preset
 from hpcdispatch.workload import (
+    MIXES,
     PREDICTOR_MODES,
-    eurora_mix,
     generate_trace,
-    gpu_scarce_mix,
     jobs_to_jsonl,
     load_trace,
     render_swf,
@@ -227,14 +226,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
     overrides = {}
     if args.config:
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if args.mix == "eurora":
-        spec = eurora_mix(jobs=args.jobs, seed=args.seed, **overrides)
-    elif args.mix == "gpu-scarce":
-        spec = gpu_scarce_mix(jobs=args.jobs, seed=args.seed, **overrides)
-    else:
-        base = {"jobs": args.jobs, "seed": args.seed}
-        base.update(overrides)
-        spec = spec_from_dict(base)
+    spec = spec_from_dict(overrides, dict(MIXES[args.mix], jobs=args.jobs, seed=args.seed))
     jobs = generate_trace(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -322,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-trace", help="generate a synthetic workload")
     p_gen.add_argument("--jobs", type=int, default=1000)
     p_gen.add_argument("--seed", type=int, default=1)
-    p_gen.add_argument("--mix", choices=["eurora", "gpu-scarce", "custom"], default="eurora")
+    p_gen.add_argument("--mix", choices=list(MIXES), default="eurora")
     p_gen.add_argument("--config", default=None, help="JSON overrides for the mix")
     p_gen.add_argument("--out", required=True, help=".jsonl (full demands) or .swf")
     p_gen.set_defaults(func=cmd_gen_trace)

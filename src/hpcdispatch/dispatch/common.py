@@ -24,6 +24,7 @@ from hpcdispatch.dispatch.instance import (
     JobDecision,
     QueuedJob,
     RunningJob,
+    dominant_resource,
     fits_system,  # noqa: F401 -- a bench/run.py:install_spans hook
     unit_demands,
 )
@@ -143,25 +144,36 @@ class FreeRuns:
     free; every running allocation is zeroed at construction.  Per-node
     queries read only the node's block ``system.node_span[(node, r)]``, so
     a claim takes the lowest q consecutive free positions of the block.
-    ``begin``/``rollback``/``commit`` save and restore the masks, which
-    makes placement of a multi-unit job all-or-nothing.
+    ``busy`` holds the nodes with any taken cell: the owners of the running
+    allocations, and every node a claim took cells from.
+    ``begin``/``rollback``/``commit`` save and restore the masks and
+    ``busy``, which makes placement of a multi-unit job all-or-nothing.
+
+    A node outside ``busy`` is wholly free, so all such nodes of one
+    ``system.node_classes`` class fit the same units with the same slack.
+    Whether the rule is best fit or first fit, only the lowest of them can
+    win, and ``candidates`` offers just that one per class next to the
+    busy nodes: node choice costs what the running jobs occupy, not what
+    the machine holds.
     """
 
     def __init__(self, system: SystemModel, running: Iterable[RunningJob]):
         self.system = system
         self.free = {r: bytearray(b"\1") * system.total_capacity[r] for r in system.resources}
+        self.busy: set[int] = set()
         for run in running:
             for entry in run.allocation:
                 lo = entry.position - 1
                 self.free[entry.resource][lo : lo + entry.extent] = bytes(entry.extent)
-        self._saved: dict[str, bytearray] | None = None
+                self.busy.add(system.owner[entry.resource][lo])
+        self._saved: tuple[dict[str, bytearray], set[int]] | None = None
 
     def begin(self) -> None:
-        self._saved = {r: mask[:] for r, mask in self.free.items()}
+        self._saved = ({r: mask[:] for r, mask in self.free.items()}, set(self.busy))
 
     def rollback(self) -> None:
         assert self._saved is not None
-        self.free = self._saved
+        self.free, self.busy = self._saved
         self._saved = None
 
     def commit(self) -> None:
@@ -178,11 +190,23 @@ class FreeRuns:
         position = self.find(node, resource, q)
         if position is not None:
             self.free[resource][position - 1 : position - 1 + q] = bytes(q)
+            self.busy.add(node)
         return position
 
     def total_free(self, node: int, resource: str) -> int:
         span = self.system.node_span.get((node, resource))
         return 0 if span is None else self.free[resource].count(1, span[0] - 1, span[1])
+
+    def candidates(self) -> list[int]:
+        """Busy nodes plus the lowest wholly free node of each class, ascending."""
+        busy = self.busy
+        nodes = set(busy)
+        for members in self.system.node_classes:
+            for node in members:
+                if node not in busy:
+                    nodes.add(node)
+                    break
+        return sorted(nodes)
 
 
 def _unit_fits(free: FreeRuns, node: int, unit_req: dict[str, int]) -> bool:
@@ -193,10 +217,10 @@ def best_fit_node(
     system: SystemModel, free: FreeRuns, unit_req: dict[str, int]
 ) -> int | None:
     """Feasible node leaving the least free share of the unit's top resource."""
-    r_star = max(unit_req, key=lambda r: (unit_req[r], -system.resources.index(r)))
+    r_star = dominant_resource(system, unit_req)
     best = None
     best_key = None
-    for node in range(1, system.node_count + 1):
+    for node in free.candidates():
         if not _unit_fits(free, node, unit_req):
             continue
         slack = Fraction(
@@ -211,7 +235,7 @@ def best_fit_node(
 def first_fit_node(
     system: SystemModel, free: FreeRuns, unit_req: dict[str, int]
 ) -> int | None:
-    for node in range(1, system.node_count + 1):
+    for node in free.candidates():
         if _unit_fits(free, node, unit_req):
             return node
     return None

@@ -81,16 +81,31 @@ def unit_demands(system: SystemModel, entry: QueuedJob) -> dict[str, int]:
     return {r: entry.job.unit_demand(r) for r in requested_resources(system, entry)}
 
 
-def replicas(system: SystemModel, rn: int, unit_req: dict[str, int]) -> list[int]:
-    """Per node (index 0 is node 1): how many units of this job could fit."""
-    out = []
-    for node in range(1, system.node_count + 1):
+def dominant_resource(system: SystemModel, unit_req: dict[str, int]) -> str:
+    """The unit's largest demand; ties go to the resource the system lists first."""
+    return max(unit_req, key=lambda r: (unit_req[r], -system.resources.index(r)))
+
+
+def _replicas_per_class(
+    system: SystemModel, rn: int, unit_req: dict[str, int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(class nodes, units of this job one of them could hold) per node class."""
+    for nodes in system.node_classes:
+        caps = system.caps[nodes[0] - 1]
         p = rn
         for resource, q in unit_req.items():
-            p = min(p, system.cap(node, resource) // q)
+            p = min(p, caps.get(resource, 0) // q)
             if p == 0:
                 break
-        out.append(p)
+        yield nodes, p
+
+
+def replicas(system: SystemModel, rn: int, unit_req: dict[str, int]) -> list[int]:
+    """Per node (index 0 is node 1): how many units of this job could fit."""
+    out = [0] * system.node_count
+    for nodes, p in _replicas_per_class(system, rn, unit_req):
+        for node in nodes:
+            out[node - 1] = p
     return out
 
 
@@ -102,7 +117,8 @@ def fits_system(system: SystemModel, entry: QueuedJob) -> bool:
     unit_req = unit_demands(system, entry)
     if not unit_req:
         return False
-    return sum(replicas(system, entry.rn, unit_req)) >= entry.rn
+    slots = sum(len(nodes) * p for nodes, p in _replicas_per_class(system, entry.rn, unit_req))
+    return slots >= entry.rn
 
 
 def allocation_uses(

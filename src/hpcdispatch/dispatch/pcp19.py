@@ -30,6 +30,7 @@ from hpcdispatch.dispatch.instance import (
     DispatchInstance,
     JobDecision,
     QueuedJob,
+    dominant_resource,
     replicas,
     unit_demands,
 )
@@ -87,7 +88,7 @@ def build_pcp19(
         svar = solver.new_var(t, eoh, f"s{entry.job_id}")
         unit_req = unit_demands(system, entry)
         counts = replicas(system, entry.rn, unit_req)
-        r_star = max(unit_req, key=lambda r: (unit_req[r], -system.resources.index(r)))
+        r_star = dominant_resource(system, unit_req)
         # Branch on fuller nodes first: best fit at the node granularity.
         node_order = sorted(
             (node for node in range(1, system.node_count + 1) if counts[node - 1] > 0),

@@ -14,7 +14,14 @@ from typing import Iterable, Sequence
 
 
 class SystemModel:
-    """Immutable cluster: node capacities plus derived position geometry."""
+    """Immutable cluster: node capacities plus derived position geometry.
+
+    ``node_classes`` groups the node ids whose capacity vectors are equal,
+    each class in ascending order and the classes ordered by their lowest
+    node (eurora and kit-forhlr2 have two each).  Nodes of one class are
+    interchangeable while they are wholly free, which placement and the
+    per-node replica counts use to look at one node per class.
+    """
 
     def __init__(self, node_caps: Sequence[dict[str, int]], name: str = "custom"):
         if not node_caps:
@@ -34,6 +41,17 @@ class SystemModel:
         self.caps: list[dict[str, int]] = [
             {r: caps.get(r, 0) for r in resources} for caps in node_caps
         ]
+        # Equal nodes mostly come in runs, so look a class up once per run.
+        classes: dict[tuple[int, ...], list[int]] = {}
+        previous = None
+        for node, caps in enumerate(self.caps, 1):
+            if caps != previous:
+                members = classes.setdefault(tuple(caps.values()), [])
+                previous = caps
+            members.append(node)
+        self.node_classes: tuple[tuple[int, ...], ...] = tuple(
+            tuple(nodes) for nodes in classes.values()
+        )
         # Flattened position spaces: owner[r][p-1] is the node id owning
         # position p; blocks[r] lists (first, last, node) spans in node order.
         self.total_capacity: dict[str, int] = {}

@@ -284,13 +284,18 @@ class TraceSpec:
             raise ValueError("users must be >= 1")
 
 
-def spec_from_dict(config: dict) -> TraceSpec:
-    """Build a TraceSpec from parsed config text; unknown keys are an error."""
+def spec_from_dict(config: object, base: dict | None = None) -> TraceSpec:
+    """Build a TraceSpec from parsed config text laid over ``base``.
+
+    The config must be a JSON object; unknown keys are an error.
+    """
+    if not isinstance(config, dict):
+        raise ValueError("trace config must be a JSON object")
     known = {f.name for f in fields(TraceSpec)}
     unknown = sorted(set(config) - known)
     if unknown:
         raise ValueError(f"unknown trace config keys: {', '.join(unknown)}")
-    kwargs = dict(config)
+    kwargs = {**(base or {}), **config}
     for key in ("short_runtime", "long_runtime", "unit_cores", "unit_mem", "unit_gpus"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
@@ -299,26 +304,28 @@ def spec_from_dict(config: dict) -> TraceSpec:
     return TraceSpec(**kwargs)
 
 
-def eurora_mix(jobs: int = 1000, seed: int = 1, **overrides) -> TraceSpec:
-    """Short-dominated mix resembling a small accelerator cluster's log."""
-    base = dict(jobs=jobs, seed=seed, gpu_fraction=0.10, unit_cores=(1, 8), unit_mem=(1, 8))
-    base.update(overrides)
-    return TraceSpec(**base)
-
-
-def gpu_scarce_mix(jobs: int = 300, seed: int = 1, **overrides) -> TraceSpec:
-    """Mix where half the jobs want GPUs; pairs with GPU-poor systems."""
-    base = dict(
-        jobs=jobs,
-        seed=seed,
+# Named mixes for ``spec_from_dict``'s base: the TraceSpec fields each sets.
+MIXES: dict[str, dict] = {
+    "eurora": dict(gpu_fraction=0.10, unit_cores=(1, 8), unit_mem=(1, 8)),
+    "gpu-scarce": dict(
         gpu_fraction=0.50,
         unit_gpus=(1, 2),
         unit_cores=(1, 4),
         unit_mem=(1, 4),
         node_counts=((1, 0.85), (2, 0.15)),
-    )
-    base.update(overrides)
-    return TraceSpec(**base)
+    ),
+    "custom": {},
+}
+
+
+def eurora_mix(jobs: int = 1000, seed: int = 1, **overrides) -> TraceSpec:
+    """Short-dominated mix resembling a small accelerator cluster's log."""
+    return spec_from_dict(overrides, dict(MIXES["eurora"], jobs=jobs, seed=seed))
+
+
+def gpu_scarce_mix(jobs: int = 300, seed: int = 1, **overrides) -> TraceSpec:
+    """Mix where half the jobs want GPUs; pairs with GPU-poor systems."""
+    return spec_from_dict(overrides, dict(MIXES["gpu-scarce"], jobs=jobs, seed=seed))
 
 
 def generate_trace(spec: TraceSpec) -> list[JobRecord]:

@@ -57,6 +57,27 @@ def test_gen_trace_custom_mix_from_config(tmp_path):
     assert all(j.node_count == 1 for j in load_trace(out).jobs)
 
 
+BAD_TRACE_CONFIGS = {
+    "eurora-unknown-key": ("eurora", '{"bogus": 1}'),
+    "gpu-scarce-unknown-key": ("gpu-scarce", '{"bogus": 1}'),
+    "custom-unknown-key": ("custom", '{"bogus": 1}'),
+    "not-an-object": ("eurora", "[1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACE_CONFIGS))
+def test_gen_trace_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, case):
+    mix, text = BAD_TRACE_CONFIGS[case]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "x.jsonl"
+    code = main(["gen-trace", "--jobs", "3", "--mix", mix, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 # -- validate -------------------------------------------------------------------
 
 

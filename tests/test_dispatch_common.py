@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import support
-from hpcdispatch.dispatch import DISPATCHERS, hcp19, pcp19, pcp20
+from hpcdispatch.dispatch import DISPATCHERS, common, hcp19, pcp19, pcp20
 from hpcdispatch.dispatch.common import (
     DispatchConfig,
     FreeRuns,
@@ -28,6 +28,7 @@ from hpcdispatch.dispatch.instance import (
     JobDecision,
     RunningJob,
     allocation_uses,
+    dominant_resource,
     fits_system,
     replicas,
     unit_demands,
@@ -85,6 +86,23 @@ def test_replicas_per_node():
     assert replicas(system, 2, {"core": 4}) == [2, 1]
     assert replicas(system, 8, {"core": 4}) == [4, 1]
     assert replicas(system, 1, {"core": 9}) == [1, 0]
+
+    # kind A, then B, then A again: counts are per class, written to every node
+    system = support.system_of(
+        (2, {"core": 16, "gpu": 2}), (3, {"core": 7}), (1, {"core": 16, "gpu": 2})
+    )
+    cases = [
+        (2, {"core": 4}), (8, {"core": 4}), (3, {"core": 4, "gpu": 1}),
+        (1, {"core": 9}), (5, {"gpu": 1}), (1, {"core": 17}),
+    ]
+    for rn, unit_req in cases:
+        expected = [
+            min([rn] + [system.cap(node, r) // q for r, q in unit_req.items()])
+            for node in range(1, system.node_count + 1)
+        ]
+        assert replicas(system, rn, unit_req) == expected
+        entry = support.queued(1, 0, rn=rn, unit_req=unit_req, d_expected=5)
+        assert fits_system(system, entry) == (sum(expected) >= rn)
 
 
 def test_fits_system_rules():
@@ -207,6 +225,29 @@ def test_transactions_roll_back_claims():
     assert free.total_free(2, "core") == 0 and free.find(2, "core", 1) is None
 
 
+def random_running(rng, system, attempts):
+    """Up to ``attempts`` one-entry running jobs, and the cells they take per resource."""
+    taken = {r: set() for r in system.resources}
+    running = []
+    for job_id in range(1, attempts + 1):
+        resource = rng.choice(system.resources)
+        first, last = system.blocks[resource][rng.randrange(len(system.blocks[resource]))][:2]
+        position = rng.randint(first, last)
+        extent = rng.randint(1, last - position + 1)
+        cells = set(range(position, position + extent))
+        if cells & taken[resource]:
+            continue
+        taken[resource] |= cells
+        running.append(
+            RunningJob(
+                job=make_job(job_id, 0, 0, 1, {resource: extent}, 10),
+                start=0, d_expected=10,
+                allocation=(AllocationEntry(0, resource, position, extent),),
+            )
+        )
+    return running, taken
+
+
 def test_claims_match_a_brute_force_scan():
     rng = random.Random(2024)
     for _ in range(40):
@@ -214,24 +255,7 @@ def test_claims_match_a_brute_force_scan():
             (rng.randint(1, 3), {"core": rng.randint(1, 8), "mem": rng.randint(1, 6)}),
             (rng.randint(1, 3), {"core": rng.randint(1, 8), "gpu": rng.randint(1, 4)}),
         )
-        busy = {r: set() for r in system.resources}
-        running = []
-        for job_id in range(1, 6):
-            resource = rng.choice(system.resources)
-            first, last = system.blocks[resource][rng.randrange(len(system.blocks[resource]))][:2]
-            position = rng.randint(first, last)
-            extent = rng.randint(1, last - position + 1)
-            cells = set(range(position, position + extent))
-            if cells & busy[resource]:
-                continue
-            busy[resource] |= cells
-            running.append(
-                RunningJob(
-                    job=make_job(job_id, 0, 0, 1, {resource: extent}, 10),
-                    start=0, d_expected=10,
-                    allocation=(AllocationEntry(0, resource, position, extent),),
-                )
-            )
+        running, busy = random_running(rng, system, 5)
         free = FreeRuns(system, running)
         for (node, resource), (first, last) in sorted(system.node_span.items()):
             for _ in range(3):
@@ -274,6 +298,112 @@ def test_best_fit_ranks_by_dominant_resource():
     free = FreeRuns(system, [])
     # core demand dominates gpu demand, so slack is measured in cores
     assert best_fit_node(system, free, {"core": 4, "gpu": 1}) == 2
+
+
+def scan_best_fit(system, free, unit_req):
+    """best_fit_node's rule applied to every node of the system."""
+    r_star = dominant_resource(system, unit_req)
+    keys = [
+        (Fraction(free.total_free(node, r_star) - unit_req[r_star], system.cap(node, r_star)), node)
+        for node in range(1, system.node_count + 1)
+        if all(free.find(node, r, q) is not None for r, q in unit_req.items())
+    ]
+    return min(keys)[1] if keys else None
+
+
+def scan_first_fit(system, free, unit_req):
+    return next(
+        (
+            node for node in range(1, system.node_count + 1)
+            if all(free.find(node, r, q) is not None for r, q in unit_req.items())
+        ),
+        None,
+    )
+
+
+def taken_nodes(system, free):
+    """Nodes with any taken cell, read off the masks."""
+    return {
+        node for (node, r), (first, last) in system.node_span.items()
+        if 0 in free.free[r][first - 1 : last]
+    }
+
+
+def random_interleaved_system(rng):
+    """1-3 capacity kinds laid out in groups that revisit earlier kinds."""
+    kinds = []
+    for _ in range(rng.randint(1, 3)):
+        caps = {"core": rng.randint(1, 6)}
+        for resource in ("mem", "gpu"):
+            if rng.random() < 0.5:
+                caps[resource] = rng.randint(1, 4)
+        kinds.append(caps)
+    groups = [(rng.randint(1, 3), rng.choice(kinds)) for _ in range(rng.randint(2, 5))]
+    return support.system_of(*groups)
+
+
+def test_node_choice_matches_a_full_scan(monkeypatch):
+    rng = random.Random(5150)
+    checked = {"best": 0, "first": 0}
+
+    def checking(pick, scan, key):
+        def choose(system, free, unit_req):
+            node = pick(system, free, unit_req)
+            assert node == scan(system, free, unit_req)
+            assert free.busy == taken_nodes(system, free)
+            checked[key] += 1
+            return node
+
+        return choose
+
+    monkeypatch.setattr(common, "best_fit_node", checking(best_fit_node, scan_best_fit, "best"))
+    monkeypatch.setattr(common, "first_fit_node", checking(first_fit_node, scan_first_fit, "first"))
+    placed = failed = 0
+    for _ in range(300):
+        system = random_interleaved_system(rng)
+        free = FreeRuns(system, random_running(rng, system, rng.randint(0, 6))[0])
+        for _ in range(8):
+            resources = rng.sample(system.resources, rng.randint(1, len(system.resources)))
+            unit_req = {r: rng.randint(1, 3) for r in system.resources if r in resources}
+            before = ({r: mask[:] for r, mask in free.free.items()}, set(free.busy))
+            allocation = place_job(system, free, rng.randint(1, 4), unit_req, best=rng.random() < 0.5)
+            if allocation is None:
+                failed += 1
+                assert (free.free, free.busy) == before
+            else:
+                placed += 1
+                nodes = {system.position_to_node(a.resource, a.position) for a in allocation}
+                assert free.busy == before[1] | nodes
+    # the draw covers both rules and both outcomes, many times over
+    assert min(checked.values()) > 1000 and min(placed, failed) > 200
+
+
+def test_node_choice_work_does_not_grow_with_the_machine():
+    system = support.system_of((10_000, {"core": 4}), (10_000, {"core": 8, "gpu": 1}))
+    running = [
+        support.running(system, 1, start=0, d_expected=50, placements=[(0, 1, "core", 1, 1)]),
+        support.running(system, 2, start=0, d_expected=50, placements=[(0, 10_001, "core", 1, 6)]),
+        support.running(
+            system, 3, start=0, d_expected=50,
+            placements=[(0, 15_000, "core", 1, 1), (0, 15_000, "gpu", 1, 1)],
+        ),
+    ]
+    free = FreeRuns(system, running)
+    assert free.busy == {1, 10_001, 15_000}
+    assert free.candidates() == [1, 2, 10_001, 10_002, 15_000]
+    assert best_fit_node(system, free, {"core": 2}) == 10_001  # the tightest busy node
+    assert best_fit_node(system, free, {"core": 3}) == 1
+    # busy node 15 000 fits four cores, but wholly free node 2 leaves no slack
+    assert best_fit_node(system, free, {"core": 4}) == 2
+    # no busy node fits: the lowest wholly free node of the class that does
+    assert best_fit_node(system, free, {"core": 8}) == 10_002
+    assert best_fit_node(system, free, {"core": 4, "gpu": 1}) == 10_002
+    assert first_fit_node(system, free, {"core": 4}) == 2
+
+    allocation = place_job(system, free, rn=3, unit_req={"core": 4})
+    assert sorted(system.position_to_node("core", a.position) for a in allocation) == [2, 3, 4]
+    assert free.candidates() == [1, 2, 3, 4, 5, 10_001, 10_002, 15_000]
+    assert len(free.candidates()) <= len(free.busy) + 2
 
 
 def test_place_job_is_all_or_nothing():

@@ -71,6 +71,13 @@ def test_to_config_round_trip_merges_equal_nodes():
     assert rebuilt.owner == system.owner
 
 
+def test_node_classes_group_equal_nodes_across_groups():
+    # kind A, then B, then A again, then one node with A's capacities in another order
+    a, b = {"core": 8, "mem": 4}, {"core": 8, "gpu": 2}
+    system = SystemModel([a, a, b, b, b, a, a, {"mem": 4, "core": 8}])
+    assert system.node_classes == ((1, 2, 6, 7, 8), (3, 4, 5))
+
+
 # -- presets ----------------------------------------------------------------------
 
 
@@ -84,6 +91,7 @@ def test_eurora_preset_geometry():
     assert system.owner["gpu"][-1] == 32
     assert system.owner["mic"][0] == 33
     assert system.node_span[(2, "core")] == (17, 32)
+    assert system.node_classes == (tuple(range(1, 33)), tuple(range(33, 65)))
 
 
 def test_kit_preset_geometry():
@@ -93,6 +101,7 @@ def test_kit_preset_geometry():
     assert system.total_capacity["gpu"] == 84
     # accelerators live on the 21 fat nodes at the end
     assert system.position_to_node("gpu", 1) == 1153
+    assert system.node_classes == (tuple(range(1, 1153)), tuple(range(1153, 1174)))
 
 
 def test_unknown_preset_lists_known_names():
