@@ -10,7 +10,6 @@ presence materialization, and by the optional emergency fallback).
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
@@ -35,7 +34,6 @@ from hpcdispatch.kernel import (
     IntVar,
 )
 from hpcdispatch.kernel.core import Branching
-from hpcdispatch.kernel.propagators import IndexedArray
 from hpcdispatch.system import SystemModel
 
 
@@ -117,24 +115,6 @@ def horizon(t: int, window: Sequence[QueuedJob], running: Sequence[RunningJob]) 
         + sum(entry.d_expected for entry in window)
         + sum(residual(run, t) for run in running)
     )
-
-
-_OWNER_INDEX: "weakref.WeakKeyDictionary[SystemModel, dict[str, IndexedArray]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def owner_index(system: SystemModel, resource: str) -> IndexedArray:
-    """Run-indexed node ownership map for a resource, cached per system."""
-    per_system = _OWNER_INDEX.get(system)
-    if per_system is None:
-        per_system = {}
-        _OWNER_INDEX[system] = per_system
-    idx = per_system.get(resource)
-    if idx is None:
-        idx = IndexedArray(system.owner[resource])
-        per_system[resource] = idx
-    return idx
 
 
 class FreeRuns:

@@ -4,9 +4,10 @@ One model decides both when and where jobs run.  Each job unit gets one
 position variable per requested resource type, ranging over the whole
 system's flattened capacity for that type, so the variable count depends
 only on the visible queue, never on the node count.  Non-overlap of
-(time x position) boxes carries allocation feasibility; node ownership is
-enforced with run-indexed element constraints; pooled and position-axis
-cumulatives provide relaxation pruning.
+(time x position) boxes carries allocation feasibility; one same-node
+constraint per unit and pair of resources, over the system's node blocks,
+keeps a unit on one node; pooled and position-axis cumulatives provide
+relaxation pruning.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from hpcdispatch.dispatch.common import (
     emergency_dispatch,  # noqa: F401 -- a bench/run.py:install_spans hook
     horizon,
     objective_terms,
-    owner_index,
     priority,
     residual,
     select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
@@ -83,15 +83,14 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
         positions: list[tuple[str, int, IntVar, int]] = []
         for resource in requested_resources(system, entry):
             q = unit_req[resource]
-            idx = owner_index(system, resource)
             # A q-wide claim at y occupies y..y+q-1, so y and y+q-1 must
             # share a node block; the span filter bakes that into the domain.
-            span = idx.span_filter(q - 1) if q > 1 else None
+            span = system.span_filter(resource, q)
             for unit in range(entry.rn):
                 yvar = solver.new_var(
                     1, system.total_capacity[resource], f"y{entry.job_id}.{resource}.{unit}"
                 )
-                if span is not None and not apply_span_filter(yvar, span):
+                if not apply_span_filter(yvar, span):
                     handle.infeasible_build = True
                 positions.append((resource, unit, yvar, q))
         handle.jobs.append(
@@ -141,10 +140,7 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
             for r1, r2 in zip(resources, resources[1:]):
                 solver.add(
                     ElementEqual(
-                        owner_index(system, r1),
-                        by_res[r1][unit],
-                        owner_index(system, r2),
-                        by_res[r2][unit],
+                        system.blocks[r1], by_res[r1][unit], system.blocks[r2], by_res[r2][unit]
                     )
                 )
         if jv.entry.rn > 1:

@@ -17,7 +17,6 @@ from hpcdispatch.kernel.propagators import (
     Cumulative,
     Diffn,
     ElementEqual,
-    IndexedArray,
     Task,
     apply_span_filter,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "Cumulative",
     "Diffn",
     "ElementEqual",
-    "IndexedArray",
     "IntVar",
     "apply_span_filter",
     "SearchStats",

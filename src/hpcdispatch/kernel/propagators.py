@@ -2,15 +2,16 @@
 
 The set is exactly what the dispatch models need: timetable-filtering
 cumulative (with an optional 0/1 presence variable per task), pairwise
-diffn over rectangles, element equality between two constant arrays,
-forward-checking alldifferent, and a boolean cardinality sum.  A
-cumulative task or diffn box placed by plain ints is a constant, such as a
-running job: it is folded into a base profile or kept as a fixed rectangle,
-and never watched or pushed.
+diffn over rectangles, "two positions lie on the same node" over the
+system's node blocks, forward-checking alldifferent, and a boolean
+cardinality sum.  A cumulative task or diffn box placed by plain ints is a
+constant, such as a running job: it is folded into a base profile or kept
+as a fixed rectangle, and never watched or pushed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Sequence
 
 from hpcdispatch.kernel.core import IntVar, Solver
@@ -319,69 +320,10 @@ def _prune_fixed(a: Box, x: int, x_len: int, y: int, y_len: int) -> bool:
     return u.set_max(v - u_len) if before_possible else u.set_min(v + v_len)
 
 
-def _value_runs(array: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Maximal runs of equal values as (first, last, value), 1-based."""
-    runs = []
-    start = 0
-    for i in range(1, len(array) + 1):
-        if i == len(array) or array[i] != array[start]:
-            runs.append((start + 1, i, array[start]))
-            start = i
-    return runs
-
-
-class IndexedArray:
-    """Constant 1-based array with its equal-value runs precomputed.
-
-    Share one instance per underlying array: the run index is built once,
-    and span filters are memoized, so posting many element constraints
-    over the same long array stays cheap.
-    """
-
-    __slots__ = ("values", "runs", "run_of", "_filters")
-
-    def __init__(self, values: Sequence[int]):
-        if not values:
-            raise ValueError("indexed array must be non-empty")
-        self.values = list(values)
-        self.runs = _value_runs(self.values)
-        run_of = [0] * len(self.values)
-        for idx, (first, last, _) in enumerate(self.runs):
-            for p in range(first, last + 1):
-                run_of[p - 1] = idx
-        self.run_of = run_of
-        self._filters: dict[int, tuple[int, int, frozenset[int]]] = {}
-
-    @classmethod
-    def of(cls, array: "IndexedArray | Sequence[int]") -> "IndexedArray":
-        return array if isinstance(array, cls) else cls(array)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def span_filter(self, delta: int) -> tuple[int, int, frozenset[int]]:
-        """Unary domain filter for "positions p and p+delta share a run".
-
-        Returns (lo, hi, holes); an empty filter is signalled by lo > hi.
-        """
-        cached = self._filters.get(delta)
-        if cached is not None:
-            return cached
-        windows = [(first, last - delta) for first, last, _ in self.runs if last - delta >= first]
-        if not windows:
-            cached = (1, 0, frozenset())
-        else:
-            holes: set[int] = set()
-            for (_, prev_hi), (next_lo, _) in zip(windows, windows[1:]):
-                holes.update(range(prev_hi + 1, next_lo))
-            cached = (windows[0][0], windows[-1][1], frozenset(holes))
-        self._filters[delta] = cached
-        return cached
-
-
 def apply_span_filter(var: IntVar, filt: tuple[int, int, frozenset[int]]) -> bool:
     """Restrict a freshly created variable in place (no trail, no wakes).
 
+    ``filt`` is (lo, hi, holes) with every hole strictly between lo and hi.
     Only valid before search starts; the restriction becomes part of the
     root domain.
     """
@@ -390,99 +332,75 @@ def apply_span_filter(var: IntVar, filt: tuple[int, int, frozenset[int]]) -> boo
     var.hi = min(var.hi, hi)
     if var.lo > var.hi:
         return False
-    if holes:
-        var.holes.update(h for h in holes if var.lo < h < var.hi)
+    if var.lo != lo or var.hi != hi:
+        holes = [h for h in holes if var.lo < h < var.hi]
+    var.holes.update(holes)
     return True
 
 
+Blocks = Sequence[tuple[int, int, int]]
+
+
 class ElementEqual(Propagator):
-    """array_a[index_a + offset_a] == array_b[index_b + offset_b].
+    """Positions ``y_a`` and ``y_b`` lie on the same node.
 
-    Arrays are constants indexed 1-based.  Filtering is exact on the index
-    domains: a position survives only if some position of the other index
-    maps to the same value.  Both indices may be one variable; the filter
-    is then sound but no longer exact.
-
-    Reasoning is run-based so long arrays with few distinct values (node
-    ownership maps) cost O(runs + holes) per propagation, not O(length).
+    ``blocks_a`` and ``blocks_b`` are two resources' node blocks, as in
+    ``SystemModel.blocks``: ascending, contiguous (first, last, node)
+    triples covering 1..total.  Filtering is exact on the index domains: a
+    block's positions survive only while the other index can still reach
+    its node.  A call reads only the blocks that meet each index's
+    [lo, hi], found by bisection, so it does not grow with the node count.
     """
 
     name = "element_eq"
 
-    def __init__(
-        self,
-        array_a: "IndexedArray | Sequence[int]",
-        index_a: IntVar,
-        array_b: "IndexedArray | Sequence[int]",
-        index_b: IntVar,
-        offset_a: int = 0,
-        offset_b: int = 0,
-    ):
+    def __init__(self, blocks_a: Blocks, y_a: IntVar, blocks_b: Blocks, y_b: IntVar):
         super().__init__()
-        self.array_a = IndexedArray.of(array_a)
-        self.array_b = IndexedArray.of(array_b) if array_b is not array_a else self.array_a
-        self.index_a = index_a
-        self.index_b = index_b
-        self.offset_a = offset_a
-        self.offset_b = offset_b
+        for blocks, var in ((blocks_a, y_a), (blocks_b, y_b)):
+            total = blocks[-1][1] if blocks else 0
+            if var.lo < 1 or var.hi > total:
+                raise ValueError(
+                    f"index {var.name!r} domain [{var.lo},{var.hi}] is outside [1,{total}]"
+                )
+        self.blocks_a = blocks_a
+        self.y_a = y_a
+        self.blocks_b = blocks_b
+        self.y_b = y_b
 
     def post(self, solver: Solver) -> None:
-        solver.watch(self.index_a, self)
-        solver.watch(self.index_b, self)
+        solver.watch(self.y_a, self)
+        solver.watch(self.y_b, self)
 
     def propagate(self, solver: Solver) -> bool:
-        if not self._clamp(self.index_a, self.offset_a, len(self.array_a)):
-            return False
-        if not self._clamp(self.index_b, self.offset_b, len(self.array_b)):
-            return False
-        reach_a = self._reachable(self.index_a, self.offset_a, self.array_a)
-        reach_b = self._reachable(self.index_b, self.offset_b, self.array_b)
-        common = reach_a & reach_b
+        reached_a = _reached_blocks(self.blocks_a, self.y_a)
+        reached_b = _reached_blocks(self.blocks_b, self.y_b)
+        nodes_b = {node for _, _, node in reached_b}
+        common = {node for _, _, node in reached_a if node in nodes_b}
         if not common:
             return False
-        if common != reach_a:
-            if not self._prune(self.index_a, self.offset_a, self.array_a, common):
-                return False
-        if common != reach_b:
-            if not self._prune(self.index_b, self.offset_b, self.array_b, common):
-                return False
-        return True
-
-    @staticmethod
-    def _clamp(var: IntVar, offset: int, length: int) -> bool:
-        return var.set_min(1 - offset) and var.set_max(length - offset)
-
-    @staticmethod
-    def _reachable(var: IntVar, offset: int, array: IndexedArray) -> set[int]:
-        run_of = array.run_of
-        lo, hi = var.lo, var.hi
-        hole_counts: dict[int, int] = {}
-        for hole in var.holes:
-            if not lo < hole < hi:
-                continue  # bound moves leave stale entries outside [lo, hi]
-            pos = hole + offset
-            if 1 <= pos <= len(run_of):
-                idx = run_of[pos - 1]
-                hole_counts[idx] = hole_counts.get(idx, 0) + 1
-        values = set()
-        for idx, (first, last, value) in enumerate(array.runs):
-            if value in values:
-                continue
-            lo = max(first - offset, var.lo)
-            hi = min(last - offset, var.hi)
-            if lo > hi:
-                continue
-            if hi - lo + 1 > hole_counts.get(idx, 0):
-                values.add(value)
-        return values
-
-    @staticmethod
-    def _prune(var: IntVar, offset: int, array: IndexedArray, allowed: set[int]) -> bool:
-        for first, last, value in array.runs:
-            if value not in allowed:
-                if not var.remove_range(first - offset, last - offset):
+        # Block by block, in ascending order: merging removals or pruning b
+        # first would leave other stale holes and change ``IntVar.size``.
+        for var, reached in ((self.y_a, reached_a), (self.y_b, reached_b)):
+            for first, last, node in reached:
+                if node not in common and not var.remove_range(first, last):
                     return False
         return True
+
+
+def _reached_blocks(blocks: Blocks, var: IntVar) -> list[tuple[int, int, int]]:
+    """The blocks meeting [var.lo, var.hi] that still hold a value of var."""
+    lo, hi, holes = var.lo, var.hi, var.holes
+    # (p + 1,) sorts after exactly the blocks that start at or before p.
+    k = bisect_left(blocks, (lo + 1,)) - 1
+    out = [blocks[k]]  # it holds lo, and lo is never a hole
+    for block in blocks[k + 1 : bisect_left(blocks, (hi + 1,))]:
+        p = block[0]
+        last = block[1] if block[1] < hi else hi
+        while p in holes and p <= last:
+            p += 1
+        if p <= last:
+            out.append(block)
+    return out
 
 
 class AllDifferent(Propagator):

@@ -257,45 +257,47 @@ def run_simulation(
         last_dispatch_t = t
         result.invocations.append(decision.stats)
         started = 0
+        dispatched = decision.dispatched()
+        ends: list[int] = []
         new_uses: list[ResourceUse] = []
-        for jd in decision.dispatched():
+        for jd in dispatched:
             entry = queue[jd.job_id]
             duration = entry.job.runtime
             if config.strict_kill:
                 duration = min(duration, entry.d_expected)
             end = t + duration
+            ends.append(end)
             for a in jd.allocation:
                 new_uses.append(
                     ResourceUse(jd.job_id, a.unit, a.resource, a.position, a.extent, t, end)
                 )
-        problems = validate_allocation(system, active_uses(), new_uses)
+        running_uses = active_uses()
+        problems = validate_allocation(system, running_uses, new_uses)
         if problems:
             detail = "; ".join(str(p) for p in problems[:5])
             raise SimulationError(
                 f"dispatcher {config.dispatcher} produced an invalid decision at t={t}: {detail}"
             )
-        for jd in decision.dispatched():
+        for jd, end in zip(dispatched, ends):
             entry = queue.pop(jd.job_id)
-            duration = entry.job.runtime
-            if config.strict_kill:
-                duration = min(duration, entry.d_expected)
             running[jd.job_id] = RunningJob(
                 job=entry.job,
                 start=t,
                 d_expected=entry.d_expected,
                 allocation=jd.allocation,
             )
-            sim_end[jd.job_id] = t + duration
+            sim_end[jd.job_id] = end
             outcome = outcomes[jd.job_id]
             outcome.start = t
-            heapq.heappush(heap, (t + duration, _END, jd.job_id))
+            heapq.heappush(heap, (end, _END, jd.job_id))
             log(f"t={t} start job={jd.job_id} wait={t - entry.job.submit}")
             started += 1
         log(
             f"t={t} dispatch queued={len(instance.queued)} window={decision.stats.window_size}"
             f" dispatched={started} fallback={int(decision.fallback)}"
         )
-        mutual = validate_mutual(system, active_uses())
+        # The new jobs joined ``running`` last, so this is its use order too.
+        mutual = validate_mutual(system, running_uses + new_uses)
         if mutual:
             detail = "; ".join(str(p) for p in mutual[:5])
             raise SimulationError(f"occupancy sweep failed at t={t}: {detail}")

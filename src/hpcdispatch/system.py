@@ -72,9 +72,34 @@ class SystemModel:
             self.owner[resource] = owner
             self.blocks[resource] = blocks
             self.total_capacity[resource] = len(owner)
+        self._span_filters: dict[tuple[str, int], tuple[int, int, frozenset[int]]] = {}
 
     def cap(self, node: int, resource: str) -> int:
         return self.caps[node - 1].get(resource, 0)
+
+    def span_filter(self, resource: str, q: int) -> tuple[int, int, frozenset[int]]:
+        """Domain filter for "a q-wide claim of resource starts inside one node block".
+
+        Returns (lo, hi, holes) for ``kernel.apply_span_filter``; lo > hi
+        means no block is q wide.  Memoized per (resource, q).
+        """
+        key = (resource, q)
+        cached = self._span_filters.get(key)
+        if cached is None:
+            windows = [
+                (first, last - q + 1)
+                for first, last, _ in self.blocks[resource]
+                if last - first + 1 >= q
+            ]
+            holes: set[int] = set()
+            for (_, prev_hi), (next_lo, _) in zip(windows, windows[1:]):
+                holes.update(range(prev_hi + 1, next_lo))
+            if windows:
+                cached = (windows[0][0], windows[-1][1], frozenset(holes))
+            else:
+                cached = (1, 0, frozenset())
+            self._span_filters[key] = cached
+        return cached
 
     def position_to_node(self, resource: str, position: int) -> int:
         owner = self.owner.get(resource)
@@ -108,6 +133,9 @@ def build_system(config: dict) -> SystemModel:
         raise ValueError("system config needs a non-empty 'groups' list")
     node_caps: list[dict[str, int]] = []
     for number, group in enumerate(groups, 1):
+        unknown = sorted(set(group) - {"count", "cap"}) if isinstance(group, dict) else []
+        if unknown:
+            raise ValueError(f"system group {number}: unknown keys {', '.join(map(str, unknown))}")
         try:
             count = int(group.get("count", 0))
             cap = {str(r): int(c) for r, c in group.get("cap", {}).items()}

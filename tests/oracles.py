@@ -450,12 +450,17 @@ def diffn_ok(rects) -> bool:
     return True
 
 
-def element_ok(array_a, index_a, array_b, index_b, offset_a=0, offset_b=0) -> bool:
-    ka = index_a + offset_a
-    kb = index_b + offset_b
-    if not (1 <= ka <= len(array_a)) or not (1 <= kb <= len(array_b)):
-        return False
-    return array_a[ka - 1] == array_b[kb - 1]
+def owner_list(blocks) -> list:
+    """Owning node of every position, 1-based, from (first, last, node) blocks."""
+    owner = []
+    for first, last, node in blocks:
+        assert first == len(owner) + 1, "blocks must be ascending and contiguous"
+        owner.extend([node] * (last - first + 1))
+    return owner
+
+
+def same_node_ok(owner_a, owner_b, position_a: int, position_b: int) -> bool:
+    return owner_a[position_a - 1] == owner_b[position_b - 1]
 
 
 def alldifferent_ok(values) -> bool:

@@ -7,7 +7,8 @@ unsupported values (filtering here is not arc consistent) but must never
 drop a supported one, and may only fail when no full assignment exists.
 Cumulative tasks and diffn boxes are sometimes constants (plain ints), so
 base profiles and fixed rectangles are drawn too; the oracles take them as
-fixed values.
+fixed values.  Element cases draw the node blocks of two resources over a
+few nodes, some lacking one resource, and judge by per-position owners.
 """
 
 from __future__ import annotations
@@ -41,6 +42,35 @@ def _random_var(solver: Solver, rng: random.Random, lo=-2, hi=8, max_size=8) -> 
     return var
 
 
+def _random_block_maps(rng: random.Random):
+    """Node blocks of two resources on 1-5 nodes; a node may lack either one."""
+    nodes = rng.randint(1, 5)
+    while True:
+        caps = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(nodes)]
+        if sum(a for a, _ in caps) >= 2 and sum(b for _, b in caps) >= 2:
+            break
+    maps = []
+    for side in (0, 1):
+        blocks = []
+        first = 1
+        for node, cap in enumerate(caps, 1):
+            if cap[side]:
+                blocks.append((first, first + cap[side] - 1, node))
+                first += cap[side]
+        maps.append(blocks)
+    return maps
+
+
+def _random_position_var(solver: Solver, rng: random.Random, total: int) -> IntVar:
+    """A random domain inside [1, total], sometimes with stale holes past its bounds."""
+    var = _random_var(solver, rng, lo=1, hi=total)
+    if rng.random() < 0.3:
+        var.set_min(rng.choice(_domain(var)))
+    if rng.random() < 0.3:
+        var.set_max(rng.choice(_domain(var)))
+    return var
+
+
 def _domain(var: IntVar) -> list[int]:
     return list(var.iter_values())
 
@@ -49,7 +79,7 @@ def _value(term: IntVar | int, lookup: dict) -> int:
     return term if isinstance(term, int) else lookup[term]
 
 
-def _build(kind: str, rng: random.Random):
+def build_case(kind: str, rng: random.Random):
     """Returns (solver, vars, ok) with ok judging one full assignment.
 
     ``vars`` lists every decision variable in enumeration order; ``ok``
@@ -124,26 +154,14 @@ def _build(kind: str, rng: random.Random):
         return solver, variables, ok
 
     if kind == "element":
-        len_a = rng.randint(3, 8)
-        array_a = [rng.randint(0, 3) for _ in range(len_a)]
-        if rng.random() < 0.5:
-            array_b = array_a
-        else:
-            array_b = [rng.randint(0, 3) for _ in range(rng.randint(3, 8))]
-        offset_a = rng.randint(-2, 2)
-        offset_b = rng.randint(-2, 2)
-        index_a = _random_var(solver, rng, lo=-1, hi=9)
-        same = rng.random() < 0.35
-        index_b = index_a if same else _random_var(solver, rng, lo=-1, hi=9)
-        solver.add(ElementEqual(array_a, index_a, array_b, index_b, offset_a, offset_b))
-        variables = [index_a] if same else [index_a, index_b]
-
-        def ok(values):
-            ia = values[0]
-            ib = values[0] if same else values[1]
-            return oracles.element_ok(array_a, ia, array_b, ib, offset_a, offset_b)
-
-        return solver, variables, ok
+        blocks_a, blocks_b = _random_block_maps(rng)
+        variables = [
+            _random_position_var(solver, rng, blocks[-1][1]) for blocks in (blocks_a, blocks_b)
+        ]
+        solver.add(ElementEqual(blocks_a, variables[0], blocks_b, variables[1]))
+        owner_a = oracles.owner_list(blocks_a)
+        owner_b = oracles.owner_list(blocks_b)
+        return solver, variables, lambda values: oracles.same_node_ok(owner_a, owner_b, *values)
 
     if kind == "alldifferent":
         n = rng.randint(2, 4)
@@ -168,7 +186,7 @@ def _build(kind: str, rng: random.Random):
 
 def run_case(kind: str, rng: random.Random) -> str:
     """One random case; raises AssertionError with context on a violation."""
-    solver, variables, ok = _build(kind, rng)
+    solver, variables, ok = build_case(kind, rng)
     before = [_domain(v) for v in variables]
     supported = oracles.support_sets(before, ok)
     feasible = bool(supported[0]) if variables else ok(())

@@ -123,6 +123,9 @@ MALFORMED = {
     ),
     "snapshot-list": ("--instance", "s.json", "[1]"),
     "system-groups-text": ("--system", "sys.json", '{"groups": "x"}'),
+    "system-unknown-keys": (
+        "--system", "sys.json", '{"groups": [{"nodes": 2, "caps": {"core": 16}}]}'
+    ),
 }
 
 

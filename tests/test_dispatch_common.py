@@ -15,7 +15,6 @@ from hpcdispatch.dispatch.common import (
     first_fit_node,
     horizon,
     objective_terms,
-    owner_index,
     place_job,
     place_units_on_nodes,
     priority,
@@ -162,16 +161,6 @@ def test_horizon_sums_window_and_residuals():
     ]
     runs = [support.running(system, 3, start=8, d_expected=6, placements=[(1, 1, "core", 1, 1)])]
     assert horizon(10, window, runs) == 10 + 12 + 4
-
-
-# -- ownership cache ---------------------------------------------------------------------
-
-
-def test_owner_index_is_cached_per_system():
-    system = support.system_of((2, {"gpu": 2}))
-    idx = owner_index(system, "gpu")
-    assert idx.values == [1, 1, 2, 2]
-    assert owner_index(system, "gpu") is idx
 
 
 # -- free positions ---------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Propagator filtering: targeted cases plus randomized soundness checks."""
 
+import random
+from collections.abc import Sequence
+
 import pytest
 
+import oracles
 import prop_harness
 from hpcdispatch.kernel.core import Solver
 from hpcdispatch.kernel.propagators import (
@@ -11,10 +15,10 @@ from hpcdispatch.kernel.propagators import (
     Cumulative,
     Diffn,
     ElementEqual,
-    IndexedArray,
     Task,
     apply_span_filter,
 )
+from hpcdispatch.system import SystemModel
 
 
 # -- cumulative ---------------------------------------------------------------
@@ -190,99 +194,123 @@ def test_diffn_leaves_fixed_rectangles_to_the_caller():
 
 # -- element ------------------------------------------------------------------
 
-
-def test_value_runs_on_ownership_array():
-    arr = IndexedArray([1, 1, 2, 2, 3, 3])
-    assert arr.runs == [(1, 2, 1), (3, 4, 2), (5, 6, 3)]
-    assert arr.run_of == [0, 0, 1, 1, 2, 2]
-
-
-def test_indexed_array_rejects_empty():
-    with pytest.raises(ValueError):
-        IndexedArray([])
+# Node blocks as in SystemModel.blocks: (first, last, node), ascending and
+# contiguous from position 1.
+CORE = [(1, 2, 1), (3, 4, 2), (5, 6, 3)]
+GPU = [(1, 1, 1), (2, 2, 3)]  # node 2 has no gpu
 
 
 def test_element_filters_index_against_fixed_value():
     solver = Solver()
-    ia = solver.new_var(1, 4, "ia")
-    ib = solver.new_var(1, 1, "ib")
-    solver.add(ElementEqual([1, 1, 2, 2], ia, [2], ib))
+    core = solver.new_var(1, 6, "core")
+    gpu = solver.new_var(2, 2, "gpu")
+    solver.add(ElementEqual(CORE, core, GPU, gpu))
     assert solver.propagate_all()
-    assert (ia.lo, ia.hi) == (3, 4)
+    assert sorted(core.iter_values()) == [5, 6]  # node 3's block
 
 
 def test_element_empty_intersection_fails():
     solver = Solver()
-    ia = solver.new_var(1, 2, "ia")
-    ib = solver.new_var(1, 1, "ib")
-    solver.add(ElementEqual([1, 1], ia, [2], ib))
+    core = solver.new_var(1, 2, "core")  # node 1 only
+    gpu = solver.new_var(2, 2, "gpu")  # node 3 only
+    solver.add(ElementEqual(CORE, core, GPU, gpu))
     assert not solver.propagate_all()
 
 
-def test_element_clamps_out_of_range_indices():
+def test_element_cross_array_run_pruning():
+    # Node 2 holds cores but no gpu, so its core block goes.
     solver = Solver()
-    ia = solver.new_var(-5, 10, "ia")
-    ib = solver.new_var(1, 2, "ib")
-    solver.add(ElementEqual([4, 4, 4], ia, [4, 4], ib, offset_a=1))
+    core = solver.new_var(1, 6, "core")
+    gpu = solver.new_var(1, 2, "gpu")
+    solver.add(ElementEqual(CORE, core, GPU, gpu))
     assert solver.propagate_all()
-    # ia + 1 must land in [1, 3]
-    assert (ia.lo, ia.hi) == (0, 2)
-
-
-def test_element_same_var_same_offset_keeps_everything_in_range():
-    solver = Solver()
-    v = solver.new_var(-3, 12, "v")
-    arr = IndexedArray([5, 6, 7])
-    solver.add(ElementEqual(arr, v, arr, v, offset_a=2, offset_b=2))
-    assert solver.propagate_all()
-    assert (v.lo, v.hi) == (-1, 1)
+    assert sorted(core.iter_values()) == [1, 2, 5, 6]
+    assert sorted(gpu.iter_values()) == [1, 2]
 
 
 def test_element_ignores_stale_holes_beyond_bounds():
-    # A bound move that lands next to a hole strands it outside [lo, hi];
-    # reachability must not count such entries against a run.
+    # Bound moves that skip past holes leave them outside [lo, hi]; they
+    # must not make a block look empty or count as values.
+    blocks = [(1, 3, 1), (4, 6, 2), (7, 9, 3)]
     solver = Solver()
-    y = solver.new_var(1, 5, "y")
-    z = solver.new_var(1, 1, "z")
-    y.remove(2)
-    assert y.set_max(1)
-    assert y.holes == {2}  # stale
-    solver.add(ElementEqual([7, 7], y, [7], z))
+    y = solver.new_var(1, 9, "y")
+    z = solver.new_var(3, 3, "z")
+    assert y.remove(4) and y.set_min(5)
+    assert y.remove(8) and y.set_max(7)
+    assert y.holes == {4, 8}  # both stale
+    solver.add(ElementEqual(blocks, y, [(1, 1, 1), (2, 2, 2), (3, 3, 3)], z))
     assert solver.propagate_all()
-    assert y.value() == 1
+    assert y.value() == 7
 
 
-def test_element_cross_array_run_pruning():
+def test_element_rejects_indices_outside_the_blocks():
     solver = Solver()
-    ia = solver.new_var(1, 6, "ia")
-    ib = solver.new_var(1, 6, "ib")
-    solver.add(ElementEqual([1, 1, 2, 2, 3, 3], ia, [2, 2, 2, 4, 4, 4], ib))
-    assert solver.propagate_all()
-    # Only the value 2 is common, so ia keeps its middle run and ib its first.
-    assert sorted(ia.iter_values()) == [3, 4]
-    assert sorted(ib.iter_values()) == [1, 2, 3]
+    inside = solver.new_var(1, 2, "inside")
+    for lo, hi in ((0, 3), (1, 7)):
+        outside = solver.new_var(lo, hi, "outside")
+        with pytest.raises(ValueError, match=r"outside \[1,6\]"):
+            ElementEqual(CORE, outside, GPU, inside)
+    with pytest.raises(ValueError, match=r"outside \[1,2\]"):
+        ElementEqual(CORE, inside, GPU, solver.new_var(1, 3, "gpu"))
+    with pytest.raises(ValueError, match=r"outside \[1,0\]"):
+        ElementEqual(CORE, inside, [], inside)
+
+
+def test_element_filtering_is_exact_on_random_block_maps():
+    # Filtering is exact: what survives is precisely the brute-force
+    # supported set, computed from per-position owner lists.
+    rng = random.Random(40_000)
+    outcomes = set()
+    for _ in range(600):
+        solver, variables, ok = prop_harness.build_case("element", rng)
+        before = [list(var.iter_values()) for var in variables]
+        supported = oracles.support_sets(before, ok)
+        feasible = solver.propagate_all()
+        outcomes.add(feasible)
+        if feasible:
+            assert [set(var.iter_values()) for var in variables] == supported
+        else:
+            assert supported == [set(), set()]
+    assert outcomes == {True, False}
+
+
+class _ReadLog(Sequence):
+    """A block list that records which indices a propagator reads."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.read = set()
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def __getitem__(self, k):
+        self.read.update(range(*k.indices(len(self))) if isinstance(k, slice) else [k])
+        return self.blocks[k]
+
+
+def test_element_reads_only_blocks_in_range_on_a_large_system():
+    nodes = 20_000
+    system = SystemModel([{"core": 4, "gpu": 1}] * nodes)
+    core_blocks = _ReadLog(system.blocks["core"])
+    gpu_blocks = _ReadLog(system.blocks["gpu"])
+    solver = Solver()
+    core = solver.new_var(4 * 100 + 1, 4 * 103, "core")  # nodes 101..103
+    gpu = solver.new_var(102, 105, "gpu")  # nodes 102..105
+    prop = ElementEqual(core_blocks, core, gpu_blocks, gpu)
+    core_blocks.read.clear()
+    gpu_blocks.read.clear()
+    assert prop.propagate(solver)
+    assert (core.lo, core.hi, gpu.lo, gpu.hi) == (405, 412, 102, 103)
+    # The blocks meeting [lo, hi], plus two bisections' probes per side.
+    probes = 2 * nodes.bit_length()
+    assert {100, 101, 102} <= core_blocks.read
+    assert len(core_blocks.read) <= 3 + probes
+    assert {101, 102, 103, 104} <= gpu_blocks.read
+    assert len(gpu_blocks.read) <= 4 + probes
 
 
 # -- span filters ---------------------------------------------------------------
-
-
-def test_span_filter_two_wide_runs():
-    arr = IndexedArray([1, 1, 2, 2])
-    lo, hi, holes = arr.span_filter(1)
-    assert (lo, hi) == (1, 3)
-    assert holes == frozenset({2})
-
-
-def test_span_filter_no_window_signals_empty():
-    arr = IndexedArray([1, 1, 2, 2])
-    lo, hi, holes = arr.span_filter(2)
-    assert lo > hi
-    assert holes == frozenset()
-
-
-def test_span_filter_is_memoized():
-    arr = IndexedArray([1, 1, 1, 2])
-    assert arr.span_filter(1) is arr.span_filter(1)
 
 
 def test_apply_span_filter_restricts_in_place():

@@ -36,6 +36,13 @@ def test_build_system_validates_groups():
         build_system({"groups": [{"count": 0, "cap": {"core": 1}}]})
 
 
+def test_build_system_names_unknown_group_keys():
+    with pytest.raises(ValueError, match=r"^system group 1: unknown keys caps, nodes$"):
+        build_system({"groups": [{"nodes": 2, "caps": {"core": 16}}]})
+    with pytest.raises(ValueError, match=r"^system group 2: unknown keys extra$"):
+        build_system({"groups": [{"count": 1, "cap": {"core": 1}}, {"count": 1, "extra": 0}]})
+
+
 def test_flattened_position_geometry():
     system = SystemModel([{"core": 2}, {"core": 3, "gpu": 1}], name="tiny")
     assert system.node_count == 2
@@ -47,6 +54,33 @@ def test_flattened_position_geometry():
     assert system.node_span[(2, "core")] == (3, 5)
     assert (1, "gpu") not in system.node_span
     assert system.cap(1, "gpu") == 0
+
+
+def test_span_filter_two_wide_runs():
+    system = SystemModel([{"core": 2}, {"core": 2}])
+    # Starts 1 and 3 keep a two-wide claim inside node 1 or node 2.
+    assert system.span_filter("core", 2) == (1, 3, frozenset({2}))
+    assert system.span_filter("core", 1) == (1, 4, frozenset())
+
+
+def test_span_filter_no_window_signals_empty():
+    system = SystemModel([{"core": 2}, {"core": 2}])
+    lo, hi, holes = system.span_filter("core", 3)  # no block is three wide
+    assert lo > hi and holes == frozenset()
+
+
+def test_span_filter_skips_narrow_blocks():
+    system = SystemModel([{"core": 3}, {"core": 1}, {"core": 1}, {"core": 4}])
+    # Blocks [1,3] [4,4] [5,5] [6,9]: only nodes 1 and 4 hold a two-wide claim.
+    assert system.span_filter("core", 2) == (1, 8, frozenset({3, 4, 5}))
+
+
+def test_span_filter_is_memoized():
+    system = SystemModel([{"core": 4, "gpu": 2}, {"core": 4, "gpu": 2}])
+    assert system.span_filter("core", 2) is system.span_filter("core", 2)
+    assert system.span_filter("gpu", 2) == (1, 3, frozenset({2}))
+    assert system.span_filter("core", 2) == (1, 7, frozenset({4}))
+    assert set(system._span_filters) == {("core", 2), ("gpu", 2)}
 
 
 def test_position_lookups():
