@@ -65,12 +65,31 @@ def _dispatch_config(args: argparse.Namespace) -> DispatchConfig:
     )
 
 
+def _checked(kind, valid, rule: str):
+    """An argparse type: a ``kind`` value for which ``valid`` holds."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid <name> value"
+    return parse
+
+
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget-ms", type=float, default=2000.0, help="per-dispatch budget")
-    sub.add_argument("--window", type=int, default=100, help="max queued jobs per model")
+    sub.add_argument(
+        "--budget-ms", type=_checked(float, lambda v: v > 0, "> 0"), default=2000.0,
+        help="per-dispatch budget",
+    )
+    sub.add_argument(
+        "--window", type=_checked(int, lambda v: v >= 1, ">= 1"), default=100,
+        help="max queued jobs per model",
+    )
     sub.add_argument(
         "--node-limit",
-        type=int,
+        type=_checked(int, lambda v: v >= 0, ">= 0"),
         default=1500,
         help="deterministic search-node cap per solve (0 disables)",
     )

@@ -3,11 +3,12 @@
 One model decides both when and where jobs run.  Each job unit gets one
 position variable per requested resource type, ranging over the whole
 system's flattened capacity for that type, so the variable count depends
-only on the visible queue, never on the node count.  Non-overlap of
-(time x position) boxes carries allocation feasibility; one same-node
-constraint per unit and pair of resources, over the system's node blocks,
-keeps a unit on one node; pooled and position-axis cumulatives provide
-relaxation pruning.
+only on the visible queue, never on the node count.  Non-overlap of the
+queued jobs' (time x position) boxes, plus one release constraint per
+position variable against the running allocations' release intervals,
+carries allocation feasibility; one same-node constraint per unit and pair
+of resources, over the system's node blocks, keeps a unit on one node;
+pooled and position-axis cumulatives provide relaxation pruning.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from hpcdispatch.kernel import (
     Diffn,
     ElementEqual,
     IntVar,
+    Released,
     Solver,
     Task,
     apply_span_filter,
@@ -116,16 +118,22 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
                     continue
                 boxes.append(Box(jv.start, d, yvar, q))
                 axis.append(Task(yvar, q, d))
-        # Running jobs are given data: constant parts on [t, t + residual).
+        # Running jobs are given data: constant parts on [t, t + residual),
+        # and their positions are held until t + residual.
+        held: list[tuple[int, int, int]] = []
         for run in instance.running:
             dur = residual(run, t)
             for alloc in run.allocation:
                 if alloc.resource == resource:
                     pooled.append(Task(t, dur, alloc.extent))
-                    boxes.append(Box(t, dur, alloc.position, alloc.extent))
                     axis.append(Task(alloc.position, alloc.extent, dur))
+                    held.append((alloc.position, alloc.position + alloc.extent - 1, t + dur))
         if boxes:
             solver.add(Diffn(boxes))
+        if held:
+            held.sort()
+            for box in boxes:
+                solver.add(Released(box.x, box.y, box.y_len, held))
         if pooled:
             solver.add(Cumulative(pooled, system.total_capacity[resource]))
         if axis:

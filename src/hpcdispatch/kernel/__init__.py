@@ -17,6 +17,7 @@ from hpcdispatch.kernel.propagators import (
     Cumulative,
     Diffn,
     ElementEqual,
+    Released,
     Task,
     apply_span_filter,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "Diffn",
     "ElementEqual",
     "IntVar",
+    "Released",
     "apply_span_filter",
     "SearchStats",
     "SolveResult",

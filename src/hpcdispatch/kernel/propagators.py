@@ -2,11 +2,12 @@
 
 The set is exactly what the dispatch models need: timetable-filtering
 cumulative (with an optional 0/1 presence variable per task), pairwise
-diffn over rectangles, "two positions lie on the same node" over the
-system's node blocks, forward-checking alldifferent, and a boolean
-cardinality sum.  A cumulative task or diffn box placed by plain ints is a
-constant, such as a running job: it is folded into a base profile or kept
-as a fixed rectangle, and never watched or pushed.
+diffn over variable rectangles, "a claim starts only after the held
+intervals it meets are released", "two positions lie on the same node" over
+the system's node blocks, forward-checking alldifferent, and a boolean
+cardinality sum.  Constants, such as running jobs, are never watched or
+pushed: a cumulative task placed at a plain int is folded into a base
+profile, and taken positions enter as the release intervals of ``Released``.
 """
 
 from __future__ import annotations
@@ -212,13 +213,15 @@ def _latest_fit(segments, start, duration, demand, cap, own_lo, own_hi, own_dema
 
 
 class Box:
-    """Axis-aligned rectangle with fixed edge lengths; an int origin makes it fixed."""
+    """Axis-aligned rectangle with fixed edge lengths and a variable origin."""
 
     __slots__ = ("x", "x_len", "y", "y_len")
 
-    def __init__(self, x: IntVar | int, x_len: int, y: IntVar | int, y_len: int):
+    def __init__(self, x: IntVar, x_len: int, y: IntVar, y_len: int):
         if x_len < 0 or y_len < 0:
             raise ValueError("box edge lengths must be >= 0")
+        if isinstance(x, int) or isinstance(y, int):
+            raise ValueError("box origins must be variables; a taken area is Released data")
         self.x = x
         self.x_len = x_len
         self.y = y
@@ -232,17 +235,14 @@ class Diffn(Propagator):
     apart: if only one relative order remains possible it is enforced on
     the bounds, and if none remains the constraint fails.  Wakes carry the
     index of the changed box so re-propagation only rescans its pairs.
-    Fixed boxes become (x, x_len, y, y_len) rectangles in ``fixed``, checked
-    against variable boxes only, after each box's variable partners.
+    Boxes of zero area are dropped.
     """
 
     name = "diffn"
 
     def __init__(self, boxes: Sequence[Box]):
         super().__init__()
-        solid = [b for b in boxes if b.x_len > 0 and b.y_len > 0]
-        self.boxes = [b for b in solid if not isinstance(b.x, int)]
-        self.fixed = [(b.x, b.x_len, b.y, b.y_len) for b in solid if isinstance(b.x, int)]
+        self.boxes = [b for b in boxes if b.x_len > 0 and b.y_len > 0]
         self._dirty: set[int] | None = _FULL
 
     def post(self, solver: Solver) -> None:
@@ -259,7 +259,6 @@ class Diffn(Propagator):
 
     def propagate(self, solver: Solver) -> bool:
         boxes = self.boxes
-        fixed = self.fixed
         count = len(boxes)
         while True:
             work = self._dirty
@@ -272,10 +271,7 @@ class Diffn(Propagator):
                 rows = ((i, range(count)) for i in sorted(work))
             for i, partners in rows:
                 a = boxes[i]
-                if not (
-                    all(j == i or self._prune_pair(a, boxes[j]) for j in partners)
-                    and all(_prune_fixed(a, *rect) for rect in fixed)
-                ):
+                if not all(j == i or self._prune_pair(a, boxes[j]) for j in partners):
                     self.reset()
                     return False
             if not self._dirty:
@@ -306,18 +302,116 @@ def _force_apart(u: IntVar, u_len: int, v: IntVar, v_len: int) -> bool:
     return True
 
 
-def _prune_fixed(a: Box, x: int, x_len: int, y: int, y_len: int) -> bool:
-    """``Diffn._prune_pair`` against the fixed rectangle at (x, y)."""
-    x_must = a.x.lo + a.x_len > x and x + x_len > a.x.hi
-    y_must = a.y.lo + a.y_len > y and y + y_len > a.y.hi
-    if x_must == y_must:
-        return not x_must
-    u, u_len, v, v_len = (a.y, a.y_len, y, y_len) if x_must else (a.x, a.x_len, x, x_len)
-    before_possible = u.lo + u_len <= v
-    after_possible = v + v_len <= u.hi
-    if before_possible == after_possible:
-        return before_possible
-    return u.set_max(v - u_len) if before_possible else u.set_min(v + v_len)
+Held = Sequence[tuple[int, int, int]]
+
+
+class Released(Propagator):
+    """A ``q``-wide claim at ``y`` starts only once what it meets is released.
+
+    ``held`` holds taken positions as disjoint (first, last, release)
+    intervals in ascending order.  The claim y..y+q-1 may begin at
+    ``start`` only if ``start >= release`` for every interval it meets.
+    When no start precedes the moment the intervals were taken, this is
+    exactly non-overlap with them as fixed rectangles.  Many claims may
+    share one ``held``; it is read, never copied.
+
+    Filtering is exact on bounds: ``y.lo`` and ``y.hi`` move to the nearest
+    values whose window meets no interval released after ``start.hi``, and
+    ``start.lo`` rises to the least release level at which some value of
+    ``y`` fits.  A call bisects ``held`` and then reads only the intervals
+    its scans meet or jump past, so it does not grow with the intervals
+    elsewhere.
+    """
+
+    name = "released"
+
+    def __init__(self, start: IntVar, y: IntVar, q: int, held: Held):
+        super().__init__()
+        if q < 1:
+            raise ValueError("claim width must be >= 1")
+        self.start = start
+        self.y = y
+        self.q = q
+        self.held = held
+
+    def post(self, solver: Solver) -> None:
+        solver.watch(self.start, self)
+        solver.watch(self.y, self)
+
+    def propagate(self, solver: Solver) -> bool:
+        start, y, q, held = self.start, self.y, self.q, self.held
+        count = len(held)
+        if not count:
+            return True
+        holes = y.holes
+        floor = start.lo
+        # Upward from y.lo: find a window whose latest release is below
+        # ``bar``, first any that fits (bar = start.hi + 1), then ever lower
+        # ones until one fits at ``floor``.  A jump passes the rightmost
+        # interval released at ``bar`` or later; every value it skips
+        # meets that interval.
+        bar = start.hi + 1
+        first_fit = None
+        v = y.lo
+        k = max(bisect_left(held, (v + 1,)) - 1, 0)
+        while v <= y.hi:
+            while k < count and held[k][1] < v:
+                k += 1
+            end = v + q - 1
+            level = floor
+            block = -1
+            j = k
+            while j < count:
+                first, _, release = held[j]
+                if first > end:
+                    break
+                if release >= bar:
+                    block = j
+                elif release > level:
+                    level = release
+                j += 1
+            if block >= 0:
+                v = held[block][1] + 1
+                while v in holes:
+                    v += 1
+                k = block + 1
+                continue
+            if first_fit is None:
+                first_fit = v
+            bar = level
+            if level <= floor:
+                break
+        if first_fit is None:
+            return False
+        if bar > floor and not start.set_min(bar):
+            return False
+        if first_fit > y.lo and not y.set_min(first_fit):
+            return False
+        # Downward from y.hi to the highest fitting value; y.lo fits, so the
+        # scan stops there at the latest.  A jump passes the leftmost
+        # interval released after start.hi.
+        top = start.hi
+        v = y.hi
+        k = bisect_left(held, (v + q,)) - 1
+        while True:
+            end = v + q - 1
+            while k >= 0 and held[k][0] > end:
+                k -= 1
+            block = -1
+            j = k
+            while j >= 0:
+                _, last, release = held[j]
+                if last < v:
+                    break
+                if release > top:
+                    block = j
+                j -= 1
+            if block < 0:
+                return v >= y.hi or y.set_max(v)
+            v = held[block][0] - q
+            while v in holes:
+                v -= 1
+            k = block - 1
 
 
 def apply_span_filter(var: IntVar, filt: tuple[int, int, frozenset[int]]) -> bool:

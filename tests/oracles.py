@@ -450,6 +450,16 @@ def diffn_ok(rects) -> bool:
     return True
 
 
+def released_ok(held, q: int, start: int, position: int) -> bool:
+    """held: (first, last, release) intervals; the claim position..position+q-1
+    may start only once every interval it meets is released."""
+    return all(
+        start >= release
+        for first, last, release in held
+        if first <= position + q - 1 and position <= last
+    )
+
+
 def owner_list(blocks) -> list:
     """Owning node of every position, 1-based, from (first, last, node) blocks."""
     owner = []

@@ -5,10 +5,13 @@ propagator, runs propagation to a fixpoint, and compares the result
 against exhaustive enumeration from oracles.py: a propagator may keep
 unsupported values (filtering here is not arc consistent) but must never
 drop a supported one, and may only fail when no full assignment exists.
-Cumulative tasks and diffn boxes are sometimes constants (plain ints), so
-base profiles and fixed rectangles are drawn too; the oracles take them as
-fixed values.  Element cases draw the node blocks of two resources over a
-few nodes, some lacking one resource, and judge by per-position owners.
+Cumulative tasks are sometimes constants (plain ints), so base profiles
+are drawn too; the oracle takes them as fixed values.  Diffn boxes are
+sometimes already placed (singleton domains).  Release cases draw
+a claim whose position domain carries a node layout's span holes, against
+random held intervals.  Element cases draw the node blocks of two resources
+over a few nodes, some lacking one resource, and judge by per-position
+owners.
 """
 
 from __future__ import annotations
@@ -23,13 +26,16 @@ from hpcdispatch.kernel import (
     Diffn,
     ElementEqual,
     IntVar,
+    Released,
     Solver,
     Task,
+    apply_span_filter,
 )
+from hpcdispatch.system import SystemModel
 
 import oracles
 
-KINDS = ("cumulative", "diffn", "element", "alldifferent", "boolsum")
+KINDS = ("cumulative", "diffn", "element", "alldifferent", "boolsum", "release")
 
 
 def _random_var(solver: Solver, rng: random.Random, lo=-2, hi=8, max_size=8) -> IntVar:
@@ -69,6 +75,35 @@ def _random_position_var(solver: Solver, rng: random.Random, total: int) -> IntV
     if rng.random() < 0.3:
         var.set_max(rng.choice(_domain(var)))
     return var
+
+
+def _random_claim(solver: Solver, rng: random.Random):
+    """(y, q, held): a q-wide claim over a few nodes, and disjoint held intervals.
+
+    y's domain is the span filter of q on random node sizes, then thinned
+    like any position variable.  Intervals are at most three wide, a few
+    positions apart, with releases in [0, 8].
+    """
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+    q = rng.randint(1, min(3, max(sizes)))
+    system = SystemModel([{"core": size} for size in sizes])
+    total = system.total_capacity["core"]
+    y = solver.new_var(1, total, f"y{len(solver.vars)}")
+    apply_span_filter(y, system.span_filter("core", q))
+    for v in range(y.lo + 1, y.hi):
+        if rng.random() < 0.2:
+            y.remove(v)
+    if rng.random() < 0.3:
+        y.set_min(rng.choice(_domain(y)))
+    if rng.random() < 0.3:
+        y.set_max(rng.choice(_domain(y)))
+    held = []
+    p = rng.randint(0, 2)
+    while p <= total + 1:
+        last = p + rng.randint(0, 2)
+        held.append((p, last, rng.randint(0, 8)))
+        p = last + 1 + rng.randint(0, 3)
+    return y, q, held
 
 
 def _domain(var: IntVar) -> list[int]:
@@ -136,22 +171,25 @@ def build_case(kind: str, rng: random.Random):
 
         boxes = []
         for _ in range(n):
-            if rng.random() < 0.3:
-                x, y = rng.randint(-2, 8), rng.randint(-2, 8)
+            if rng.random() < 0.3:  # a box already placed, as search leaves them
+                x, y = (solver.new_var(v, v) for v in (rng.randint(-2, 8), rng.randint(-2, 8)))
             else:
                 x, y = pick(), pick()
             boxes.append(Box(x, rng.randint(0, 3), y, rng.randint(0, 3)))
         solver.add(Diffn(boxes))
-        variables = list(dict.fromkeys(
-            v for v in [b.x for b in boxes] + [b.y for b in boxes] if not isinstance(v, int)
-        ))
+        variables = list(dict.fromkeys([b.x for b in boxes] + [b.y for b in boxes]))
 
         def ok(values):
             lookup = dict(zip(variables, values))
-            rects = [(_value(b.x, lookup), b.x_len, _value(b.y, lookup), b.y_len) for b in boxes]
-            return oracles.diffn_ok(rects)
+            return oracles.diffn_ok([(lookup[b.x], b.x_len, lookup[b.y], b.y_len) for b in boxes])
 
         return solver, variables, ok
+
+    if kind == "release":
+        start = _random_var(solver, rng, lo=0, hi=8)
+        y, q, held = _random_claim(solver, rng)
+        solver.add(Released(start, y, q, held))
+        return solver, [start, y], lambda values: oracles.released_ok(held, q, *values)
 
     if kind == "element":
         blocks_a, blocks_b = _random_block_maps(rng)

@@ -273,7 +273,7 @@ def test_compare_unknown_dispatcher(trace_path, tmp_path, capsys):
 # -- argparse plumbing ------------------------------------------------------------
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # --trace and --system are required
     assert exc.value.code == 2
@@ -283,3 +283,18 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--trace", "t.jsonl", "--system", "eurora", "--element-literal"])
     assert exc.value.code == 2
+    # A negative window would drop jobs from the end of the ranking, a zero
+    # window or budget stalls every dispatch, and a negative node limit
+    # would switch the limit off.
+    for flag, value in (
+        ("--window", "-3"), ("--window", "0"), ("--budget-ms", "-5"), ("--budget-ms", "0"),
+        ("--budget-ms", "nan"), ("--node-limit", "-1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--trace", "t.jsonl", "--system", "eurora", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--instances", "i", "--window", "-3"])
+    assert exc.value.code == 2
+    assert "argument --window: must be >= 1, got -3" in capsys.readouterr().err

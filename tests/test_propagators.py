@@ -15,6 +15,7 @@ from hpcdispatch.kernel.propagators import (
     Cumulative,
     Diffn,
     ElementEqual,
+    Released,
     Task,
     apply_span_filter,
 )
@@ -162,34 +163,94 @@ def test_diffn_zero_area_boxes_dropped():
     assert prop.boxes == []
 
 
-def test_diffn_fixed_rectangle_pushes_box_along_free_axis():
-    # The box shares x-range [1, 3) with the fixed rectangle for sure, so
-    # it must clear the rectangle's y-range [fy, fy + fy_len).
-    for fy, fy_len, y_lo, y_hi, bounds in ((0, 2, 0, 5, (2, 5)), (3, 3, 0, 4, (0, 1))):
+def test_diffn_rejects_int_origin_box():
+    # Taken areas are Released data, never fixed rectangles.
+    solver = Solver()
+    v = solver.new_var(0, 3, "v")
+    for x, y in ((0, v), (v, 0), (0, 0)):
+        with pytest.raises(ValueError, match="Released"):
+            Diffn([Box(v, 2, v, 2), Box(x, 2, y, 2)])
+
+
+# -- released -------------------------------------------------------------------
+
+
+def test_released_pushes_claim_past_held_interval():
+    # The claim starts at 1, before the interval's release at 3, so its
+    # window y..y+1 must clear the interval.
+    for held, y_lo, y_hi, bounds in (((0, 1, 3), 0, 5, (2, 5)), ((3, 5, 3), 0, 4, (0, 1))):
         solver = Solver()
-        x = solver.new_var(1, 1, "x")
+        s = solver.new_var(1, 1, "s")
         y = solver.new_var(y_lo, y_hi, "y")
-        prop = Diffn([Box(x, 2, y, 2), Box(0, 3, fy, fy_len)])
-        assert prop.fixed == [(0, 3, fy, fy_len)]
-        solver.add(prop)
+        solver.add(Released(s, y, 2, [held]))
         assert solver.propagate_all()
         assert (y.lo, y.hi) == bounds
 
 
-def test_diffn_box_forced_into_fixed_rectangle_fails():
+def test_released_claim_forced_into_held_interval_fails():
     solver = Solver()
-    x = solver.new_var(0, 1, "x")
+    s = solver.new_var(0, 1, "s")
     y = solver.new_var(0, 1, "y")
-    solver.add(Diffn([Box(x, 3, y, 3), Box(2, 2, 2, 2)]))
-    assert not solver.propagate_all()  # [x, x+3) and [y, y+3) both cover 2
+    solver.add(Released(s, y, 3, [(2, 3, 4)]))
+    assert not solver.propagate_all()  # y..y+2 covers 2, held until 4
 
 
-def test_diffn_leaves_fixed_rectangles_to_the_caller():
-    # Fixed rectangles are given data: they are never checked against each
-    # other, so an overlapping pair must be rejected before the model.
+def test_released_raises_start_to_least_release_level():
+    # Every window of y in [1, 6] meets a held interval; the cheapest are
+    # y = 4 and 5 (release 5), not the low end (9) or the high end (7).
     solver = Solver()
-    solver.add(Diffn([Box(0, 2, 0, 2), Box(1, 2, 1, 2)]))
+    s = solver.new_var(0, 20, "s")
+    y = solver.new_var(1, 6, "y")
+    solver.add(Released(s, y, 2, [(1, 3, 9), (5, 5, 5), (7, 8, 7)]))
     assert solver.propagate_all()
+    assert s.lo == 5
+    assert (y.lo, y.hi) == (1, 6)
+
+
+def test_released_rejects_empty_claim():
+    solver = Solver()
+    with pytest.raises(ValueError):
+        Released(solver.new_var(0, 1), solver.new_var(1, 2), 0, [])
+
+
+def test_released_filtering_is_exact_on_random_cases():
+    # Bounds are exact: y.lo and y.hi are the lowest and highest values of y
+    # that fit some start, and start.lo is the least start that fits some
+    # y, all found by brute force over domains with span holes.
+    rng = random.Random(50_000)
+    outcomes = set()
+    for _ in range(600):
+        solver, variables, ok = prop_harness.build_case("release", rng)
+        before = [list(var.iter_values()) for var in variables]
+        supported = oracles.support_sets(before, ok)
+        feasible = solver.propagate_all()
+        outcomes.add(feasible)
+        assert feasible == bool(supported[0])
+        if feasible:
+            start, y = variables
+            assert start.lo == min(supported[0])
+            assert (y.lo, y.hi) == (min(supported[1]), max(supported[1]))
+    assert outcomes == {True, False}
+
+
+def test_released_reads_only_intervals_in_range_on_a_large_system():
+    # Cores 1-2 of every node are held past the claim's latest start, so a
+    # 2-wide claim fits only on cores 3-4 of a node.
+    nodes = 20_000
+    system = SystemModel([{"core": 4}] * nodes)
+    held = _ReadLog([(4 * n + 1, 4 * n + 2, 10 + n % 7) for n in range(nodes)])
+    solver = Solver()
+    s = solver.new_var(0, 5, "s")
+    y = solver.new_var(1, system.total_capacity["core"], "y")
+    assert apply_span_filter(y, system.span_filter("core", 2))
+    assert y.set_min(4 * 100 + 1) and y.set_max(4 * 103 - 1)  # nodes 101..103
+    prop = Released(s, y, 2, held)
+    assert prop.propagate(solver)
+    assert (y.lo, y.hi, s.lo) == (403, 411, 0)
+    # The intervals of nodes 101..104, plus one bisection's probes per scan.
+    probes = 2 * nodes.bit_length()
+    assert {100, 101, 102} <= held.read
+    assert len(held.read) <= 4 + probes
 
 
 # -- element ------------------------------------------------------------------

@@ -337,13 +337,13 @@ GOLDEN_SCENARIOS = {
 }
 # sha256 prefixes of (jobs.csv + events.log, invocations.csv without wall_ms)
 GOLDEN_DIGESTS = {
-    ("A", "pcp20"): ("a2a537b562427c83", "41d9f59092805720"),
+    ("A", "pcp20"): ("a2a537b562427c83", "df60a1e63c562753"),
     ("A", "pcp19"): ("a370a73da0c6a5c4", "59107540b59588cf"),
     ("A", "hcp19"): ("a2a537b562427c83", "87073a899f557741"),
-    ("B", "pcp20"): ("a357b607e5c097a6", "0ae123e72af4050c"),
+    ("B", "pcp20"): ("a357b607e5c097a6", "f98bfdf54ad674bb"),
     ("B", "pcp19"): ("1287b1bf946cbb4e", "648461019c9c1686"),
     ("B", "hcp19"): ("f857cd799fad88a0", "8daf57cfd0f26675"),
-    ("C", "pcp20"): ("87e808ab287210f0", "b55cd365378a4fc7"),
+    ("C", "pcp20"): ("580af369af92941d", "3e24ba156e18e2e0"),
     ("C", "pcp19"): ("98efbb75715a0672", "af749d112f33fc77"),
     ("C", "hcp19"): ("baba7ee83795b97c", "a262c4b0f7fd5a89"),
     ("D", "hcp19"): ("a2814ee2c0bc1320", "802f0a50cc73415b"),
