@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -95,15 +96,33 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_cores_per_node(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--cores-per-node", type=_checked(int, lambda v: v >= 1, ">= 1"), default=16,
+        help="SWF node rounding",
+    )
+
+
 def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trace", required=True, help="SWF or JSONL workload file")
     sub.add_argument("--system", required=True, help="preset name or JSON config path")
     sub.add_argument("--predictor", choices=sorted(PREDICTOR_MODES), default="oracle")
-    sub.add_argument("--max-jobs", type=int, default=0, help="use only the first N jobs")
-    sub.add_argument("--cores-per-node", type=int, default=16, help="SWF node rounding")
-    sub.add_argument("--throttle-s", type=int, default=0, help="min seconds between dispatches")
+    sub.add_argument(
+        "--max-jobs", type=_checked(int, lambda v: v >= 0, ">= 0"), default=0,
+        help="use only the first N jobs (0 = all)",
+    )
+    _add_cores_per_node(sub)
+    sub.add_argument(
+        "--throttle-s", type=_checked(int, lambda v: v >= 0, ">= 0"), default=0,
+        help="min seconds between dispatches",
+    )
     sub.add_argument("--strict-kill", action="store_true", help="kill jobs at expected duration")
-    sub.add_argument("--wall-cap-s", type=float, default=0.0, help="abort after this much wall time (0 = off)")
+    sub.add_argument(
+        "--wall-cap-s",
+        type=_checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+        default=0.0,
+        help="abort after this much wall time (0 = off)",
+    )
     sub.add_argument("--emergency-first-fit", action="store_true")
     _add_solver_flags(sub)
 
@@ -342,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--trace", default=None)
     p_val.add_argument("--system", default=None)
     p_val.add_argument("--instance", default=None)
-    p_val.add_argument("--cores-per-node", type=int, default=16)
+    _add_cores_per_node(p_val)
     p_val.set_defaults(func=cmd_validate)
 
     return parser

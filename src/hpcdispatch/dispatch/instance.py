@@ -15,11 +15,10 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from hpcdispatch.system import (
     PRESET_CONFIGS,
-    ResourceUse,
     SystemModel,
     Violation,
     build_system,
@@ -121,23 +120,6 @@ def fits_system(system: SystemModel, entry: QueuedJob) -> bool:
     return slots >= entry.rn
 
 
-def allocation_uses(
-    job_id: int, allocation: Iterable[AllocationEntry], t_start: int, t_end: int
-) -> list[ResourceUse]:
-    return [
-        ResourceUse(
-            job_id=job_id,
-            unit=entry.unit,
-            resource=entry.resource,
-            position=entry.position,
-            extent=entry.extent,
-            t_start=t_start,
-            t_end=t_end,
-        )
-        for entry in allocation
-    ]
-
-
 @dataclass
 class DispatchInstance:
     """The dispatcher-facing problem at one point in simulated time."""
@@ -164,16 +146,15 @@ class DispatchInstance:
                 problems.append(
                     Violation("bad-duration", f"job {entry.job_id} expected duration < 1")
                 )
-        uses: list[ResourceUse] = []
         for run in self.running:
             if run.start > self.t:
                 problems.append(
                     Violation("future-start", f"running job {run.job_id} starts after t")
                 )
-            # Mutual disjointness only needs a common active instant; every
-            # running job is active now, so check occupancy on [t, t+1).
-            uses.extend(allocation_uses(run.job_id, run.allocation, self.t, self.t + 1))
-        problems.extend(validate_allocation(self.system, [], uses))
+        # Every running job holds its allocation now, so checking them all as
+        # claims at this one instant checks that they are disjoint.
+        running = [(run.job_id, run.allocation) for run in self.running]
+        problems.extend(validate_allocation(self.system, [], running))
         return problems
 
     # -- serialization -------------------------------------------------------
@@ -395,22 +376,20 @@ class DispatchDecision:
     def violations(self, instance: DispatchInstance) -> list[Violation]:
         """Independent feasibility check of this decision against the snapshot.
 
-        Every running job and every freshly dispatched job is active on
-        [t, t+1), so disjoint occupancy at that instant is exactly what a
-        valid decision needs, whatever the real durations turn out to be.
+        Every running job and every freshly dispatched job holds its
+        allocation at t, so disjoint occupancy at that instant is exactly
+        what a valid decision needs, whatever the real durations turn out
+        to be.
         """
-        t = instance.t
-        existing: list[ResourceUse] = []
-        for run in instance.running:
-            existing.extend(allocation_uses(run.job_id, run.allocation, t, t + 1))
-        candidate: list[ResourceUse] = []
+        dispatched = []
         for decision in self.dispatched():
-            if decision.start != t:
+            if decision.start != instance.t:
                 return [
                     Violation(
                         "late-allocation",
                         f"job {decision.job_id} has an allocation but start {decision.start} != t",
                     )
                 ]
-            candidate.extend(allocation_uses(decision.job_id, decision.allocation, t, t + 1))
-        return validate_allocation(instance.system, existing, candidate)
+            dispatched.append((decision.job_id, decision.allocation))
+        running = [(run.job_id, run.allocation) for run in instance.running]
+        return validate_allocation(instance.system, running, dispatched)

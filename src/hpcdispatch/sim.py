@@ -7,9 +7,10 @@ time a dispatcher spends deciding is measured but never added to the
 simulated clock, so prediction quality and solver speed influence only
 the decisions themselves, not the physics of the replay.
 
-Every dispatched allocation is checked against the currently running set
-by the interval validator before it is applied; a violation aborts the
-run, because it can only mean a dispatcher produced an unsound decision.
+Every invocation's dispatched allocations are checked against the running
+jobs' allocations at that instant before they are applied; a violation
+aborts the run, because it can only mean a dispatcher produced an unsound
+decision.
 """
 
 from __future__ import annotations
@@ -28,10 +29,17 @@ from hpcdispatch.dispatch.instance import (
     RunningJob,
     fits_system,
 )
-from hpcdispatch.system import ResourceUse, SystemModel, validate_allocation, validate_mutual
+from hpcdispatch.system import (
+    SystemModel,
+    validate_allocation,
+    validate_mutual,  # noqa: F401 -- a bench/run.py:install_spans hook
+)
 from hpcdispatch.workload import PREDICTOR_MODES, DurationPredictor, JobRecord
 
 _END, _ARRIVE, _RETRY = 0, 1, 2  # tie order at equal times: free resources first
+# A queue that nothing can wake is retried this often, this many times.
+RETRY_INTERVAL_S = 60
+MAX_STALL_RETRIES = 50
 
 
 class SimulationError(RuntimeError):
@@ -46,8 +54,6 @@ class SimConfig:
     throttle_s: int = 0
     strict_kill: bool = False
     wall_cap_s: float | None = None
-    retry_interval_s: int = 60
-    max_stall_retries: int = 50
     dump_dir: str | Path | None = None
 
 
@@ -165,9 +171,6 @@ def run_simulation(
     heapq.heapify(heap)
     queue: dict[int, QueuedJob] = {}
     running: dict[int, RunningJob] = {}
-    # Planned end of every active job, by the *real* duration; this is what
-    # allocations must be checked against, whatever the predictor believed.
-    sim_end: dict[int, int] = {}
 
     wall_start = time.perf_counter()
     stall_retries = 0
@@ -175,15 +178,6 @@ def run_simulation(
     last_dispatch_t: int | None = None
     seq = 0
     t = 0
-
-    def active_uses() -> list[ResourceUse]:
-        uses: list[ResourceUse] = []
-        for jid, run in running.items():
-            for a in run.allocation:
-                uses.append(
-                    ResourceUse(jid, a.unit, a.resource, a.position, a.extent, run.start, sim_end[jid])
-                )
-        return uses
 
     def mark_dnf(reason: str) -> None:
         result.dnf = True
@@ -207,12 +201,12 @@ def run_simulation(
         while heap and heap[0][0] == t:
             _, kind, jid = heapq.heappop(heap)
             if kind == _END:
+                # A job's END event is queued at the time it ends.
                 run = running.pop(jid)
-                end = sim_end.pop(jid)
                 outcome = outcomes[jid]
-                outcome.end = end
+                outcome.end = t
                 outcome.completed = True
-                predictor.record_completion(run.job.user_id, end - run.start)
+                predictor.record_completion(run.job.user_id, t - run.start)
                 log(f"t={t} end job={jid}")
                 progressed = True
             elif kind == _ARRIVE:
@@ -256,59 +250,43 @@ def run_simulation(
         decision = dispatch_fn(instance, config.dispatch)
         last_dispatch_t = t
         result.invocations.append(decision.stats)
-        started = 0
         dispatched = decision.dispatched()
-        ends: list[int] = []
-        new_uses: list[ResourceUse] = []
-        for jd in dispatched:
-            entry = queue[jd.job_id]
-            duration = entry.job.runtime
-            if config.strict_kill:
-                duration = min(duration, entry.d_expected)
-            end = t + duration
-            ends.append(end)
-            for a in jd.allocation:
-                new_uses.append(
-                    ResourceUse(jd.job_id, a.unit, a.resource, a.position, a.extent, t, end)
-                )
-        running_uses = active_uses()
-        problems = validate_allocation(system, running_uses, new_uses)
+        problems = validate_allocation(
+            system,
+            [(jid, run.allocation) for jid, run in running.items()],
+            [(jd.job_id, jd.allocation) for jd in dispatched],
+        )
         if problems:
             detail = "; ".join(str(p) for p in problems[:5])
             raise SimulationError(
                 f"dispatcher {config.dispatcher} produced an invalid decision at t={t}: {detail}"
             )
-        for jd, end in zip(dispatched, ends):
+        for jd in dispatched:
             entry = queue.pop(jd.job_id)
+            duration = entry.job.runtime
+            if config.strict_kill:
+                duration = min(duration, entry.d_expected)
             running[jd.job_id] = RunningJob(
                 job=entry.job,
                 start=t,
                 d_expected=entry.d_expected,
                 allocation=jd.allocation,
             )
-            sim_end[jd.job_id] = end
-            outcome = outcomes[jd.job_id]
-            outcome.start = t
-            heapq.heappush(heap, (end, _END, jd.job_id))
+            outcomes[jd.job_id].start = t
+            heapq.heappush(heap, (t + duration, _END, jd.job_id))
             log(f"t={t} start job={jd.job_id} wait={t - entry.job.submit}")
-            started += 1
         log(
             f"t={t} dispatch queued={len(instance.queued)} window={decision.stats.window_size}"
-            f" dispatched={started} fallback={int(decision.fallback)}"
+            f" dispatched={len(dispatched)} fallback={int(decision.fallback)}"
         )
-        # The new jobs joined ``running`` last, so this is its use order too.
-        mutual = validate_mutual(system, running_uses + new_uses)
-        if mutual:
-            detail = "; ".join(str(p) for p in mutual[:5])
-            raise SimulationError(f"occupancy sweep failed at t={t}: {detail}")
 
-        if started:
+        if dispatched:
             stall_retries = 0
         if queue and not heap:
             # Nothing left to wake the loop: retry on a timer, give up eventually.
-            if stall_retries < config.max_stall_retries:
+            if stall_retries < MAX_STALL_RETRIES:
                 stall_retries += 1
-                heapq.heappush(heap, (t + config.retry_interval_s, _RETRY, 0))
+                heapq.heappush(heap, (t + RETRY_INTERVAL_S, _RETRY, 0))
                 retry_pending = True
                 log(f"t={t} stall retry={stall_retries}")
             else:

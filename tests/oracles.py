@@ -425,6 +425,50 @@ def positions_for_nodes(instance, plan):
     return {job_id: tuple(units) for job_id, units in placed.items()}
 
 
+# -- the allocation check at one instant ---------------------------------------
+
+
+def allocation_kinds(system, held, claims) -> set:
+    """Violation kinds of claims against held (job_id, allocation) pairs.
+
+    Every range is held at the same instant.  Span errors of a claim mask
+    the other kinds; otherwise one claimed unit on several nodes is a
+    unit-split, and a claimed range that shares a position with any other
+    claimed or held range, compared pair by pair, is a double-booking.
+    """
+    claimed = [(job_id, entry) for job_id, allocation in claims for entry in allocation]
+    kinds = set()
+    for _, entry in claimed:
+        owner = system.owner.get(entry.resource)
+        last = entry.position + entry.extent - 1
+        if owner is None:
+            kinds.add("unknown-resource")
+        elif entry.extent < 1:
+            kinds.add("bad-extent")
+        elif entry.position < 1 or last > len(owner):
+            kinds.add("out-of-range")
+        elif owner[entry.position - 1] != owner[last - 1]:
+            kinds.add("node-span")
+    if kinds:
+        return kinds
+    unit_nodes: dict = {}
+    for job_id, entry in claimed:
+        node = system.owner[entry.resource][entry.position - 1]
+        unit_nodes.setdefault((job_id, entry.unit), set()).add(node)
+    if any(len(nodes) > 1 for nodes in unit_nodes.values()):
+        kinds.add("unit-split")
+    others = claimed + [(job_id, entry) for job_id, allocation in held for entry in allocation]
+    for i, (_, a) in enumerate(claimed):
+        for _, b in others[i + 1 :]:
+            if (
+                a.resource == b.resource
+                and a.position < b.position + b.extent
+                and b.position < a.position + a.extent
+            ):
+                kinds.add("double-booking")
+    return kinds
+
+
 # -- one-assignment feasibility predicates for the propagator harness ----------
 
 

@@ -231,7 +231,7 @@ def test_zero_violations_at_trace_scale(cell_runs, tmp_path, capsys):
     verdict(
         capsys, 5, ok, "zero violations at trace scale",
         f"1000-job short-dominated trace, 6 dispatcher/predictor cells, in-loop "
-        f"occupancy sweep clean, all jobs completed; oversubscribed 160-job burst: "
+        f"allocation check clean, all jobs completed; oversubscribed 160-job burst: "
         f"{requeues} requeues, every one kept its arrival, {total:.1f}s < 900s"
         + (f"; problems: {problems[:3]}" if problems else ""),
     )

@@ -284,11 +284,14 @@ def test_usage_errors_exit_2(capsys):
         main(["simulate", "--trace", "t.jsonl", "--system", "eurora", "--element-literal"])
     assert exc.value.code == 2
     # A negative window would drop jobs from the end of the ranking, a zero
-    # window or budget stalls every dispatch, and a negative node limit
-    # would switch the limit off.
+    # window or budget stalls every dispatch, a negative node limit, throttle
+    # or wall cap would switch that option off, a negative job cap would run
+    # the whole trace, and a zero core count cannot round SWF processors.
     for flag, value in (
         ("--window", "-3"), ("--window", "0"), ("--budget-ms", "-5"), ("--budget-ms", "0"),
-        ("--budget-ms", "nan"), ("--node-limit", "-1"),
+        ("--budget-ms", "nan"), ("--node-limit", "-1"), ("--max-jobs", "-2"),
+        ("--throttle-s", "-5"), ("--wall-cap-s", "-1"), ("--wall-cap-s", "nan"),
+        ("--wall-cap-s", "inf"), ("--cores-per-node", "0"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--trace", "t.jsonl", "--system", "eurora", flag, value])
@@ -298,3 +301,7 @@ def test_usage_errors_exit_2(capsys):
         main(["replay", "--instances", "i", "--window", "-3"])
     assert exc.value.code == 2
     assert "argument --window: must be >= 1, got -3" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--trace", "t.jsonl", "--cores-per-node", "0"])
+    assert exc.value.code == 2
+    assert "argument --cores-per-node: must be >= 1, got 0" in capsys.readouterr().err

@@ -26,13 +26,12 @@ from hpcdispatch.dispatch.instance import (
     AllocationEntry,
     JobDecision,
     RunningJob,
-    allocation_uses,
     dominant_resource,
     fits_system,
     replicas,
     unit_demands,
 )
-from hpcdispatch.system import validate_mutual
+from hpcdispatch.system import validate_allocation
 from hpcdispatch.workload import make_job
 
 
@@ -412,8 +411,7 @@ def test_place_job_result_validates():
     system = support.system_of((2, {"core": 8, "gpu": 2}))
     free = FreeRuns(system, [])
     allocation = place_job(system, free, rn=2, unit_req={"core": 4, "gpu": 1})
-    uses = allocation_uses(1, allocation, 0, 10)
-    assert validate_mutual(system, uses) == []
+    assert validate_allocation(system, [], [(1, allocation)]) == []
 
 
 def test_place_units_on_nodes_respects_choice_and_fragmentation():
@@ -443,10 +441,8 @@ def test_emergency_dispatch_takes_what_fits():
     decisions = emergency_dispatch(instance, jobs)
     assert [d.job_id for d in decisions] == [1, 3]
     assert all(d.start == 5 for d in decisions)
-    uses = []
-    for d in decisions:
-        uses.extend(allocation_uses(d.job_id, d.allocation, 5, 6))
-    assert validate_mutual(system, uses) == []
+    claims = [(d.job_id, d.allocation) for d in decisions]
+    assert validate_allocation(system, [], claims) == []
 
 
 # -- the driver ------------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from hpcdispatch.dispatch.instance import (
     InvocationStats,
     JobDecision,
     QueuedJob,
-    allocation_uses,
 )
 from hpcdispatch.system import preset
 from hpcdispatch.workload import make_job
@@ -124,14 +123,6 @@ def test_validate_flags_overlapping_running_jobs():
     ]
     instance = DispatchInstance(t=3, queued=[], running=runs, system=system)
     assert {v.kind for v in instance.validate()} == {"double-booking"}
-
-
-def test_allocation_uses_carries_time_bounds():
-    uses = allocation_uses(9, [AllocationEntry(2, "core", 5, 3)], 10, 40)
-    assert len(uses) == 1
-    use = uses[0]
-    assert (use.job_id, use.unit, use.resource) == (9, 2, "core")
-    assert (use.position, use.extent, use.t_start, use.t_end) == (5, 3, 10, 40)
 
 
 # -- decisions ----------------------------------------------------------------------

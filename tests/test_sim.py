@@ -138,16 +138,15 @@ def test_stalled_queue_gives_up_after_retries():
     DISPATCHERS["stub-never"] = never_dispatch
     try:
         trace = [make_job(1, 1, 0, 1, {"core": 1}, 5)]
-        config = sim_config(dispatcher="stub-never", retry_interval_s=7)
-        config.max_stall_retries = 3
-        result = run_simulation(trace, one_core(), config)
+        result = run_simulation(trace, one_core(), sim_config(dispatcher="stub-never"))
     finally:
         del DISPATCHERS["stub-never"]
     assert result.dnf
     assert result.dnf_reason == "stalled"
     assert result.outcomes[0].dnf_reason == "stalled"
-    assert len(result.invocations) == 4  # the first try plus three retries
-    assert any("stall retry=3" in line for line in result.events)
+    assert len(result.invocations) == 51  # the first try plus 50 retries
+    assert any("stall retry=50" in line for line in result.events)
+    assert result.final_time == 50 * 60  # one retry a minute
 
 
 def test_overlapping_dispatch_aborts_the_run():

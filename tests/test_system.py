@@ -1,15 +1,17 @@
-"""Cluster geometry and the position-based allocation validator."""
+"""Cluster geometry and the position-based allocation check."""
+
+import random
 
 import pytest
 
+import oracles
+from hpcdispatch.dispatch.instance import AllocationEntry as E
 from hpcdispatch.system import (
     PRESET_CONFIGS,
-    ResourceUse,
     SystemModel,
     build_system,
     preset,
     validate_allocation,
-    validate_mutual,
 )
 
 
@@ -145,7 +147,7 @@ def test_unknown_preset_lists_known_names():
         assert name in str(err.value)
 
 
-# -- validator -------------------------------------------------------------------
+# -- the allocation check ------------------------------------------------------------
 
 
 @pytest.fixture
@@ -154,115 +156,155 @@ def two_node_system():
 
 
 def test_clean_allocation_passes(two_node_system):
-    uses = [
-        ResourceUse(1, 1, "core", 1, 2, 0, 10),
-        ResourceUse(1, 2, "core", 3, 2, 0, 10),
-    ]
-    assert validate_allocation(two_node_system, [], uses) == []
-    assert validate_mutual(two_node_system, uses) == []
+    claims = [(1, [E(1, "core", 1, 2), E(2, "core", 3, 2)])]
+    assert validate_allocation(two_node_system, [], claims) == []
+    assert validate_allocation(two_node_system, claims, []) == []
 
 
 def test_unknown_resource_rejected(two_node_system):
-    bad = [ResourceUse(1, 1, "ssd", 1, 1, 0, 1)]
+    bad = [(1, [E(1, "ssd", 1, 1)])]
     assert kinds(validate_allocation(two_node_system, [], bad)) == ["unknown-resource"]
 
 
 def test_bad_extent_rejected(two_node_system):
-    bad = [ResourceUse(1, 1, "core", 1, 0, 0, 1)]
+    bad = [(1, [E(1, "core", 1, 0)])]
     assert kinds(validate_allocation(two_node_system, [], bad)) == ["bad-extent"]
 
 
 def test_out_of_range_positions_rejected(two_node_system):
     for position, extent in ((0, 1), (4, 2), (5, 1)):
-        bad = [ResourceUse(1, 1, "core", position, extent, 0, 1)]
+        bad = [(1, [E(1, "core", position, extent)])]
         assert kinds(validate_allocation(two_node_system, [], bad)) == ["out-of-range"]
 
 
 def test_node_boundary_crossing_rejected(two_node_system):
-    bad = [ResourceUse(1, 1, "core", 2, 2, 0, 1)]  # positions 2..3 sit on nodes 1 and 2
+    bad = [(1, [E(1, "core", 2, 2)])]  # positions 2..3 sit on nodes 1 and 2
     assert kinds(validate_allocation(two_node_system, [], bad)) == ["node-span"]
 
 
 def test_unit_split_across_nodes_rejected(two_node_system):
-    bad = [
-        ResourceUse(1, 1, "core", 1, 1, 0, 5),  # node 1
-        ResourceUse(1, 1, "gpu", 2, 1, 0, 5),  # node 2
-    ]
+    bad = [(1, [E(1, "core", 1, 1), E(1, "gpu", 2, 1)])]  # node 1, then node 2
     assert kinds(validate_allocation(two_node_system, [], bad)) == ["unit-split"]
-    assert kinds(validate_mutual(two_node_system, bad)) == ["unit-split"]
 
 
 def test_double_booking_against_existing(two_node_system):
-    existing = [ResourceUse(1, 1, "core", 1, 2, 0, 10)]
-    overlapping = [ResourceUse(2, 1, "core", 2, 1, 5, 8)]
-    out = validate_allocation(two_node_system, existing, overlapping)
+    held = [(1, [E(1, "core", 1, 2)])]
+    overlapping = [(2, [E(1, "core", 2, 1)])]
+    out = validate_allocation(two_node_system, held, overlapping)
     assert kinds(out) == ["double-booking"]
     assert "job 1" in str(out[0])
 
 
 def test_double_booking_within_candidate(two_node_system):
-    uses = [
-        ResourceUse(1, 1, "core", 1, 1, 0, 5),
-        ResourceUse(2, 1, "core", 1, 1, 4, 6),
-    ]
-    assert kinds(validate_allocation(two_node_system, [], uses)) == ["double-booking"]
-    assert kinds(validate_mutual(two_node_system, uses)) == ["double-booking"]
-
-
-def test_touching_time_intervals_do_not_conflict(two_node_system):
-    existing = [ResourceUse(1, 1, "core", 1, 1, 0, 5)]
-    next_user = [ResourceUse(2, 1, "core", 1, 1, 5, 9)]
-    assert validate_allocation(two_node_system, existing, next_user) == []
+    claims = [(1, [E(1, "core", 1, 1)]), (2, [E(1, "core", 1, 1)])]
+    assert kinds(validate_allocation(two_node_system, [], claims)) == ["double-booking"]
 
 
 def test_same_unit_may_hold_different_resources(two_node_system):
-    uses = [
-        ResourceUse(1, 1, "core", 1, 2, 0, 5),
-        ResourceUse(1, 1, "gpu", 1, 1, 0, 5),
-    ]
-    assert validate_allocation(two_node_system, [], uses) == []
+    claims = [(1, [E(1, "core", 1, 2), E(1, "gpu", 1, 1)])]
+    assert validate_allocation(two_node_system, [], claims) == []
 
 
 def test_same_unit_same_resource_self_overlap_rejected(two_node_system):
-    uses = [
-        ResourceUse(1, 1, "core", 1, 1, 0, 5),
-        ResourceUse(1, 1, "core", 1, 1, 2, 4),
-    ]
-    assert kinds(validate_allocation(two_node_system, [], uses)) == ["double-booking"]
+    claims = [(1, [E(1, "core", 1, 1), E(1, "core", 1, 1)])]
+    assert kinds(validate_allocation(two_node_system, [], claims)) == ["double-booking"]
 
 
 VALIDATOR_CASES = {
-    "clean": ([ResourceUse(1, 1, "core", 1, 2, 0, 10), ResourceUse(1, 2, "core", 3, 2, 0, 10)], []),
-    "node-span": ([ResourceUse(1, 1, "core", 2, 2, 0, 1)], ["node-span"]),
-    "unit-split": (
-        [ResourceUse(1, 1, "core", 1, 1, 0, 5), ResourceUse(1, 1, "gpu", 2, 1, 0, 5)],
-        ["unit-split"],
-    ),
+    "clean": ([(1, [E(1, "core", 1, 2), E(2, "core", 3, 2)])], []),
+    "node-span": ([(1, [E(1, "core", 2, 2)])], ["node-span"]),
+    "unit-split": ([(1, [E(1, "core", 1, 1), E(1, "gpu", 2, 1)])], ["unit-split"]),
     "cross-job double-booking": (
-        [ResourceUse(1, 1, "core", 1, 1, 0, 5), ResourceUse(2, 1, "core", 1, 1, 4, 6)],
+        [(1, [E(1, "core", 1, 1)]), (2, [E(1, "core", 1, 1)])],
         ["double-booking"],
     ),
-    "same-unit self-overlap": (
-        [ResourceUse(1, 1, "core", 1, 1, 0, 5), ResourceUse(1, 1, "core", 1, 1, 2, 4)],
-        ["double-booking"],
-    ),
+    "same-unit self-overlap": ([(1, [E(1, "core", 1, 1), E(1, "core", 1, 1)])], ["double-booking"]),
 }
 
 
 @pytest.mark.parametrize("case", list(VALIDATOR_CASES))
 def test_validators_agree(two_node_system, case):
-    uses, expected = VALIDATOR_CASES[case]
-    assert kinds(validate_allocation(two_node_system, [], uses)) == expected
-    assert kinds(validate_mutual(two_node_system, uses)) == expected
+    # The check and the pairwise oracle agree on each hand-made case.
+    claims, expected = VALIDATOR_CASES[case]
+    assert kinds(validate_allocation(two_node_system, [], claims)) == expected
+    assert sorted(oracles.allocation_kinds(two_node_system, [], claims)) == expected
+
+
+def random_entry(rng, system, unit):
+    """A range on one node (or, now and then, a malformed one)."""
+    roll = rng.random()
+    if roll < 0.02:
+        return E(unit, "ssd", 1, 1)
+    if roll < 0.04:
+        return E(unit, "core", rng.randint(1, 3), 0)
+    resource = rng.choice(system.resources)
+    space = system.total_capacity[resource]
+    if roll < 0.08:  # may leave the position space or cross a node boundary
+        position = rng.randint(0, space + 1)
+        return E(unit, resource, position, rng.randint(1, 3))
+    first, last, _ = rng.choice(system.blocks[resource])
+    position = rng.randint(first, last)
+    return E(unit, resource, position, rng.randint(1, last - position + 1))
+
+
+def random_unit(rng, system, unit):
+    """One unit's entries: mostly one range per resource on one node."""
+    node = rng.randint(1, system.node_count)
+    entries = []
+    for resource in system.resources:
+        if rng.random() < 0.2:
+            entries.append(random_entry(rng, system, unit))  # any node: maybe a split
+        elif system.cap(node, resource) and rng.random() < 0.7:
+            first, last = system.node_span[(node, resource)]
+            position = rng.randint(first, last)
+            entries.append(E(unit, resource, position, rng.randint(1, last - position + 1)))
+            if rng.random() < 0.1:  # a second range of the same resource
+                entries.append(E(unit, resource, rng.randint(first, last), 1))
+    return entries
+
+
+def random_jobs(rng, system, count, first_id):
+    return [
+        (job_id, [e for unit in range(rng.randint(1, 2)) for e in random_unit(rng, system, unit)])
+        for job_id in range(first_id, first_id + count)
+    ]
+
+
+def test_validator_matches_pairwise_oracle_on_random_cases():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(3000):
+        system = SystemModel(
+            [
+                {"core": rng.randint(1, 4), "gpu": rng.choice((0, 1, 2))}
+                for _ in range(rng.randint(1, 4))
+            ]
+        )
+        # Held jobs may overlap one another: the check assumes they do not
+        # and compares only claims with everything else.
+        held = random_jobs(rng, system, rng.randint(0, 4), 1)
+        claims = random_jobs(rng, system, rng.randint(0, 3), 100)
+        expected = oracles.allocation_kinds(system, held, claims)
+        out = validate_allocation(system, held, claims)
+        assert set(kinds(out)) == expected, (system.caps, held, claims)
+        assert (out == []) == (not expected)
+        seen.update(expected or {"clean"})
+    assert seen == {
+        "clean", "unknown-resource", "bad-extent", "out-of-range", "node-span", "unit-split",
+        "double-booking",
+    }
 
 
 def test_mutual_sweep_scales_past_pairwise():
-    # Many disjoint holds on one resource: the sweep must accept them all
-    # and pinpoint the single overlapping pair we inject.
+    # Many disjoint holds on one resource: the check must accept them all
+    # and pinpoint the single overlapping range we inject.
     system = SystemModel([{"core": 64}])
-    uses = [ResourceUse(j, 1, "core", 1 + j, 1, 0, 100) for j in range(60)]
-    assert validate_mutual(system, uses) == []
-    uses.append(ResourceUse(99, 1, "core", 5, 1, 50, 60))
-    out = validate_mutual(system, uses)
-    assert kinds(out) == ["double-booking"]
-    assert len(out) == 1
+    holds = [(j, [E(1, "core", 1 + j, 1)]) for j in range(60)]
+    assert validate_allocation(system, [], holds) == []
+    injected = [(99, [E(1, "core", 5, 1)])]
+    for out in (
+        validate_allocation(system, [], holds + injected),
+        validate_allocation(system, holds, injected),
+    ):
+        assert kinds(out) == ["double-booking"]
+        assert len(out) == 1
