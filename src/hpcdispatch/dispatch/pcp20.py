@@ -104,6 +104,21 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
             )
         )
 
+    # Running jobs are given data: constant parts on [t, t + residual), and
+    # their positions are held until t + residual.  Per resource: pooled
+    # tasks, axis tasks and held (first, last, release) intervals.
+    running_parts: dict[str, tuple[list[Task], list[Task], list[tuple[int, int, int]]]] = {
+        resource: ([], [], []) for resource in system.resources
+    }
+    for run in instance.running:
+        dur = residual(run, t)
+        for alloc in run.allocation:
+            parts = running_parts.get(alloc.resource)
+            if parts is not None:
+                parts[0].append(Task(t, dur, alloc.extent))
+                parts[1].append(Task(alloc.position, alloc.extent, dur))
+                parts[2].append((alloc.position, alloc.position + alloc.extent - 1, t + dur))
+
     for resource in system.resources:
         boxes: list[Box] = []
         pooled: list[Task] = []
@@ -118,16 +133,9 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
                     continue
                 boxes.append(Box(jv.start, d, yvar, q))
                 axis.append(Task(yvar, q, d))
-        # Running jobs are given data: constant parts on [t, t + residual),
-        # and their positions are held until t + residual.
-        held: list[tuple[int, int, int]] = []
-        for run in instance.running:
-            dur = residual(run, t)
-            for alloc in run.allocation:
-                if alloc.resource == resource:
-                    pooled.append(Task(t, dur, alloc.extent))
-                    axis.append(Task(alloc.position, alloc.extent, dur))
-                    held.append((alloc.position, alloc.position + alloc.extent - 1, t + dur))
+        run_pooled, run_axis, held = running_parts[resource]
+        pooled += run_pooled
+        axis += run_axis
         if boxes:
             solver.add(Diffn(boxes))
         if held:

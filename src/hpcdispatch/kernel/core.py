@@ -5,7 +5,9 @@ recorded on a trail so backtracking restores domains exactly.  Propagators
 sit in a FIFO queue and are woken by the variables they watch; search is
 depth-first branch-and-bound with a pluggable branching callback, a strict
 improvement bound on a positive-weight linear objective, and a wall-clock
-budget checked between propagation fixpoints.
+budget checked between propagation fixpoints.  Search stops as soon as an
+incumbent meets the objective's root bound (the constant plus the weighted
+lower bounds after root propagation): nothing can beat it, so it is optimal.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-_LO, _HI, _HOLE_ADD, _HOLE_DEL = 0, 1, 2, 3
+# Trail entry kinds; a _MOVE entry restores (lo, hi) and re-adds the holes
+# one batched bound move discarded.
+_LO, _HI, _HOLE_ADD, _HOLE_DEL, _MOVE = 0, 1, 2, 3, 4
 
-STATUS_OPTIMAL = "optimal"  # search space exhausted with an incumbent
+STATUS_OPTIMAL = "optimal"  # incumbent proven optimal (tree exhausted or root bound met)
 STATUS_FEASIBLE = "feasible"  # budget hit, incumbent in hand
 STATUS_INFEASIBLE = "infeasible"  # exhausted without any solution
 STATUS_TIMEOUT = "timeout"  # budget hit before the first solution
@@ -33,7 +37,9 @@ class IntVar:
     outside the open interval (lo, hi).  ``contains``, ``iter_values`` and
     the domain operations already do.  ``size`` subtracts stale entries
     too, making it an O(1) lower bound on the true domain size; it is only
-    used to rank variables, never to decide feasibility.
+    used to rank variables, never to decide feasibility.  ``set_min_chain``
+    and ``set_max_gap`` make a series of such moves as one, with one trail
+    entry and one wake, and leave exactly the holes the series would.
     """
 
     __slots__ = ("solver", "index", "name", "lo", "hi", "holes", "watchers")
@@ -131,6 +137,51 @@ class IntVar:
                 added = True
         if added:
             self.solver._wake(self)
+        return True
+
+    def set_min_chain(self, starts: list[int]) -> bool:
+        """``set_min(s)`` for each of the ascending ``starts``, as one bound move.
+
+        The domain ends exactly as after the chain of calls: each start that
+        moves lo discards the run of holes beginning at it.  One trail entry
+        and one wake, however many starts.
+        """
+        holes = self.holes
+        v = lo = self.lo
+        dropped: list[int] = []
+        for s in starts:
+            if s > v:
+                v = s
+                while v in holes:
+                    dropped.append(v)
+                    v += 1
+        if v == lo:
+            return True
+        holes.difference_update(dropped)
+        self.solver._trail.append((_MOVE, self, (lo, self.hi, dropped)))
+        self.lo = v
+        if v > self.hi:
+            return False
+        self.solver._wake(self)
+        return True
+
+    def set_max_gap(self, v: int, top: int) -> bool:
+        """Remove every value in (v, top], then ``set_max(top)``, as one bound move.
+
+        Needs v <= top < hi.  hi falls to the largest value <= v, and every
+        hole in (new hi, top] is discarded, as the ``set_max`` walk down
+        from top would; holes above top stay.  One trail entry, one wake.
+        """
+        holes = self.holes
+        while v in holes:
+            v -= 1
+        dropped = holes.intersection(range(v + 1, top + 1))
+        holes -= dropped
+        self.solver._trail.append((_MOVE, self, (self.lo, self.hi, dropped)))
+        self.hi = v
+        if v < self.lo:
+            return False
+        self.solver._wake(self)
         return True
 
     def assign(self, v: int) -> bool:
@@ -307,8 +358,11 @@ class Solver:
                 var.hi = payload
             elif kind == _HOLE_ADD:
                 var.holes.discard(payload)
-            else:  # _HOLE_DEL
+            elif kind == _HOLE_DEL:
                 var.holes.add(payload)
+            else:  # _MOVE
+                var.lo, var.hi, dropped = payload
+                var.holes.update(dropped)
 
     # -- search ----------------------------------------------------------------
 
@@ -323,7 +377,11 @@ class Solver:
         ``branch`` returns (var, value) to try next (refuted as var != value
         on backtracking) or None once every decision variable is fixed.
         Each incumbent tightens a strict upper bound on the objective, so
-        the final incumbent is optimal whenever the tree is exhausted.
+        the final incumbent is optimal whenever the tree is exhausted.  An
+        incumbent equal to the root bound (the objective's constant plus
+        the weighted lower bounds after root propagation) is optimal at
+        once: every refutation left would fail on the objective bound, so
+        search stops there with the same incumbent, status and decisions.
         """
         stats = self.stats = SearchStats()
         deadline = time.perf_counter() + budget_ms / 1000.0 if budget_ms is not None else None
@@ -336,6 +394,10 @@ class Solver:
         if not self.propagate_all():
             stats.status = STATUS_INFEASIBLE
             return SolveResult(STATUS_INFEASIBLE, None, None, stats)
+        floor = None
+        if self._objective_prop is not None:
+            terms = zip(self._objective_vars, self._objective_weights)
+            floor = self._objective_const + sum(weight * var.lo for var, weight in terms)
 
         while True:
             if deadline is not None and time.perf_counter() >= deadline:
@@ -346,6 +408,9 @@ class Solver:
             if decision is None:
                 best_obj = self.objective_value()
                 best = {var: var.lo for var in self.vars}
+                if best_obj == floor:
+                    exhausted = True
+                    break
                 self._objective_bound = best_obj - 1 - self._objective_const
                 if not self._recover(frames):
                     exhausted = True

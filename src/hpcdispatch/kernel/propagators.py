@@ -443,7 +443,8 @@ class ElementEqual(Propagator):
     triples covering 1..total.  Filtering is exact on the index domains: a
     block's positions survive only while the other index can still reach
     its node.  A call reads only the blocks that meet each index's
-    [lo, hi], found by bisection, so it does not grow with the node count.
+    [lo, hi], found by bisection, so it does not grow with the node count,
+    and moves each bound of each index at most once (``_keep_common``).
     """
 
     name = "element_eq"
@@ -472,13 +473,39 @@ class ElementEqual(Propagator):
         common = {node for _, _, node in reached_a if node in nodes_b}
         if not common:
             return False
-        # Block by block, in ascending order: merging removals or pruning b
-        # first would leave other stale holes and change ``IntVar.size``.
-        for var, reached in ((self.y_a, reached_a), (self.y_b, reached_b)):
-            for first, last, node in reached:
-                if node not in common and not var.remove_range(first, last):
-                    return False
-        return True
+        return _keep_common(self.y_a, reached_a, common) and _keep_common(
+            self.y_b, reached_b, common
+        )
+
+
+def _keep_common(var: IntVar, reached: list[tuple[int, int, int]], common: set[int]) -> bool:
+    """Remove the reached blocks whose node is not in ``common``.
+
+    The domain, stale holes included (``IntVar.size`` counts them, and
+    pcp20 ranks position variables by size), ends exactly as after
+    ``remove_range(first, last)`` on each such block in ascending order,
+    but with one bound move per side: the blocks below the lowest common
+    block go by one ``set_min_chain`` (the hole run at each block's
+    last + 1 is discarded, as the chain of ``set_min`` calls did), those
+    above the highest by one ``set_max_gap`` (every hole between the new
+    hi and the last reached block's first position is discarded, as the
+    final ``set_max`` walk did), and those between common blocks by
+    ``remove_range``.  ``common`` holds the node of some reached block.
+    """
+    low = 0
+    while reached[low][2] not in common:
+        low += 1
+    high = len(reached) - 1
+    while reached[high][2] not in common:
+        high -= 1
+    if low and not var.set_min_chain([last + 1 for _, last, _ in reached[:low]]):
+        return False
+    for first, last, node in reached[low + 1 : high]:
+        if node not in common and not var.remove_range(first, last):
+            return False
+    if high < len(reached) - 1:
+        return var.set_max_gap(reached[high][1], reached[-1][0] - 1)
+    return True
 
 
 def _reached_blocks(blocks: Blocks, var: IntVar) -> list[tuple[int, int, int]]:

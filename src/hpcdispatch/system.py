@@ -134,17 +134,22 @@ def build_system(config: dict) -> SystemModel:
         raise ValueError("system config needs a non-empty 'groups' list")
     node_caps: list[dict[str, int]] = []
     for number, group in enumerate(groups, 1):
-        unknown = sorted(set(group) - {"count", "cap"}) if isinstance(group, dict) else []
+        if not isinstance(group, dict):
+            raise ValueError(f"system group {number}: must be an object")
+        unknown = sorted(set(group) - {"count", "cap"})
         if unknown:
             raise ValueError(f"system group {number}: unknown keys {', '.join(map(str, unknown))}")
-        try:
-            count = int(group.get("count", 0))
-            cap = {str(r): int(c) for r, c in group.get("cap", {}).items()}
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"system group {number}: {exc}") from None
+        count = group.get("count", 0)
+        cap = group.get("cap", {})
+        if not isinstance(cap, dict):
+            raise ValueError(f"system group {number}: cap must be an object")
+        # Checked, not coerced: int() would turn 2.5 into 2 and accept "2" or true.
+        for what, value in (("count", count), *((f"cap {r!r}", c) for r, c in cap.items())):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"system group {number}: {what} must be an integer, not {value!r}")
         if count < 1:
             raise ValueError(f"system group {number}: count must be >= 1")
-        node_caps.extend(dict(cap) for _ in range(count))
+        node_caps.extend({str(r): c for r, c in cap.items()} for _ in range(count))
     return SystemModel(node_caps, name=str(config.get("name", "custom")))
 
 

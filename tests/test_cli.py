@@ -75,6 +75,8 @@ def test_gen_trace_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, case
     err = capsys.readouterr().err
     assert code == EXIT_RUNTIME
     assert err.startswith("error:") and "Traceback" not in err
+    if case.startswith("system-") and case != "system-groups-text":
+        assert err.startswith("error: system group 1: ")
     assert not out.exists()
 
 
@@ -126,6 +128,19 @@ MALFORMED = {
     "system-unknown-keys": (
         "--system", "sys.json", '{"groups": [{"nodes": 2, "caps": {"core": 16}}]}'
     ),
+    "system-fractional-count": (
+        "--system", "sys.json", '{"groups": [{"count": 2.5, "cap": {"core": 4}}]}'
+    ),
+    "system-text-count": (
+        "--system", "sys.json", '{"groups": [{"count": "2", "cap": {"core": 4}}]}'
+    ),
+    "system-text-capacity": (
+        "--system", "sys.json", '{"groups": [{"count": 2, "cap": {"core": "4"}}]}'
+    ),
+    "system-bool-capacity": (
+        "--system", "sys.json", '{"groups": [{"count": 2, "cap": {"core": true}}]}'
+    ),
+    "system-cap-list": ("--system", "sys.json", '{"groups": [{"count": 2, "cap": [4]}]}'),
 }
 
 
@@ -137,6 +152,8 @@ def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, case):
     assert main(["validate", flag, str(path)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if case.startswith("system-") and case != "system-groups-text":
+        assert err.startswith("error: system group 1: ")
 
 
 def test_validate_instance_good_and_bad(tmp_path, capsys):

@@ -117,6 +117,39 @@ def test_remove_range_variants():
     assert list(x.iter_values()) == [2, 6, 7]
 
 
+def test_set_min_chain_drops_the_hole_run_at_each_moving_start():
+    solver = Solver()
+    x = solver.new_var(0, 12, "x")
+    for v in (3, 4, 6, 8, 9, 11):
+        x.remove(v)
+    mark = solver.mark()
+    # Like set_min(3), set_min(5) (below the new lo: no move), set_min(8).
+    assert x.set_min_chain([3, 5, 8])
+    assert (x.lo, x.hi) == (10, 12)
+    assert x.holes == {6, 11}  # 6 stays stale; the runs 3-4 and 8-9 went
+    assert solver.mark() == mark + 1  # one trail entry
+    solver.undo_to(mark)
+    assert domain_snapshot(x) == (0, 12, frozenset({3, 4, 6, 8, 9, 11}))
+    assert x.set_min_chain([0]) and solver.mark() == mark  # no move, no entry
+    assert not x.set_min_chain([13])
+
+
+def test_set_max_gap_drops_holes_between_new_hi_and_top():
+    solver = Solver()
+    x = solver.new_var(0, 12, "x")
+    for v in (2, 5, 7, 8, 10):
+        x.remove(v)
+    mark = solver.mark()
+    # Like removing 6..9, then set_max(9): the walk ends below the hole at 5.
+    assert x.set_max_gap(5, 9)
+    assert (x.lo, x.hi) == (0, 4)
+    assert x.holes == {2, 10}  # holes above top stay
+    assert solver.mark() == mark + 1
+    solver.undo_to(mark)
+    assert domain_snapshot(x) == (0, 12, frozenset({2, 5, 7, 8, 10}))
+    assert not x.set_max_gap(-1, 3)
+
+
 def test_remove_range_emptying_domain_fails():
     solver = Solver()
     x = solver.new_var(4, 6)
@@ -218,6 +251,38 @@ def test_solve_trivial_minimum():
     assert result.status == STATUS_OPTIMAL
     assert result.objective == 3 * 2 + 10
     assert result.values[x] == 2
+
+
+def test_incumbent_at_the_root_bound_stops_search():
+    # The first incumbent meets the root bound 3*2 + 4*1 + 10: optimal,
+    # with nothing left to refute.
+    solver = Solver()
+    x = solver.new_var(2, 7, "x")
+    y = solver.new_var(1, 3, "y")
+    solver.minimize([x, y], [3, 4], constant=10)
+    result = solver.solve(first_unfixed_min([x, y]))
+    assert (result.status, result.objective) == (STATUS_OPTIMAL, 20)
+    assert (result.stats.decisions, result.stats.fails) == (2, 0)
+
+
+def test_incumbent_above_the_root_bound_is_refuted_and_improved():
+    # Branching from the top finds 5 first; the root bound is 0, so search
+    # goes on and improves down to it.
+    solver = Solver()
+    x = solver.new_var(0, 5, "x")
+    solver.minimize([x], [1])
+    result = solver.solve(lambda: (x, x.hi) if not x.is_fixed() else None)
+    assert (result.status, result.objective, result.stats.decisions) == (STATUS_OPTIMAL, 0, 5)
+    # Here the optimum 1 lies above the root bound 0, so proving it takes
+    # the refutations of y = 1 and of x = 0.
+    solver = Solver()
+    x = solver.new_var(0, 3, "x")
+    y = solver.new_var(0, 3, "y")
+    solver.add(AllDifferent([x, y]))
+    solver.minimize([x, y], [1, 1])
+    result = solver.solve(first_unfixed_min([x, y]))
+    assert (result.status, result.objective) == (STATUS_OPTIMAL, 1)
+    assert (result.stats.decisions, result.stats.fails) == (2, 2)
 
 
 def test_solve_infeasible_is_proved():

@@ -17,6 +17,8 @@ from hpcdispatch.kernel.propagators import (
     ElementEqual,
     Released,
     Task,
+    _keep_common,
+    _reached_blocks,
     apply_span_filter,
 )
 from hpcdispatch.system import SystemModel
@@ -333,6 +335,63 @@ def test_element_filtering_is_exact_on_random_block_maps():
         else:
             assert supported == [set(), set()]
     assert outcomes == {True, False}
+
+
+def _random_pruning_case(rng: random.Random):
+    """Node blocks and a position domain on them, holes of every origin."""
+    while True:
+        blocks, first = [], 1
+        for node in range(1, rng.randint(1, 8) + 1):
+            width = rng.randint(1, 4)
+            blocks.append((first, first + width - 1, node))
+            first += width
+        total = first - 1
+        # Span holes of a q-wide claim: it cannot start in its block's last q - 1.
+        q = rng.randint(1, 3)
+        holes = {p for f, last, _ in blocks for p in range(max(f, last - q + 2), last + 1)}
+        holes |= {f for f, _, _ in blocks if rng.random() < 0.3}  # holes at block starts
+        holes |= {p for p in range(1, total + 1) if rng.random() < 0.15}
+        values = [p for p in range(1, total + 1) if p not in holes]
+        if values:
+            break
+    lo, hi = sorted(rng.choice(values) for _ in range(2))
+    return blocks, lo, hi, holes  # holes outside [lo, hi] are stale
+
+
+def test_keep_common_matches_per_block_removal_on_random_cases():
+    # The batched bound moves leave exactly the domain, stale holes included,
+    # that remove_range block by block leaves, and undo to the same state.
+    rng = random.Random(45_000)
+    seen = {"below": 0, "between": 0, "above": 0, "stale": 0, "dropped": 0}
+    for _ in range(3000):
+        blocks, lo, hi, holes = _random_pruning_case(rng)
+        sides = []
+        for _side in range(2):
+            solver = Solver()
+            var = solver.new_var(1, blocks[-1][1], "y")
+            var.lo, var.hi, var.holes = lo, hi, set(holes)
+            sides.append((solver, var))
+        reached = _reached_blocks(blocks, sides[0][1])
+        nodes = [node for _, _, node in reached]
+        common = {node for node in nodes if rng.random() < 0.5} or {rng.choice(nodes)}
+        old_ok = oracles.remove_blocks_one_by_one(sides[0][1], reached, common)
+        new_ok = _keep_common(sides[1][1], reached, common)
+        (old_solver, old), (new_solver, new) = sides
+        assert (new_ok, new.lo, new.hi, new.holes, new.size()) == (
+            old_ok, old.lo, old.hi, old.holes, old.size()
+        ), (blocks, lo, hi, sorted(holes), sorted(common))
+        assert new_solver.mark() <= old_solver.mark()
+        seen["dropped"] += bool(holes - new.holes)
+        for solver, var in sides:
+            solver.undo_to(0)
+            assert (var.lo, var.hi, var.holes) == (lo, hi, holes)
+
+        inside = [i for i, (_, _, node) in enumerate(reached) if node in common]
+        seen["below"] += inside[0] > 0
+        seen["between"] += any(node not in common for _, _, node in reached[inside[0] : inside[-1]])
+        seen["above"] += inside[-1] < len(reached) - 1
+        seen["stale"] += any(h < lo or h > hi for h in holes)
+    assert min(seen.values()) >= 100, seen
 
 
 class _ReadLog(Sequence):

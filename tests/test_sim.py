@@ -336,16 +336,16 @@ GOLDEN_SCENARIOS = {
 }
 # sha256 prefixes of (jobs.csv + events.log, invocations.csv without wall_ms)
 GOLDEN_DIGESTS = {
-    ("A", "pcp20"): ("a2a537b562427c83", "df60a1e63c562753"),
-    ("A", "pcp19"): ("a370a73da0c6a5c4", "59107540b59588cf"),
-    ("A", "hcp19"): ("a2a537b562427c83", "87073a899f557741"),
-    ("B", "pcp20"): ("a357b607e5c097a6", "f98bfdf54ad674bb"),
-    ("B", "pcp19"): ("1287b1bf946cbb4e", "648461019c9c1686"),
-    ("B", "hcp19"): ("f857cd799fad88a0", "8daf57cfd0f26675"),
-    ("C", "pcp20"): ("580af369af92941d", "3e24ba156e18e2e0"),
-    ("C", "pcp19"): ("98efbb75715a0672", "af749d112f33fc77"),
-    ("C", "hcp19"): ("baba7ee83795b97c", "a262c4b0f7fd5a89"),
-    ("D", "hcp19"): ("a2814ee2c0bc1320", "802f0a50cc73415b"),
+    ("A", "pcp20"): ("a2a537b562427c83", "00bb37d3361b9e18"),
+    ("A", "pcp19"): ("a370a73da0c6a5c4", "bb13e2edf1ccee70"),
+    ("A", "hcp19"): ("a2a537b562427c83", "19af628376d7b6e5"),
+    ("B", "pcp20"): ("a357b607e5c097a6", "727876fb3bb11802"),
+    ("B", "pcp19"): ("1287b1bf946cbb4e", "cd061d83e26a5cc9"),
+    ("B", "hcp19"): ("f857cd799fad88a0", "876be118bf6b72fa"),
+    ("C", "pcp20"): ("580af369af92941d", "8a5975bfbe7de6ca"),
+    ("C", "pcp19"): ("98efbb75715a0672", "3db892096a5acd2f"),
+    ("C", "hcp19"): ("baba7ee83795b97c", "d03f6d07064a1c0f"),
+    ("D", "hcp19"): ("a2814ee2c0bc1320", "e200c811aa49e079"),
 }
 
 

@@ -45,6 +45,28 @@ def test_build_system_names_unknown_group_keys():
         build_system({"groups": [{"count": 1, "cap": {"core": 1}}, {"count": 1, "extra": 0}]})
 
 
+def test_build_system_rejects_non_integer_counts_and_capacities():
+    def group(**fields):
+        return {"groups": [{"count": 1, "cap": {"core": 1}}, fields]}
+
+    for fields, message in (
+        ({"count": 2.5, "cap": {"core": 4}}, "count must be an integer, not 2.5"),
+        ({"count": "2", "cap": {"core": 4}}, "count must be an integer, not '2'"),
+        ({"count": True, "cap": {"core": 4}}, "count must be an integer, not True"),
+        ({"count": 2, "cap": {"core": "4"}}, "cap 'core' must be an integer, not '4'"),
+        ({"count": 2, "cap": {"core": 4, "gpu": 1.0}}, "cap 'gpu' must be an integer, not 1.0"),
+        ({"count": 2, "cap": {"core": False}}, "cap 'core' must be an integer, not False"),
+        ({"count": 2, "cap": [4]}, "cap must be an object"),
+        ({"count": 2, "cap": None}, "cap must be an object"),
+    ):
+        with pytest.raises(ValueError) as info:
+            build_system(group(**fields))
+        assert str(info.value) == f"system group 2: {message}"
+    with pytest.raises(ValueError, match=r"^system group 1: must be an object$"):
+        build_system({"groups": [[2, {"core": 4}]]})
+    assert build_system(group(count=2, cap={"core": 4})).node_count == 3
+
+
 def test_flattened_position_geometry():
     system = SystemModel([{"core": 2}, {"core": 3, "gpu": 1}], name="tiny")
     assert system.node_count == 2
