@@ -32,6 +32,7 @@ from hpcdispatch.workload import (
     MIXES,
     PREDICTOR_MODES,
     generate_trace,
+    index_jobs,
     jobs_to_jsonl,
     load_trace,
     render_swf,
@@ -296,6 +297,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.trace:
         checked = True
         parsed = load_trace(args.trace, args.cores_per_node)
+        index_jobs(parsed.jobs)
         print(f"trace {args.trace}: {len(parsed.jobs)} jobs, {parsed.skipped} skipped")
         if not parsed.jobs:
             failures += 1

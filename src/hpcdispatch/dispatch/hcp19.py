@@ -1,7 +1,8 @@
 """Two-stage dispatcher: pooled scheduling, then heuristic allocation.
 
 Stage one schedules against pooled per-type capacities (all nodes merged),
-which keeps the model tiny.  Stage two tries to realize the promised
+which keeps the model tiny; a pooled cumulative is posted only when it can
+prune (``Cumulative.can_prune``).  Stage two tries to realize the promised
 starts with best-fit unit placement on real nodes; jobs the heuristic
 cannot place are pushed past t and the schedule is recomputed.  The loop
 is bounded, and on hitting the bound the placeable subset is dispatched.
@@ -59,17 +60,27 @@ def _build_schedule_model(
     for entry in window:
         lo = t + 1 if entry.job_id in held else t
         handle.jobs.append(_JobVars(entry=entry, start=solver.new_var(lo, eoh, f"s{entry.job_id}")))
+    # Running jobs are constant (residual, extent) parts on [t, t + residual);
+    # all start at t, so the pooled peak is the sum of their extents.
+    running_parts: dict[str, list[tuple[int, int]]] = {r: [] for r in system.resources}
+    peak = dict.fromkeys(system.resources, 0)
+    for run in instance.running:
+        dur = residual(run, t)
+        for alloc in run.allocation:
+            parts = running_parts.get(alloc.resource)
+            if parts is not None:
+                parts.append((dur, alloc.extent))
+                peak[alloc.resource] += alloc.extent
     for resource in system.resources:
         tasks = []
         for jv in handle.jobs:
             total = jv.entry.job.demand.get(resource, 0)
             if total > 0:
                 tasks.append(Task(jv.start, jv.entry.d_expected, total))
-        for run in instance.running:
-            dur = residual(run, t)
-            tasks += [Task(t, dur, a.extent) for a in run.allocation if a.resource == resource]
-        if tasks:
-            solver.add(Cumulative(tasks, system.total_capacity[resource]))
+        capacity = system.total_capacity[resource]
+        if Cumulative.can_prune(tasks, peak[resource], capacity):
+            tasks += [Task(t, dur, extent) for dur, extent in running_parts[resource]]
+            solver.add(Cumulative(tasks, capacity))
     weights, constant = objective_terms(window)
     solver.minimize([jv.start for jv in handle.jobs], weights, constant)
     return handle

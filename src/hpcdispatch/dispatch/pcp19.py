@@ -2,10 +2,11 @@
 
 The older joint model: each job unit is replicated once per node that
 could host it, guarded by a 0/1 presence variable, with per-node capacity
-constraints.  Model size therefore grows with the node count, which is
-exactly the scaling weakness the position-space dispatcher removes; large
-systems can exhaust the budget before the model even finishes building,
-and that failure is reported as a timeout fallback rather than an error.
+constraints, each posted only when it can prune (``Cumulative.can_prune``).
+Model size therefore grows with the node count, which is exactly the
+scaling weakness the position-space dispatcher removes; large systems can
+exhaust the budget before the model even finishes building, and that
+failure is reported as a timeout fallback rather than an error.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def build_pcp19(
     handle = Pcp19Handle(solver=solver)
 
     free_now = FreeRuns(system, instance.running)
-    # Tasks feeding each per-(node, resource) capacity constraint.
+    # Queued tasks feeding each per-(node, resource) capacity constraint.
     node_tasks: dict[tuple[int, str], list[Task]] = {}
 
     for entry in window:
@@ -108,16 +109,25 @@ def build_pcp19(
         solver.add(BoolSumEq([x for _, _, x in presences], entry.rn))
         handle.jobs.append(_JobVars(entry=entry, start=svar, presences=presences))
 
+    # Running jobs are constant (residual, extent) parts per (node, resource);
+    # all start at t, so a node's peak is the sum of their extents.
+    running_parts: dict[tuple[int, str], list[tuple[int, int]]] = {}
+    peak: dict[tuple[int, str], int] = {}
     for run in instance.running:
         dur = residual(run, t)
         for alloc in run.allocation:
-            node = system.position_to_node(alloc.resource, alloc.position)
-            node_tasks.setdefault((node, alloc.resource), []).append(Task(t, dur, alloc.extent))
+            key = (system.position_to_node(alloc.resource, alloc.position), alloc.resource)
+            running_parts.setdefault(key, []).append((dur, alloc.extent))
+            peak[key] = peak.get(key, 0) + alloc.extent
 
-    for batch, ((node, resource), tasks) in enumerate(sorted(node_tasks.items())):
+    for batch, key in enumerate(sorted(node_tasks.keys() | running_parts.keys())):
         if deadline is not None and batch % 64 == 0 and time.perf_counter() > deadline:
             raise BuildTimeout
-        solver.add(Cumulative(tasks, system.cap(node, resource)))
+        tasks = node_tasks.get(key, [])
+        capacity = system.cap(*key)
+        if Cumulative.can_prune(tasks, peak.get(key, 0), capacity):
+            tasks += [Task(t, dur, extent) for dur, extent in running_parts.get(key, ())]
+            solver.add(Cumulative(tasks, capacity))
 
     weights, constant = objective_terms(window)
     solver.minimize([jv.start for jv in handle.jobs], weights, constant)

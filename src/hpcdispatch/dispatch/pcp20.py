@@ -8,7 +8,9 @@ queued jobs' (time x position) boxes, plus one release constraint per
 position variable against the running allocations' release intervals,
 carries allocation feasibility; one same-node constraint per unit and pair
 of resources, over the system's node blocks, keeps a unit on one node;
-pooled and position-axis cumulatives provide relaxation pruning.
+pooled and position-axis cumulatives provide relaxation pruning, and are
+posted only when they can prune (``Cumulative.can_prune``), so a resource
+no window job requests gets no propagator at all.
 """
 
 from __future__ import annotations
@@ -104,20 +106,24 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
             )
         )
 
-    # Running jobs are given data: constant parts on [t, t + residual), and
-    # their positions are held until t + residual.  Per resource: pooled
-    # tasks, axis tasks and held (first, last, release) intervals.
-    running_parts: dict[str, tuple[list[Task], list[Task], list[tuple[int, int, int]]]] = {
-        resource: ([], [], []) for resource in system.resources
-    }
+    # Running jobs are given data: their positions are held until
+    # t + residual.  Per resource: the held (first, last, release)
+    # intervals, the pooled peak (every running job starts at t, so the
+    # extents add up) and the axis peak (a valid instance's held intervals
+    # are disjoint, so the longest residual).
+    held_by: dict[str, list[tuple[int, int, int]]] = {r: [] for r in system.resources}
+    pooled_peak = dict.fromkeys(system.resources, 0)
+    axis_peak = dict.fromkeys(system.resources, 0)
     for run in instance.running:
         dur = residual(run, t)
         for alloc in run.allocation:
-            parts = running_parts.get(alloc.resource)
-            if parts is not None:
-                parts[0].append(Task(t, dur, alloc.extent))
-                parts[1].append(Task(alloc.position, alloc.extent, dur))
-                parts[2].append((alloc.position, alloc.position + alloc.extent - 1, t + dur))
+            resource = alloc.resource
+            held = held_by.get(resource)
+            if held is not None:
+                held.append((alloc.position, alloc.position + alloc.extent - 1, t + dur))
+                pooled_peak[resource] += alloc.extent
+                if dur > axis_peak[resource]:
+                    axis_peak[resource] = dur
 
     for resource in system.resources:
         boxes: list[Box] = []
@@ -133,18 +139,19 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
                     continue
                 boxes.append(Box(jv.start, d, yvar, q))
                 axis.append(Task(yvar, q, d))
-        run_pooled, run_axis, held = running_parts[resource]
-        pooled += run_pooled
-        axis += run_axis
+        held = held_by[resource]
         if boxes:
             solver.add(Diffn(boxes))
-        if held:
-            held.sort()
-            for box in boxes:
-                solver.add(Released(box.x, box.y, box.y_len, held))
-        if pooled:
-            solver.add(Cumulative(pooled, system.total_capacity[resource]))
-        if axis:
+            if held:
+                held.sort()
+                for box in boxes:
+                    solver.add(Released(box.x, box.y, box.y_len, held))
+        capacity = system.total_capacity[resource]
+        if Cumulative.can_prune(pooled, pooled_peak[resource], capacity):
+            pooled += [Task(t, release - t, last - first + 1) for first, last, release in held]
+            solver.add(Cumulative(pooled, capacity))
+        if Cumulative.can_prune(axis, axis_peak[resource], eoh - t):
+            axis += [Task(first, last - first + 1, release - t) for first, last, release in held]
             solver.add(Cumulative(axis, eoh - t))
 
     for jv in handle.jobs:

@@ -17,6 +17,7 @@ from hpcdispatch.kernel.propagators import (
     Cumulative,
     Diffn,
     ElementEqual,
+    NodeBlocks,
     Released,
     Task,
     apply_span_filter,
@@ -30,6 +31,7 @@ __all__ = [
     "Diffn",
     "ElementEqual",
     "IntVar",
+    "NodeBlocks",
     "Released",
     "apply_span_filter",
     "SearchStats",

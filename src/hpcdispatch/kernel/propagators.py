@@ -12,7 +12,7 @@ profile, and taken positions enter as the release intervals of ``Released``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Any, Sequence
 
 from hpcdispatch.kernel.core import IntVar, Solver
@@ -72,9 +72,28 @@ class Cumulative(Propagator):
     saturated profile segments, and undecided tasks that fit nowhere have
     their presence forced to 0.  Constant tasks are folded once into a
     base profile; ``tasks`` keeps only the variable ones.
+
+    A cumulative that can never overflow need not be posted at all; see
+    ``can_prune``.
     """
 
     name = "cumulative"
+
+    @staticmethod
+    def can_prune(tasks: Sequence[Task], peak: int, capacity: int) -> bool:
+        """Whether a cumulative over ``tasks`` and some constants can ever act.
+
+        ``tasks`` are the variable tasks and ``peak`` is at least the
+        highest point of the constant tasks' profile.  If ``peak`` plus the
+        demands of all variable tasks fits ``capacity``, the constraint is
+        entailed: a profile segment holds at most ``peak`` plus the
+        compulsory parts of the variable tasks, so its height, less any
+        one task's own part, plus that task's demand still fits.  Then
+        ``propagate`` never moves a bound, never sets a presence to 0 and
+        never fails, whatever the domains, and posting it changes nothing
+        but the propagation count.  True does not promise pruning.
+        """
+        return peak + sum(task.demand for task in tasks) > capacity
 
     def __init__(self, tasks: Sequence[Task], capacity: int):
         super().__init__()
@@ -435,6 +454,21 @@ def apply_span_filter(var: IntVar, filt: tuple[int, int, frozenset[int]]) -> boo
 Blocks = Sequence[tuple[int, int, int]]
 
 
+class NodeBlocks(list):
+    """Node blocks plus their parallel ``firsts`` and ``nodes`` lists.
+
+    A list of ascending, contiguous (first, last, node) triples covering
+    1..total; ``firsts[k]`` and ``nodes[k]`` are block k's first position
+    and node.  The parallel lists are built once, with the blocks, so that
+    ``ElementEqual`` can bisect and compare the reached nodes as slices.
+    """
+
+    def __init__(self, blocks: Blocks = ()):
+        super().__init__(blocks)
+        self.firsts = [first for first, _, _ in self]
+        self.nodes = [node for _, _, node in self]
+
+
 class ElementEqual(Propagator):
     """Positions ``y_a`` and ``y_b`` lie on the same node.
 
@@ -445,6 +479,11 @@ class ElementEqual(Propagator):
     its node.  A call reads only the blocks that meet each index's
     [lo, hi], found by bisection, so it does not grow with the node count,
     and moves each bound of each index at most once (``_keep_common``).
+
+    When both block lists are ``NodeBlocks``, a call first tries a cheaper
+    test: if each index reaches every block meeting its [lo, hi]
+    (``_reached_slice``) and the two runs of nodes are equal, every
+    reached node is common and the call returns at once.
     """
 
     name = "element_eq"
@@ -461,12 +500,17 @@ class ElementEqual(Propagator):
         self.y_a = y_a
         self.blocks_b = blocks_b
         self.y_b = y_b
+        self.slices = isinstance(blocks_a, NodeBlocks) and isinstance(blocks_b, NodeBlocks)
 
     def post(self, solver: Solver) -> None:
         solver.watch(self.y_a, self)
         solver.watch(self.y_b, self)
 
     def propagate(self, solver: Solver) -> bool:
+        if self.slices:
+            nodes_a = _reached_slice(self.blocks_a, self.y_a)
+            if nodes_a is not None and nodes_a == _reached_slice(self.blocks_b, self.y_b):
+                return True
         reached_a = _reached_blocks(self.blocks_a, self.y_a)
         reached_b = _reached_blocks(self.blocks_b, self.y_b)
         nodes_b = {node for _, _, node in reached_b}
@@ -506,6 +550,21 @@ def _keep_common(var: IntVar, reached: list[tuple[int, int, int]], common: set[i
     if high < len(reached) - 1:
         return var.set_max_gap(reached[high][1], reached[-1][0] - 1)
     return True
+
+
+def _reached_slice(blocks: NodeBlocks, var: IntVar) -> list[int] | None:
+    """The nodes of the blocks meeting [var.lo, var.hi], if var reaches them all.
+
+    lo is a value and so is every block start inside (lo, hi] that is not
+    a hole, so when none is a hole, every block meeting the bounds holds a
+    value.  Otherwise None: some block may be empty.
+    """
+    firsts = blocks.firsts
+    k = bisect_right(firsts, var.lo) - 1
+    end = bisect_right(firsts, var.hi)
+    if var.holes and not var.holes.isdisjoint(firsts[k + 1 : end]):
+        return None
+    return blocks.nodes[k:end]
 
 
 def _reached_blocks(blocks: Blocks, var: IntVar) -> list[tuple[int, int, int]]:

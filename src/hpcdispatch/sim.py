@@ -34,7 +34,7 @@ from hpcdispatch.system import (
     validate_allocation,
     validate_mutual,  # noqa: F401 -- a bench/run.py:install_spans hook
 )
-from hpcdispatch.workload import PREDICTOR_MODES, DurationPredictor, JobRecord
+from hpcdispatch.workload import PREDICTOR_MODES, DurationPredictor, JobRecord, index_jobs
 
 _END, _ARRIVE, _RETRY = 0, 1, 2  # tie order at equal times: free resources first
 # A queue that nothing can wake is retried this often, this many times.
@@ -148,11 +148,7 @@ def run_simulation(
     if dump_dir:
         dump_dir.mkdir(parents=True, exist_ok=True)
 
-    by_id: dict[int, JobRecord] = {}
-    for job in trace:
-        if job.job_id in by_id:
-            raise ValueError(f"duplicate job id {job.job_id} in trace")
-        by_id[job.job_id] = job
+    by_id = index_jobs(trace)
 
     result = SimResult(
         dispatcher=config.dispatcher,

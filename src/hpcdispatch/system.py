@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from hpcdispatch.kernel.propagators import NodeBlocks
+
 
 class SystemModel:
     """Immutable cluster: node capacities plus derived position geometry.
@@ -54,10 +56,12 @@ class SystemModel:
             tuple(nodes) for nodes in classes.values()
         )
         # Flattened position spaces: owner[r][p-1] is the node id owning
-        # position p; blocks[r] lists (first, last, node) spans in node order.
+        # position p; blocks[r] lists (first, last, node) spans in node order,
+        # with the parallel first-position and node lists the same-node
+        # constraint reads.
         self.total_capacity: dict[str, int] = {}
         self.owner: dict[str, list[int]] = {}
-        self.blocks: dict[str, list[tuple[int, int, int]]] = {}
+        self.blocks: dict[str, NodeBlocks] = {}
         self.node_span: dict[tuple[int, str], tuple[int, int]] = {}
         for resource in resources:
             owner: list[int] = []
@@ -71,7 +75,7 @@ class SystemModel:
                 blocks.append((first, len(owner), node))
                 self.node_span[(node, resource)] = (first, len(owner))
             self.owner[resource] = owner
-            self.blocks[resource] = blocks
+            self.blocks[resource] = NodeBlocks(blocks)
             self.total_capacity[resource] = len(owner)
         self._span_filters: dict[tuple[str, int], tuple[int, int, frozenset[int]]] = {}
 

@@ -170,14 +170,33 @@ def jobs_to_jsonl(jobs: Iterable[JobRecord]) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
+# The integer fields of a JSON-lines record: (key, default, least value).
+_JSONL_FIELDS = (
+    ("id", None, 0),
+    ("user", 0, 0),
+    ("submit", 0, 0),
+    ("nodes", 1, 1),
+    ("runtime", None, 1),
+)
+
+
 def jobs_from_jsonl(text: str) -> list[JobRecord]:
-    """Parse JSON-lines records; a malformed line is a ValueError naming it."""
+    """Parse JSON-lines records; a malformed line is a ValueError naming it.
+
+    Values are checked, not clamped as SWF's are: ``id``, ``user`` and
+    ``submit`` must be integers >= 0, ``nodes``, ``runtime`` and
+    ``requested`` (which may be null) integers >= 1, and every ``req``
+    amount an integer >= 0.  A bool is not an integer here.
+    """
     jobs = []
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # deep nesting exhausts the decoder
+            raise ValueError(f"trace line {number}: {exc}") from None
         if not isinstance(obj, dict):
             raise ValueError(f"trace line {number}: not a JSON object")
         missing = [key for key in ("id", "runtime") if key not in obj]
@@ -186,20 +205,30 @@ def jobs_from_jsonl(text: str) -> list[JobRecord]:
         req = obj.get("req", {})
         if not isinstance(req, dict):
             raise ValueError(f"trace line {number}: 'req' is not an object")
-        try:
-            job = make_job(
-                obj["id"],
-                obj.get("user", 0),
-                obj.get("submit", 0),
-                obj.get("nodes", 1),
-                req,
-                obj["runtime"],
-                obj.get("requested"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"trace line {number}: {exc}") from None
-        jobs.append(job)
+        values = [obj.get(key, default) for key, default, _ in _JSONL_FIELDS]
+        checks = [(repr(key), value, least) for (key, _, least), value in zip(_JSONL_FIELDS, values)]
+        requested = obj.get("requested")
+        if requested is not None:
+            checks.append(("'requested'", requested, 1))
+        checks += [(f"req {resource!r}", amount, 0) for resource, amount in req.items()]
+        for what, value, least in checks:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"trace line {number}: {what} must be an integer, not {value!r}")
+            if value < least:
+                raise ValueError(f"trace line {number}: {what} must be >= {least}, not {value}")
+        job_id, user, submit, nodes, runtime = values
+        jobs.append(make_job(job_id, user, submit, nodes, req, runtime, requested))
     return jobs
+
+
+def index_jobs(jobs: Iterable[JobRecord]) -> dict[int, JobRecord]:
+    """The jobs by id, in trace order; a repeated id is a ValueError."""
+    by_id: dict[int, JobRecord] = {}
+    for job in jobs:
+        if job.job_id in by_id:
+            raise ValueError(f"duplicate job id {job.job_id} in trace")
+        by_id[job.job_id] = job
+    return by_id
 
 
 def load_trace(path: str | os.PathLike, cores_per_node: int = 16) -> ParsedTrace:

@@ -77,6 +77,12 @@ def test_gen_trace_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, case
     assert err.startswith("error:") and "Traceback" not in err
     if case.startswith("system-") and case != "system-groups-text":
         assert err.startswith("error: system group 1: ")
+    if case.startswith("trace-") and case not in ("trace-cut-json", "trace-duplicate-id"):
+        assert err.startswith("error: trace line 1: ")
+    if case == "trace-cut-json":
+        assert err.startswith("error: trace line 2: ")
+    if case == "trace-duplicate-id":
+        assert err == "error: duplicate job id 1 in trace\n"
     assert not out.exists()
 
 
@@ -117,6 +123,21 @@ MALFORMED = {
     "trace-string": ("--trace", "t.jsonl", '"id runtime"\n'),
     "trace-req-list": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5, "req": [1]}\n'),
     "trace-req-text": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5, "req": {"core": "x"}}\n'),
+    "trace-req-overflow": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5, "req": {"core": 1e400}}\n'),
+    "trace-req-negative": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5, "req": {"core": -2}}\n'),
+    "trace-negative-runtime": ("--trace", "t.jsonl", '{"id": 1, "runtime": -5}\n'),
+    "trace-fractional-runtime": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5.5}\n'),
+    "trace-bool-runtime": ("--trace", "t.jsonl", '{"id": 1, "runtime": true}\n'),
+    "trace-zero-nodes": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5, "nodes": 0}\n'),
+    "trace-text-id": ("--trace", "t.jsonl", '{"id": "1", "runtime": 5}\n'),
+    "trace-negative-submit": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5, "submit": -1}\n'),
+    "trace-zero-requested": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5, "requested": 0}\n'),
+    "trace-bool-user": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5, "user": false}\n'),
+    "trace-deep-nesting": ("--trace", "t.jsonl", "[" * 100_000 + "\n"),
+    "trace-cut-json": ("--trace", "t.jsonl", '{"id": 1, "runtime": 5}\n{"id": 2,\n'),
+    "trace-duplicate-id": (
+        "--trace", "t.jsonl", '{"id": 1, "runtime": 5}\n{"id": 1, "runtime": 7}\n'
+    ),
     "snapshot-no-t": ("--instance", "s.json", '{"queued": [], "running": [], "system": "eurora"}'),
     "snapshot-no-rn": (
         "--instance", "s.json",
@@ -154,6 +175,12 @@ def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, case):
     assert err.startswith("error:") and "Traceback" not in err
     if case.startswith("system-") and case != "system-groups-text":
         assert err.startswith("error: system group 1: ")
+    if case.startswith("trace-") and case not in ("trace-cut-json", "trace-duplicate-id"):
+        assert err.startswith("error: trace line 1: ")
+    if case == "trace-cut-json":
+        assert err.startswith("error: trace line 2: ")
+    if case == "trace-duplicate-id":
+        assert err == "error: duplicate job id 1 in trace\n"
 
 
 def test_validate_instance_good_and_bad(tmp_path, capsys):

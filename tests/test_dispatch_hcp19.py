@@ -1,11 +1,13 @@
 """Two-stage dispatcher: pooled schedule, heuristic placement, re-iteration."""
 
+import math
 import random
 
 import support
 from hpcdispatch.dispatch.common import DispatchConfig
-from hpcdispatch.dispatch.hcp19 import build_and_solve_hcp19
+from hpcdispatch.dispatch.hcp19 import _build_schedule_model, build_and_solve_hcp19
 from hpcdispatch.dispatch.pcp20 import solve_pcp20
+from hpcdispatch.kernel import Cumulative
 
 
 def unlimited(budget_ms=60_000.0):
@@ -79,6 +81,31 @@ def test_pooled_schedule_triggers_reallocation_loop():
     assert jd.start == 11  # pushed past t after the failed placement
     assert decision.violations(instance) == []
     assert not decision.fallback
+
+
+def test_pooled_cumulative_is_posted_only_when_it_can_prune():
+    # scarce_instance fits pooled (2 held + 2 wanted of 4 cores): nothing.
+    instance = scarce_instance()
+    handle = _build_schedule_model(instance, support.window_of(instance), set(), math.inf)
+    assert not any(isinstance(prop, Cumulative) for prop in handle.solver.props)
+
+    # The only core and gpu are held: a core cumulative, nothing for the gpu.
+    system = support.system_of((1, {"core": 1, "gpu": 1}))
+    instance = support.instance_on(
+        system, t=2,
+        queued_jobs=[support.queued(1, submit=1, rn=1, unit_req={"core": 1}, d_expected=10)],
+        running_jobs=[
+            support.running(
+                system, 9, start=0, d_expected=5,
+                placements=[(1, 1, "core", 1, 1), (1, 1, "gpu", 1, 1)],
+            )
+        ],
+    )
+    handle = _build_schedule_model(instance, support.window_of(instance), set(), math.inf)
+    (pooled,) = [prop for prop in handle.solver.props if isinstance(prop, Cumulative)]
+    assert pooled.capacity == 1 and pooled.base == {2: 1, 5: -1}
+    decision = build_and_solve_hcp19(instance, unlimited())
+    assert [jd.start for jd in decision.jobs] == [5]
 
 
 def test_iteration_bound_holds_unplaceable_jobs():

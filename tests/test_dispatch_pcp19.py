@@ -11,6 +11,7 @@ from hpcdispatch.dispatch.pcp19 import (
     count_presence_vars,
 )
 from hpcdispatch.dispatch.pcp20 import solve_pcp20
+from hpcdispatch.kernel import Cumulative
 from hpcdispatch.system import preset
 
 
@@ -54,6 +55,32 @@ def test_presence_vars_scale_with_the_system():
         n_sched, n_alloc = count_presence_vars(instance, support.window_of(instance))
         sizes.append(n_sched + n_alloc)
     assert sizes[0] < sizes[1] < sizes[2]
+
+
+def test_node_cumulatives_are_posted_only_when_they_can_prune():
+    # Node 1's cores are all held, so its core cumulative can prune; node 2
+    # is idle and node 1's gpu is requested by no window job: none for them.
+    system = support.system_of((2, {"core": 2, "gpu": 1}))
+    instance = support.instance_on(
+        system, t=2,
+        queued_jobs=[support.queued(1, submit=1, rn=1, unit_req={"core": 1}, d_expected=10)],
+        running_jobs=[
+            support.running(
+                system, 9, start=0, d_expected=5,
+                placements=[(1, 1, "core", 1, 2), (1, 1, "gpu", 1, 1)],
+            )
+        ],
+    )
+    handle = build_pcp19(instance, support.window_of(instance))
+    cumulatives = [prop for prop in handle.solver.props if isinstance(prop, Cumulative)]
+    assert [(prop.capacity, prop.base) for prop in cumulatives] == [(2, {2: 2, 5: -2})]
+    (jv,) = handle.jobs
+    assert [task.presence for task in cumulatives[0].tasks] == [
+        x for node, _j, x in jv.presences if node == 1
+    ]
+    decision = build_and_solve_pcp19(instance, unlimited())
+    (jd,) = decision.dispatched()
+    assert jd.start == 2 and jd.allocation[0].position == 3  # node 2's first core
 
 
 # -- solving ------------------------------------------------------------------------

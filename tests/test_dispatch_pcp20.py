@@ -6,6 +6,7 @@ import oracles
 import support
 from hpcdispatch.dispatch.common import DispatchConfig
 from hpcdispatch.dispatch.pcp20 import build_pcp20, count_position_vars, solve_pcp20
+from hpcdispatch.kernel import Cumulative
 from hpcdispatch.system import preset
 
 
@@ -117,21 +118,68 @@ def test_decisions_validate_and_split_on_start():
         assert decision.stats.dispatched == len(decision.dispatched())
 
 
-def test_running_job_blocks_the_only_core():
+def one_held_core():
+    """The only core is held until t=5; one queued job wants it."""
     system = support.system_of((1, {"core": 1}))
-    instance = support.instance_on(
+    return support.instance_on(
         system, t=2,
         queued_jobs=[support.queued(1, submit=1, rn=1, unit_req={"core": 1}, d_expected=10)],
         running_jobs=[
             support.running(system, 9, start=0, d_expected=5, placements=[(1, 1, "core", 1, 1)])
         ],
     )
+
+
+def test_running_job_blocks_the_only_core():
+    instance = one_held_core()
     decision = solve_pcp20(instance, unlimited())
     assert decision.stats.status == "optimal"
     (jd,) = decision.jobs
     assert jd.start == 5  # residual of the running job is 3
     assert jd.allocation is None
     assert decision.dispatched() == []
+
+
+def test_cumulatives_are_posted_only_when_they_can_prune():
+    # A fitting window gets no cumulative, and the gpu, which no window job
+    # requests, no propagator at all, though a running job holds some.
+    system = preset("eurora")
+    instance = support.instance_on(
+        system, t=10,
+        queued_jobs=[
+            support.queued(1, submit=5, rn=1, unit_req={"core": 2, "mem": 2}, d_expected=30)
+        ],
+        running_jobs=[
+            support.running(
+                system, 8, start=0, d_expected=60,
+                placements=[(1, 1, "core", 1, 4), (1, 1, "mem", 1, 4), (1, 1, "gpu", 1, 2)],
+            ),
+            support.running(system, 9, start=5, d_expected=20, placements=[(1, 2, "core", 1, 16)]),
+        ],
+    )
+    handle = build_pcp20(instance, support.window_of(instance))
+    kinds = [type(prop).__name__ for prop in handle.solver.props]
+    assert kinds == ["Diffn", "Released", "Diffn", "Released", "ElementEqual", "_ObjectiveBound"]
+
+    # The only core is held: the pooled cumulative can prune, the axis one
+    # (residual 3 plus duration 10 on a horizon of 13) cannot.
+    handle = build_pcp20(one_held_core(), support.window_of(one_held_core()))
+    (pooled,) = [prop for prop in handle.solver.props if isinstance(prop, Cumulative)]
+    assert pooled.capacity == 1 and pooled.base == {2: 1, 5: -1}
+
+    # Two 3-long units fit the 8-long axis horizon alone, but not beside the
+    # held core's residual of 5: only the axis cumulative is posted.
+    system = support.system_of((2, {"core": 2}))
+    instance = support.instance_on(
+        system, t=2,
+        queued_jobs=[support.queued(1, submit=1, rn=2, unit_req={"core": 1}, d_expected=3)],
+        running_jobs=[
+            support.running(system, 9, start=0, d_expected=7, placements=[(1, 1, "core", 1, 1)])
+        ],
+    )
+    handle = build_pcp20(instance, support.window_of(instance))
+    (axis,) = [prop for prop in handle.solver.props if isinstance(prop, Cumulative)]
+    assert axis.capacity == 8 and axis.base == {1: 5, 2: -5}
 
 
 def test_node_limit_exhaustion_reports_timeout_fallback():

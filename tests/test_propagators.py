@@ -15,10 +15,12 @@ from hpcdispatch.kernel.propagators import (
     Cumulative,
     Diffn,
     ElementEqual,
+    NodeBlocks,
     Released,
     Task,
     _keep_common,
     _reached_blocks,
+    _reached_slice,
     apply_span_filter,
 )
 from hpcdispatch.system import SystemModel
@@ -113,6 +115,67 @@ def test_cumulative_latest_fit_prunes_upper_bound():
     assert solver.propagate_all()
     # b cannot start in [3, 5] without colliding with a's block [4, 7).
     assert b.hi == 2
+
+
+def test_can_prune_is_exact_at_the_capacity():
+    # A constant of height 1 on [0, 5) and one unit-demand task: entailed at
+    # capacity 2, while one unit over capacity 1 the task is pushed past it.
+    for capacity, pushed in ((2, False), (1, True)):
+        solver = Solver()
+        x = solver.new_var(0, 10, "x")
+        tasks = [Task(x, 3, 1)]
+        assert Cumulative.can_prune(tasks, peak=1, capacity=capacity) == pushed
+        solver.add(Cumulative(tasks + [Task(0, 5, 1)], capacity))
+        assert solver.propagate_all()
+        assert (x.lo, x.hi) == ((5, 10) if pushed else (0, 10))
+
+
+def _constant_peak(constants):
+    """Highest point of the (start, duration, demand) constants' profile."""
+    return max(
+        (sum(q for s, d, q in constants if s <= p < s + d) for p, _, _ in constants), default=0
+    )
+
+
+def test_entailed_cumulative_never_acts_on_random_cases():
+    # Whenever can_prune says no, propagation succeeds and leaves every
+    # domain as it was, so a model may leave such a constraint out.  The
+    # other draws show the generator does reach pruning and failing cases.
+    rng = random.Random(46_000)
+    seen = {"entailed": 0, "tight": 0, "acted": 0}
+    for _ in range(2500):
+        solver = Solver()
+        tasks, variables = [], []
+        for _ in range(rng.randint(1, 4)):
+            start = prop_harness._random_var(solver, rng)
+            presence = None
+            if rng.random() < 0.4:
+                presence = solver.new_var(0, 1, "p")
+                if rng.random() < 0.3:
+                    presence.assign(rng.randint(0, 1))
+                variables.append(presence)
+            variables.append(start)
+            tasks.append(Task(start, rng.randint(0, 4), rng.randint(0, 3), presence))
+        constants = [
+            (rng.randint(-2, 8), rng.randint(1, 4), rng.randint(0, 3))
+            for _ in range(rng.randint(0, 3))
+        ]
+        peak = _constant_peak(constants)
+        need = peak + sum(task.demand for task in tasks)
+        capacity = max(0, need + rng.randint(-2, 1))
+        entailed = not Cumulative.can_prune(tasks, peak, capacity)
+        before = [(var.lo, var.hi, set(var.holes)) for var in variables]
+        mark = solver.mark()
+        solver.add(Cumulative(tasks + [Task(s, d, q) for s, d, q in constants], capacity))
+        ok = solver.propagate_all()
+        after = [(var.lo, var.hi, var.holes) for var in variables]
+        if entailed:
+            assert ok and after == before and solver.mark() == mark, (constants, capacity)
+            seen["entailed"] += 1
+            seen["tight"] += capacity == need
+        else:
+            seen["acted"] += not ok or after != before
+    assert min(seen.values()) >= 300, seen
 
 
 # -- diffn --------------------------------------------------------------------
@@ -392,6 +455,50 @@ def test_keep_common_matches_per_block_removal_on_random_cases():
         seen["above"] += inside[-1] < len(reached) - 1
         seen["stale"] += any(h < lo or h > hi for h in holes)
     assert min(seen.values()) >= 100, seen
+
+
+def test_node_blocks_early_return_matches_the_block_scan_on_random_maps():
+    # With NodeBlocks a call returns at once when both indices reach the
+    # same run of nodes; every propagation ends exactly as with plain lists.
+    rng = random.Random(47_000)
+    seen = {"early": 0, "scanned": 0}
+    for _ in range(2000):
+        maps = prop_harness._random_block_maps(rng)
+        domains = []
+        for blocks in maps:
+            var = prop_harness._random_position_var(Solver(), rng, blocks[-1][1])
+            holes = set(var.holes)
+            if rng.random() < 0.5:  # keep only the stale holes
+                holes = {h for h in holes if not var.lo < h < var.hi}
+            domains.append((var.lo, var.hi, holes))
+        ends = []
+        for wrap in (list, NodeBlocks):
+            solver = Solver()
+            variables = []
+            for lo, hi, holes in domains:
+                var = solver.new_var(lo, hi, "y")
+                var.holes = set(holes)
+                variables.append(var)
+            blocks_a, blocks_b = (wrap(blocks) for blocks in maps)
+            if wrap is NodeBlocks:
+                nodes_a = _reached_slice(blocks_a, variables[0])
+                early = nodes_a is not None and nodes_a == _reached_slice(blocks_b, variables[1])
+                seen["early" if early else "scanned"] += 1
+            solver.add(ElementEqual(blocks_a, variables[0], blocks_b, variables[1]))
+            ok = solver.propagate_all()
+            ends.append((ok, solver.mark(), [(v.lo, v.hi, v.holes) for v in variables]))
+        assert ends[0] == ends[1], (maps, domains)
+    assert min(seen.values()) >= 300, seen
+
+
+def test_system_blocks_carry_parallel_firsts_and_nodes():
+    system = SystemModel([{"core": 2, "gpu": 1}, {"core": 3}, {"core": 1, "gpu": 2}])
+    for resource in system.resources:
+        blocks = system.blocks[resource]
+        assert isinstance(blocks, NodeBlocks)
+        assert blocks.firsts == [first for first, _, _ in blocks]
+        assert blocks.nodes == [node for _, _, node in blocks]
+    assert system.blocks["gpu"].nodes == [1, 3]
 
 
 class _ReadLog(Sequence):
