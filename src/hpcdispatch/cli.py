@@ -46,14 +46,21 @@ EXIT_USAGE = 2
 _INFINITY = "∞"
 
 
+def _load_json(path: Path, what: str) -> object:
+    """Parse a JSON file; a syntax error or too deep a nesting names the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # deep nesting exhausts the decoder
+        raise ValueError(f"{what} {path}: {exc}") from None
+
+
 def _resolve_system(text: str) -> SystemModel:
     """A preset name, or a path to a JSON config file."""
     if text in PRESET_CONFIGS:
         return preset(text)
     path = Path(text)
     if path.exists():
-        config = json.loads(path.read_text(encoding="utf-8"))
-        return build_system(config)
+        return build_system(_load_json(path, "system config"))
     known = ", ".join(sorted(PRESET_CONFIGS))
     raise ValueError(f"system {text!r} is neither a preset ({known}) nor a config file")
 
@@ -264,7 +271,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_gen_trace(args: argparse.Namespace) -> int:
     overrides = {}
     if args.config:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        overrides = _load_json(Path(args.config), "trace config")
     spec = spec_from_dict(overrides, dict(MIXES[args.mix], jobs=args.jobs, seed=args.seed))
     jobs = generate_trace(spec)
     out = Path(args.out)

@@ -196,19 +196,41 @@ def _unit_fits(free: FreeRuns, node: int, unit_req: dict[str, int]) -> bool:
 def best_fit_node(
     system: SystemModel, free: FreeRuns, unit_req: dict[str, int]
 ) -> int | None:
-    """Feasible node leaving the least free share of the unit's top resource."""
+    """Feasible node leaving the least free share of the unit's top resource.
+
+    A candidate's key is (slack, node), where slack is the share of the
+    dominant resource r* the node would have left free; the lowest key
+    wins.  The key needs one ``count`` on r*'s mask over the node's block,
+    while the fit test needs one ``find`` per resource, so the test runs
+    only for a candidate whose key beats the best so far.  Candidates come
+    in ascending node order, so that means a strictly smaller slack; a node
+    with fewer free r* positions than the unit needs cannot fit and is
+    skipped at once.
+
+    Slack is the float (free - need) / cap.  Both numerator and denominator
+    lie in [0, cap], so two unequal slacks a/b and c/d differ by at least
+    1/(b*d), far above the rounding of a quotient in [0, 1] (2**-53) for
+    any capacity below 2**26, and equal ones round to the same float: the
+    float keys order the candidates exactly as the fractions would.
+    """
     r_star = dominant_resource(system, unit_req)
+    need = unit_req[r_star]
+    mask = free.free[r_star]
+    node_span = system.node_span
     best = None
-    best_key = None
+    best_slack = 0.0
     for node in free.candidates():
-        if not _unit_fits(free, node, unit_req):
+        span = node_span.get((node, r_star))
+        if span is None:
             continue
-        slack = Fraction(
-            free.total_free(node, r_star) - unit_req[r_star], system.cap(node, r_star)
-        )
-        if best_key is None or (slack, node) < best_key:
-            best_key = (slack, node)
+        first, last = span
+        spare = mask.count(1, first - 1, last) - need
+        if spare < 0:
+            continue
+        slack = spare / (last - first + 1)
+        if (best is None or slack < best_slack) and _unit_fits(free, node, unit_req):
             best = node
+            best_slack = slack
     return best
 
 

@@ -61,15 +61,12 @@ def _build_schedule_model(
         lo = t + 1 if entry.job_id in held else t
         handle.jobs.append(_JobVars(entry=entry, start=solver.new_var(lo, eoh, f"s{entry.job_id}")))
     # Running jobs are constant (residual, extent) parts on [t, t + residual);
-    # all start at t, so the pooled peak is the sum of their extents.
-    running_parts: dict[str, list[tuple[int, int]]] = {r: [] for r in system.resources}
+    # all start at t, so the pooled peak is the sum of their extents.  Their
+    # tasks are built only for a cumulative that is posted.
     peak = dict.fromkeys(system.resources, 0)
     for run in instance.running:
-        dur = residual(run, t)
         for alloc in run.allocation:
-            parts = running_parts.get(alloc.resource)
-            if parts is not None:
-                parts.append((dur, alloc.extent))
+            if alloc.resource in peak:
                 peak[alloc.resource] += alloc.extent
     for resource in system.resources:
         tasks = []
@@ -79,7 +76,12 @@ def _build_schedule_model(
                 tasks.append(Task(jv.start, jv.entry.d_expected, total))
         capacity = system.total_capacity[resource]
         if Cumulative.can_prune(tasks, peak[resource], capacity):
-            tasks += [Task(t, dur, extent) for dur, extent in running_parts[resource]]
+            tasks += [
+                Task(t, residual(run, t), alloc.extent)
+                for run in instance.running
+                for alloc in run.allocation
+                if alloc.resource == resource
+            ]
             solver.add(Cumulative(tasks, capacity))
     weights, constant = objective_terms(window)
     solver.minimize([jv.start for jv in handle.jobs], weights, constant)

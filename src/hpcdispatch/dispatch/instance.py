@@ -267,12 +267,17 @@ class DispatchInstance:
         return cls(t=t, queued=queued, running=running, system=system)
 
     @classmethod
-    def loads(cls, text: str) -> "DispatchInstance":
-        return cls.from_payload(json.loads(text))
+    def loads(cls, text: str, source: str = "snapshot") -> "DispatchInstance":
+        """Parse a snapshot; a syntax error or too deep a nesting names ``source``."""
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # deep nesting exhausts the decoder
+            raise ValueError(f"{source}: {exc}") from None
+        return cls.from_payload(payload)
 
     @classmethod
     def load(cls, path: str | Path) -> "DispatchInstance":
-        return cls.loads(Path(path).read_text(encoding="utf-8"))
+        return cls.loads(Path(path).read_text(encoding="utf-8"), f"snapshot {path}")
 
 
 @contextmanager

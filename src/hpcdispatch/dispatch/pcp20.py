@@ -4,13 +4,14 @@ One model decides both when and where jobs run.  Each job unit gets one
 position variable per requested resource type, ranging over the whole
 system's flattened capacity for that type, so the variable count depends
 only on the visible queue, never on the node count.  Non-overlap of the
-queued jobs' (time x position) boxes, plus one release constraint per
-position variable against the running allocations' release intervals,
-carries allocation feasibility; one same-node constraint per unit and pair
-of resources, over the system's node blocks, keeps a unit on one node;
-pooled and position-axis cumulatives provide relaxation pruning, and are
-posted only when they can prune (``Cumulative.can_prune``), so a resource
-no window job requests gets no propagator at all.
+queued jobs' (time x position) boxes (posted where a resource has two or
+more, since a lone box has no pair to keep apart), plus one release
+constraint per position variable against the running allocations' release
+intervals, carries allocation feasibility; one same-node constraint per
+unit and pair of resources, over the system's node blocks, keeps a unit on
+one node; pooled and position-axis cumulatives provide relaxation pruning,
+and are posted only when they can prune (``Cumulative.can_prune``), so a
+resource no window job requests gets no propagator at all.
 """
 
 from __future__ import annotations
@@ -140,12 +141,13 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
                 boxes.append(Box(jv.start, d, yvar, q))
                 axis.append(Task(yvar, q, d))
         held = held_by[resource]
-        if boxes:
+        # A single box has no pair to keep apart, so its Diffn never prunes.
+        if len(boxes) > 1:
             solver.add(Diffn(boxes))
-            if held:
-                held.sort()
-                for box in boxes:
-                    solver.add(Released(box.x, box.y, box.y_len, held))
+        if boxes and held:
+            held.sort()
+            for box in boxes:
+                solver.add(Released(box.x, box.y, box.y_len, held))
         capacity = system.total_capacity[resource]
         if Cumulative.can_prune(pooled, pooled_peak[resource], capacity):
             pooled += [Task(t, release - t, last - first + 1) for first, last, release in held]

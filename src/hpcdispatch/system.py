@@ -4,12 +4,14 @@ Each resource type has one flat, 1-based position space obtained by
 concatenating the per-node capacities in node order: a node with capacity c
 for resource r owns c consecutive positions of r's space.  An allocation is
 a set of contiguous position ranges, all held at the same instant;
-``validate_allocation`` checks new claims against held ranges with a sort
-per resource, independent of any solver machinery.
+``validate_allocation`` checks new claims against held ranges by sorting
+each resource's claims and bisecting them once per held range, independent
+of any solver machinery.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -193,8 +195,16 @@ class Violation:
         return f"{self.kind}: {self.message}"
 
 
-# A range of one resource's positions: (first, last, job_id, unit, is_claim).
-_Range = tuple[int, int, int, int, bool]
+# A claimed range of one resource's positions: (first, last, job_id, unit).
+_Claim = tuple[int, int, int, int]
+
+
+def _double_booking(resource: str, claim: _Claim, job_id: int, unit: int) -> Violation:
+    return Violation(
+        "double-booking",
+        f"{resource} positions [{claim[0]},{claim[1]}] of job {claim[2]} "
+        f"unit {claim[3]} overlap job {job_id} unit {unit}",
+    )
 
 
 def validate_allocation(
@@ -215,13 +225,19 @@ def validate_allocation(
     range (even of the same unit) or with a held range.  ``held`` is
     assumed internally valid: only its ranges of claimed resources are read.
 
-    Each claimed resource's ranges are sorted by first position, and each
-    range is compared with the furthest-reaching range before it (a claim)
-    or with the furthest-reaching claim before it (a held range), so a call
-    costs O((H + C) log(H + C)) whatever the size of the system.
+    Only the claims are sorted, per resource by first position.  Each claim
+    is compared with the furthest-reaching claim before it, which also
+    records, for every prefix of the sorted claims, the one reaching
+    furthest.  Each held range then bisects the claims' first positions for
+    those starting no later than its last position: it meets some claim
+    exactly when the furthest-reaching of them reaches its first position.
+    So one double-booking is reported per claim that meets an earlier
+    claim, and one per held range that meets any claim, and a call costs
+    O(C log C + H log C) for C claimed and H held ranges, whatever the size
+    of the system.
     """
     violations: list[Violation] = []
-    ranges: dict[str, list[_Range]] = {}
+    claimed: dict[str, list[_Claim]] = {}
     unit_nodes: dict[tuple[int, int], set[int]] = {}
     for job_id, allocation in claims:
         for entry in allocation:
@@ -251,7 +267,7 @@ def validate_allocation(
                     )
                 )
             else:
-                ranges.setdefault(resource, []).append((position, last, job_id, entry.unit, True))
+                claimed.setdefault(resource, []).append((position, last, job_id, entry.unit))
                 unit_nodes.setdefault((job_id, entry.unit), set()).add(owner[position - 1])
     if violations:
         return violations
@@ -261,33 +277,32 @@ def validate_allocation(
             violations.append(
                 Violation("unit-split", f"job {job_id} unit {unit} spans nodes {sorted(nodes)}")
             )
-    if ranges:
+    # Per claimed resource: the sorted claims' first positions, and for each
+    # prefix of them the claim reaching furthest.
+    sweeps: dict[str, tuple[list[int], list[_Claim]]] = {}
+    for resource, ranges in claimed.items():
+        ranges.sort()
+        reaches: list[_Claim] = []
+        reach: _Claim | None = None
+        for claim in ranges:
+            if reach is not None and reach[1] >= claim[0]:
+                violations.append(_double_booking(resource, claim, reach[2], reach[3]))
+            if reach is None or claim[1] > reach[1]:
+                reach = claim
+            reaches.append(reach)
+        sweeps[resource] = ([claim[0] for claim in ranges], reaches)
+    if sweeps:
         for job_id, allocation in held:
             for entry in allocation:
-                claimed = ranges.get(entry.resource)
-                if claimed is not None:
-                    last = entry.position + entry.extent - 1
-                    claimed.append((entry.position, last, job_id, entry.unit, False))
-    for resource, resource_ranges in ranges.items():
-        resource_ranges.sort()
-        reach: _Range | None = None  # the furthest-reaching range so far
-        claim_reach: _Range | None = None  # the furthest-reaching claim so far
-        for current in resource_ranges:
-            is_claim = current[4]
-            before = reach if is_claim else claim_reach
-            if before is not None and before[1] >= current[0]:
-                claim, other = (current, before) if is_claim else (before, current)
-                violations.append(
-                    Violation(
-                        "double-booking",
-                        f"{resource} positions [{claim[0]},{claim[1]}] of job {claim[2]} "
-                        f"unit {claim[3]} overlap job {other[2]} unit {other[3]}",
+                sweep = sweeps.get(entry.resource)
+                if sweep is None:
+                    continue
+                firsts, reaches = sweep
+                k = bisect_right(firsts, entry.position + entry.extent - 1)
+                if k and reaches[k - 1][1] >= entry.position:
+                    violations.append(
+                        _double_booking(entry.resource, reaches[k - 1], job_id, entry.unit)
                     )
-                )
-            if reach is None or current[1] > reach[1]:
-                reach = current
-            if is_claim and (claim_reach is None or current[1] > claim_reach[1]):
-                claim_reach = current
     return violations
 
 

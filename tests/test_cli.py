@@ -62,6 +62,7 @@ BAD_TRACE_CONFIGS = {
     "gpu-scarce-unknown-key": ("gpu-scarce", '{"bogus": 1}'),
     "custom-unknown-key": ("custom", '{"bogus": 1}'),
     "not-an-object": ("eurora", "[1]"),
+    "deep-nesting": ("eurora", "[" * 100_000),
 }
 
 
@@ -75,14 +76,8 @@ def test_gen_trace_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, case
     err = capsys.readouterr().err
     assert code == EXIT_RUNTIME
     assert err.startswith("error:") and "Traceback" not in err
-    if case.startswith("system-") and case != "system-groups-text":
-        assert err.startswith("error: system group 1: ")
-    if case.startswith("trace-") and case not in ("trace-cut-json", "trace-duplicate-id"):
-        assert err.startswith("error: trace line 1: ")
-    if case == "trace-cut-json":
-        assert err.startswith("error: trace line 2: ")
-    if case == "trace-duplicate-id":
-        assert err == "error: duplicate job id 1 in trace\n"
+    if case == "deep-nesting":
+        assert err.startswith(f"error: trace config {cfg}: ") and "recursion" in err
     assert not out.exists()
 
 
@@ -145,7 +140,9 @@ MALFORMED = {
         ' "d_expected": 5, "d_real": 5}]}',
     ),
     "snapshot-list": ("--instance", "s.json", "[1]"),
+    "snapshot-deep-nesting": ("--instance", "s.json", "[" * 100_000),
     "system-groups-text": ("--system", "sys.json", '{"groups": "x"}'),
+    "system-deep-nesting": ("--system", "sys.json", '{"groups": ' + "[" * 100_000),
     "system-unknown-keys": (
         "--system", "sys.json", '{"groups": [{"nodes": 2, "caps": {"core": 16}}]}'
     ),
@@ -173,7 +170,7 @@ def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, case):
     assert main(["validate", flag, str(path)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    if case.startswith("system-") and case != "system-groups-text":
+    if case.startswith("system-") and case not in ("system-groups-text", "system-deep-nesting"):
         assert err.startswith("error: system group 1: ")
     if case.startswith("trace-") and case not in ("trace-cut-json", "trace-duplicate-id"):
         assert err.startswith("error: trace line 1: ")
@@ -181,6 +178,10 @@ def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, case):
         assert err.startswith("error: trace line 2: ")
     if case == "trace-duplicate-id":
         assert err == "error: duplicate job id 1 in trace\n"
+    if case == "system-deep-nesting":
+        assert err.startswith(f"error: system config {path}: ") and "recursion" in err
+    if case == "snapshot-deep-nesting":
+        assert err.startswith(f"error: snapshot {path}: ") and "recursion" in err
 
 
 def test_validate_instance_good_and_bad(tmp_path, capsys):

@@ -31,7 +31,7 @@ from hpcdispatch.dispatch.instance import (
     replicas,
     unit_demands,
 )
-from hpcdispatch.system import validate_allocation
+from hpcdispatch.system import preset, validate_allocation
 from hpcdispatch.workload import make_job
 
 
@@ -286,6 +286,61 @@ def test_best_fit_ranks_by_dominant_resource():
     free = FreeRuns(system, [])
     # core demand dominates gpu demand, so slack is measured in cores
     assert best_fit_node(system, free, {"core": 4, "gpu": 1}) == 2
+
+
+@pytest.mark.parametrize(
+    "caps, taken", [((4, 8), (1, 3)), ((8, 4), (3, 1)), ((3, 6), (1, 3)), ((6, 3), (3, 1))]
+)
+def test_best_fit_breaks_ties_across_capacities_on_lower_node_id(caps, taken):
+    # With one core claimed, leaving 2 of 4 cores free ties with 4 of 8, and
+    # 1 of 3 with 2 of 6: the slacks are equal, so the lower node wins.
+    system = support.system_of(*((1, {"core": cap}) for cap in caps))
+    running = [
+        support.running(system, node, start=0, d_expected=10, placements=[(0, node, "core", 1, k)])
+        for node, k in enumerate(taken, 1)
+    ]
+    free = FreeRuns(system, running)
+    assert best_fit_node(system, free, {"core": 1}) == 1 == scan_best_fit(system, free, {"core": 1})
+
+
+def test_best_fit_tests_fit_only_for_an_improving_key(monkeypatch):
+    system = preset("kit-forhlr2")
+    placements = {  # node: its running (unit, node, resource, local first, extent) rows
+        3: [(0, 3, "core", 1, 2), (0, 3, "mem", 1, 60)],
+        40: [(0, 40, "core", 1, 5), (1, 40, "core", 11, 5)],  # 10 free, no 6 in a row
+        500: [(0, 500, "core", 1, 19)],
+        1160: [(0, 1160, "core", 1, 40)],
+    }
+    running = [
+        support.running(system, node, start=0, d_expected=50, placements=rows)
+        for node, rows in placements.items()
+    ]
+    free = FreeRuns(system, running)
+    assert free.candidates() == [1, 3, 40, 500, 1153, 1160]
+    tested = []
+    find = FreeRuns.find
+
+    def counting_find(self, node, resource, q):
+        tested.append(node)
+        return find(self, node, resource, q)
+
+    monkeypatch.setattr(FreeRuns, "find", counting_find)
+    # (request, the node chosen, the fit tests in order: one find per
+    # resource until one fails).  Node 500 never has enough free cores and
+    # wholly free node 1153 never beats wholly free node 1; a node whose key
+    # ties or loses to the best so far is never tested.
+    cases = [
+        ({"core": 4}, 1160, [1, 3, 40, 1160]),  # slack .8, .7, .3, then 4/48
+        ({"core": 6}, 1160, [1, 3, 40, 1160]),  # node 40 improves but cannot fit
+        ({"core": 9}, 3, [1, 3, 40]),  # node 1160 has 8 cores free
+        ({"core": 2, "mem": 8}, 1, [1, 1]),  # mem leads: node 3 lacks it, the rest tie or lose
+    ]
+    for unit_req, node, expected in cases:
+        tested.clear()
+        assert best_fit_node(system, free, unit_req) == node
+        assert tested == expected, unit_req
+        tested.clear()
+        assert scan_best_fit(system, free, unit_req) == node
 
 
 def scan_best_fit(system, free, unit_req):

@@ -141,8 +141,9 @@ def test_running_job_blocks_the_only_core():
 
 
 def test_cumulatives_are_posted_only_when_they_can_prune():
-    # A fitting window gets no cumulative, and the gpu, which no window job
-    # requests, no propagator at all, though a running job holds some.
+    # A fitting window gets no cumulative, a lone box per resource no Diffn,
+    # and the gpu, which no window job requests, no propagator at all, though
+    # a running job holds some.
     system = preset("eurora")
     instance = support.instance_on(
         system, t=10,
@@ -159,7 +160,7 @@ def test_cumulatives_are_posted_only_when_they_can_prune():
     )
     handle = build_pcp20(instance, support.window_of(instance))
     kinds = [type(prop).__name__ for prop in handle.solver.props]
-    assert kinds == ["Diffn", "Released", "Diffn", "Released", "ElementEqual", "_ObjectiveBound"]
+    assert kinds == ["Released", "Released", "ElementEqual", "_ObjectiveBound"]
 
     # The only core is held: the pooled cumulative can prune, the axis one
     # (residual 3 plus duration 10 on a horizon of 13) cannot.
@@ -180,6 +181,8 @@ def test_cumulatives_are_posted_only_when_they_can_prune():
     handle = build_pcp20(instance, support.window_of(instance))
     (axis,) = [prop for prop in handle.solver.props if isinstance(prop, Cumulative)]
     assert axis.capacity == 8 and axis.base == {1: 5, 2: -5}
+    # the two units' boxes are a pair, so they get a Diffn
+    assert [type(prop).__name__ for prop in handle.solver.props].count("Diffn") == 1
 
 
 def test_node_limit_exhaustion_reports_timeout_fallback():

@@ -232,6 +232,23 @@ def test_same_unit_same_resource_self_overlap_rejected(two_node_system):
     assert kinds(validate_allocation(two_node_system, [], claims)) == ["double-booking"]
 
 
+def test_held_range_over_two_claims_is_one_double_booking(two_node_system):
+    held = [(1, [E(1, "core", 1, 2)])]
+    claims = [(2, [E(1, "core", 1, 1)]), (3, [E(1, "core", 2, 1)])]
+    (out,) = validate_allocation(two_node_system, held, claims)
+    assert out.kind == "double-booking"
+    assert "job 3" in str(out) and "job 1" in str(out)
+
+
+def test_claim_over_two_held_ranges_is_two_double_bookings(two_node_system):
+    held = [(1, [E(1, "core", 1, 1)]), (2, [E(1, "core", 2, 1)])]
+    claims = [(3, [E(1, "core", 1, 2)])]
+    out = validate_allocation(two_node_system, held, claims)
+    assert kinds(out) == ["double-booking"] and len(out) == 2
+    assert "job 3" in str(out[0]) and "job 1" in str(out[0])
+    assert "job 3" in str(out[1]) and "job 2" in str(out[1])
+
+
 VALIDATOR_CASES = {
     "clean": ([(1, [E(1, "core", 1, 2), E(2, "core", 3, 2)])], []),
     "node-span": ([(1, [E(1, "core", 2, 2)])], ["node-span"]),
@@ -315,6 +332,49 @@ def test_validator_matches_pairwise_oracle_on_random_cases():
         "clean", "unknown-resource", "bad-extent", "out-of-range", "node-span", "unit-split",
         "double-booking",
     }
+
+
+def flat_ranges(jobs):
+    return [
+        (e.resource, e.position, e.position + e.extent - 1, job_id, e.unit)
+        for job_id, allocation in jobs
+        for e in allocation
+    ]
+
+
+def meets(a, b):
+    return a[0] == b[0] and a[1] <= b[2] and b[1] <= a[2]
+
+
+def expected_double_bookings(held, claims):
+    """One per claim meeting a claim sorted before it, one per held range meeting any claim."""
+    claimed = sorted(flat_ranges(claims))
+    return sum(any(meets(c, d) for d in claimed[:i]) for i, c in enumerate(claimed)) + sum(
+        any(meets(h, c) for c in claimed) for h in flat_ranges(held)
+    )
+
+
+def test_validator_matches_pairwise_oracle_with_many_holds_and_claims():
+    # Several claims per resource, bisected by up to 30 held jobs' ranges.
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(1500):
+        system = SystemModel(
+            [
+                {"core": rng.randint(1, 16), "gpu": rng.choice((0, 1, 2, 4))}
+                for _ in range(rng.randint(1, 8))
+            ]
+        )
+        held = random_jobs(rng, system, rng.randint(0, 30), 1)
+        claims = random_jobs(rng, system, rng.randint(0, 6), 100)
+        expected = oracles.allocation_kinds(system, held, claims)
+        out = validate_allocation(system, held, claims)
+        assert set(kinds(out)) == expected, (system.caps, held, claims)
+        if "double-booking" in expected:  # span errors would have masked it
+            bookings = [v for v in out if v.kind == "double-booking"]
+            assert len(bookings) == expected_double_bookings(held, claims)
+        seen.update(expected or {"clean"})
+    assert {"clean", "unit-split", "double-booking"} <= seen
 
 
 def test_mutual_sweep_scales_past_pairwise():
