@@ -249,12 +249,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     paths = sorted(root.glob("*.json"))
     if not paths:
         raise ValueError(f"no instance files in {root}")
-    config = DispatchConfig(
-        budget_ms=args.budget_ms,
-        node_limit=args.node_limit if args.node_limit > 0 else None,
-        window=args.window,
-    )
-    rows, notes = replay_instances(paths, config)
+    rows, notes = replay_instances(paths, _dispatch_config(args))
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
     out = Path(args.out)

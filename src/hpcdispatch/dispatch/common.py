@@ -43,15 +43,13 @@ class DispatchConfig:
 
     ``budget_ms`` bounds the wall time of the whole invocation and
     ``node_limit`` the search decisions of each solve; ``window`` caps the
-    queued jobs one model sees.  ``hcp_max_iterations`` bounds how often the
-    two-stage dispatcher re-plans after failed placements, and
-    ``emergency_first_fit`` turns on the greedy rescue of a fallback.
+    queued jobs one model sees, and ``emergency_first_fit`` turns on the
+    greedy rescue of a fallback.
     """
 
     budget_ms: float = 2000.0
     node_limit: int | None = 1500
     window: int = 100
-    hcp_max_iterations: int = 10
     emergency_first_fit: bool = False
 
 

@@ -32,6 +32,10 @@ from hpcdispatch.dispatch.instance import (
 )
 from hpcdispatch.kernel import Cumulative, IntVar, Solver, Task
 
+# At most this many schedule builds per invocation; jobs that still fail
+# placement after the last one are deferred.
+MAX_ITERATIONS = 10
+
 
 @dataclass
 class _JobVars:
@@ -124,9 +128,8 @@ def _size(instance: DispatchInstance, window: list[QueuedJob]) -> tuple[int, int
 def build_and_solve_hcp19(
     instance: DispatchInstance, config: DispatchConfig | None = None
 ) -> DispatchDecision:
-    config = config or DispatchConfig()
     return drive(
         "hcp19", instance, config,
         size=_size, build=_build_schedule_model, branch=_make_branch, decode=_place,
-        attempts=config.hcp_max_iterations,
+        attempts=MAX_ITERATIONS,
     )

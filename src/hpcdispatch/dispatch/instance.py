@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from hpcdispatch.system import (
     PRESET_CONFIGS,
@@ -298,10 +298,15 @@ def _entry_label(kind: str, number: int, entry: object) -> str:
 
 @dataclass
 class InvocationStats:
-    """Everything measurable about one dispatcher invocation."""
+    """Everything measurable about one dispatcher invocation.
 
-    dispatcher: str
+    Each field is one invocations.csv column, in field order
+    (``CSV_FIELDS``); ``as_row`` formats ``objective``, ``wall_ms`` and
+    ``fallback`` and passes the rest through.
+    """
+
     t: int
+    dispatcher: str
     queue_size: int = 0
     window_size: int = 0
     n_vars: int = 0
@@ -318,46 +323,17 @@ class InvocationStats:
     fallback: bool = False
     realloc_iterations: int = 0
 
-    CSV_FIELDS = (
-        "t",
-        "dispatcher",
-        "queue_size",
-        "window_size",
-        "n_vars",
-        "n_sched",
-        "n_alloc",
-        "status",
-        "objective",
-        "decisions",
-        "fails",
-        "propagations",
-        "wall_ms",
-        "dispatched",
-        "deferred",
-        "fallback",
-        "realloc_iterations",
-    )
+    CSV_FIELDS: ClassVar[tuple[str, ...]]
 
     def as_row(self) -> dict:
-        return {
-            "t": self.t,
-            "dispatcher": self.dispatcher,
-            "queue_size": self.queue_size,
-            "window_size": self.window_size,
-            "n_vars": self.n_vars,
-            "n_sched": self.n_sched,
-            "n_alloc": self.n_alloc,
-            "status": self.status,
-            "objective": "" if self.objective is None else self.objective,
-            "decisions": self.decisions,
-            "fails": self.fails,
-            "propagations": self.propagations,
-            "wall_ms": f"{self.wall_ms:.3f}",
-            "dispatched": self.dispatched,
-            "deferred": self.deferred,
-            "fallback": int(self.fallback),
-            "realloc_iterations": self.realloc_iterations,
-        }
+        row = {name: getattr(self, name) for name in self.CSV_FIELDS}
+        row["objective"] = "" if self.objective is None else self.objective
+        row["wall_ms"] = f"{self.wall_ms:.3f}"
+        row["fallback"] = int(self.fallback)
+        return row
+
+
+InvocationStats.CSV_FIELDS = tuple(f.name for f in fields(InvocationStats))
 
 
 @dataclass(frozen=True)

@@ -178,8 +178,10 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
 
 
 def make_branch(handle: ModelHandle):
-    """Earliest-startable job first; fix its start low, then its tightest
-    position variable high (best fit).  Ties: priority, then job id."""
+    """Earliest-startable job first; fix its start low, then its position
+    variable with the narrowest bounds (least hi - lo, first in list order
+    on a tie) high (best fit).  Job ties: priority, then job id.  The pick
+    reads bounds only, never holes."""
     jobs = handle.jobs
 
     def branch():
@@ -198,15 +200,8 @@ def make_branch(handle: ModelHandle):
             return None
         if best.start.lo != best.start.hi:
             return best.start, best.start.lo
-        pick = None
-        pick_size = None
-        for _res, _unit, yvar, _q in best.positions:
-            if yvar.lo == yvar.hi:
-                continue
-            size = yvar.size()
-            if pick_size is None or size < pick_size:
-                pick = yvar
-                pick_size = size
+        unfixed = [y for _, _, y, _ in best.positions if y.lo != y.hi]
+        pick = min(unfixed, key=lambda y: y.hi - y.lo)
         return pick, pick.hi
 
     return branch

@@ -17,9 +17,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-# Trail entry kinds; a _MOVE entry restores (lo, hi) and re-adds the holes
-# one batched bound move discarded.
-_LO, _HI, _HOLE_ADD, _HOLE_DEL, _MOVE = 0, 1, 2, 3, 4
+# Trail entry kinds: an old lo, an old hi, or an added hole.  Holes are
+# only ever added, so undo is the one thing that takes a hole away.
+_LO, _HI, _HOLE = 0, 1, 2
 
 STATUS_OPTIMAL = "optimal"  # incumbent proven optimal (tree exhausted or root bound met)
 STATUS_FEASIBLE = "feasible"  # budget hit, incumbent in hand
@@ -30,16 +30,15 @@ STATUS_TIMEOUT = "timeout"  # budget hit before the first solution
 class IntVar:
     """Integer variable with a bounds-plus-holes domain.
 
-    Bound updates that land on a hole skip past it.  Holes the bounds move
-    across stay in the set (purging them on every bound change would cost
-    O(holes), and span-filtered position variables carry one hole per node
-    boundary); anything reading ``holes`` directly must ignore entries
-    outside the open interval (lo, hi).  ``contains``, ``iter_values`` and
-    the domain operations already do.  ``size`` subtracts stale entries
-    too, making it an O(1) lower bound on the true domain size; it is only
-    used to rank variables, never to decide feasibility.  ``set_min_chain``
-    and ``set_max_gap`` make a series of such moves as one, with one trail
-    entry and one wake, and leave exactly the holes the series would.
+    The domain is the values in [lo, hi] that are not in ``holes``.  Holes
+    are only ever added, by ``remove`` and ``remove_range``, and only
+    ``undo_to`` takes them away.  A bound move that lands on a hole skips
+    past it, so lo and hi are values while the domain is not empty, and
+    the holes it moves across stay in the set (purging them would cost
+    O(holes), and span-filtered position variables carry one hole per
+    node boundary).  Anything reading ``holes`` directly must ignore
+    entries outside (lo, hi); ``contains``, ``iter_values`` and the domain
+    operations already do.
     """
 
     __slots__ = ("solver", "index", "name", "lo", "hi", "holes", "watchers")
@@ -52,9 +51,6 @@ class IntVar:
         self.hi = hi
         self.holes: set[int] = set()
         self.watchers: list[tuple[Any, Any]] = []
-
-    def size(self) -> int:
-        return self.hi - self.lo + 1 - len(self.holes)
 
     def is_fixed(self) -> bool:
         return self.lo == self.hi
@@ -74,12 +70,9 @@ class IntVar:
     def set_min(self, v: int) -> bool:
         if v <= self.lo:
             return True
-        trail = self.solver._trail
-        trail.append((_LO, self, self.lo))
+        self.solver._trail.append((_LO, self, self.lo))
         holes = self.holes
         while v in holes:
-            trail.append((_HOLE_DEL, self, v))
-            holes.discard(v)
             v += 1
         self.lo = v
         if v > self.hi:
@@ -90,12 +83,9 @@ class IntVar:
     def set_max(self, v: int) -> bool:
         if v >= self.hi:
             return True
-        trail = self.solver._trail
-        trail.append((_HI, self, self.hi))
+        self.solver._trail.append((_HI, self, self.hi))
         holes = self.holes
         while v in holes:
-            trail.append((_HOLE_DEL, self, v))
-            holes.discard(v)
             v -= 1
         self.hi = v
         if v < self.lo:
@@ -112,7 +102,7 @@ class IntVar:
             return self.set_max(v - 1)
         if v in self.holes:
             return True
-        self.solver._trail.append((_HOLE_ADD, self, v))
+        self.solver._trail.append((_HOLE, self, v))
         self.holes.add(v)
         self.solver._wake(self)
         return True
@@ -132,56 +122,11 @@ class IntVar:
         added = False
         for v in range(a, b + 1):
             if v not in holes:
-                trail.append((_HOLE_ADD, self, v))
+                trail.append((_HOLE, self, v))
                 holes.add(v)
                 added = True
         if added:
             self.solver._wake(self)
-        return True
-
-    def set_min_chain(self, starts: list[int]) -> bool:
-        """``set_min(s)`` for each of the ascending ``starts``, as one bound move.
-
-        The domain ends exactly as after the chain of calls: each start that
-        moves lo discards the run of holes beginning at it.  One trail entry
-        and one wake, however many starts.
-        """
-        holes = self.holes
-        v = lo = self.lo
-        dropped: list[int] = []
-        for s in starts:
-            if s > v:
-                v = s
-                while v in holes:
-                    dropped.append(v)
-                    v += 1
-        if v == lo:
-            return True
-        holes.difference_update(dropped)
-        self.solver._trail.append((_MOVE, self, (lo, self.hi, dropped)))
-        self.lo = v
-        if v > self.hi:
-            return False
-        self.solver._wake(self)
-        return True
-
-    def set_max_gap(self, v: int, top: int) -> bool:
-        """Remove every value in (v, top], then ``set_max(top)``, as one bound move.
-
-        Needs v <= top < hi.  hi falls to the largest value <= v, and every
-        hole in (new hi, top] is discarded, as the ``set_max`` walk down
-        from top would; holes above top stay.  One trail entry, one wake.
-        """
-        holes = self.holes
-        while v in holes:
-            v -= 1
-        dropped = holes.intersection(range(v + 1, top + 1))
-        holes -= dropped
-        self.solver._trail.append((_MOVE, self, (self.lo, self.hi, dropped)))
-        self.hi = v
-        if v < self.lo:
-            return False
-        self.solver._wake(self)
         return True
 
     def assign(self, v: int) -> bool:
@@ -356,13 +301,8 @@ class Solver:
                 var.lo = payload
             elif kind == _HI:
                 var.hi = payload
-            elif kind == _HOLE_ADD:
+            else:
                 var.holes.discard(payload)
-            elif kind == _HOLE_DEL:
-                var.holes.add(payload)
-            else:  # _MOVE
-                var.lo, var.hi, dropped = payload
-                var.holes.update(dropped)
 
     # -- search ----------------------------------------------------------------
 

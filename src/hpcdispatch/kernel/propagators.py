@@ -438,17 +438,19 @@ def apply_span_filter(var: IntVar, filt: tuple[int, int, frozenset[int]]) -> boo
 
     ``filt`` is (lo, hi, holes) with every hole strictly between lo and hi.
     Only valid before search starts; the restriction becomes part of the
-    root domain.
+    root domain.  Like ``set_min`` and ``set_max``, a bound that lands on a
+    hole skips past it.
     """
-    lo, hi, holes = filt
-    var.lo = max(var.lo, lo)
-    var.hi = min(var.hi, hi)
-    if var.lo > var.hi:
-        return False
-    if var.lo != lo or var.hi != hi:
-        holes = [h for h in holes if var.lo < h < var.hi]
-    var.holes.update(holes)
-    return True
+    holes = var.holes
+    holes.update(filt[2])
+    lo = max(var.lo, filt[0])
+    hi = min(var.hi, filt[1])
+    while lo in holes:
+        lo += 1
+    while hi in holes:
+        hi -= 1
+    var.lo, var.hi = lo, hi
+    return lo <= hi
 
 
 Blocks = Sequence[tuple[int, int, int]]
@@ -523,32 +525,18 @@ class ElementEqual(Propagator):
 
 
 def _keep_common(var: IntVar, reached: list[tuple[int, int, int]], common: set[int]) -> bool:
-    """Remove the reached blocks whose node is not in ``common``.
-
-    The domain, stale holes included (``IntVar.size`` counts them, and
-    pcp20 ranks position variables by size), ends exactly as after
-    ``remove_range(first, last)`` on each such block in ascending order,
-    but with one bound move per side: the blocks below the lowest common
-    block go by one ``set_min_chain`` (the hole run at each block's
-    last + 1 is discarded, as the chain of ``set_min`` calls did), those
-    above the highest by one ``set_max_gap`` (every hole between the new
-    hi and the last reached block's first position is discarded, as the
-    final ``set_max`` walk did), and those between common blocks by
-    ``remove_range``.  ``common`` holds the node of some reached block.
-    """
+    """Remove the reached blocks whose node is not in ``common``, one bound move per side."""
     low = 0
     while reached[low][2] not in common:
         low += 1
     high = len(reached) - 1
     while reached[high][2] not in common:
         high -= 1
-    if low and not var.set_min_chain([last + 1 for _, last, _ in reached[:low]]):
+    if not (var.set_min(reached[low][0]) and var.set_max(reached[high][1])):
         return False
     for first, last, node in reached[low + 1 : high]:
         if node not in common and not var.remove_range(first, last):
             return False
-    if high < len(reached) - 1:
-        return var.set_max_gap(reached[high][1], reached[-1][0] - 1)
     return True
 
 
@@ -598,7 +586,7 @@ class AllDifferent(Propagator):
 
     def propagate(self, solver: Solver) -> bool:
         while True:
-            changed = False
+            fixed = False
             seen: dict[int, IntVar] = {}
             for var in self.vars:
                 if var.lo == var.hi:
@@ -607,13 +595,11 @@ class AllDifferent(Propagator):
                     seen[var.lo] = var
             for var in self.vars:
                 if var.lo != var.hi:
-                    before = var.size()
                     for value in seen:
                         if not var.remove(value):
                             return False
-                    if var.size() != before:
-                        changed = True
-            if not changed:
+                    fixed = fixed or var.lo == var.hi
+            if not fixed:
                 return True
 
 

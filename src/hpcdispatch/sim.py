@@ -336,7 +336,7 @@ def write_artifacts(result: SimResult, out_dir: str | Path) -> dict[str, Path]:
         "status",
     )
     with paths["jobs"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=job_fields)
+        writer = csv.DictWriter(fh, fieldnames=job_fields, restval="")
         writer.writeheader()
         for o in result.outcomes:
             if o.completed:
@@ -366,33 +366,12 @@ def write_artifacts(result: SimResult, out_dir: str | Path) -> dict[str, Path]:
         writer.writerow(
             {
                 "job_id": "avg",
-                "user": "",
-                "submit": "",
-                "nodes": "",
-                "d_expected": "",
-                "d_real": "",
-                "start": "",
-                "end": "",
                 "wait_s": f"{avg_w:.6f}",
                 "slowdown": f"{avg_sd:.6f}",
                 "status": f"completed={len(done)}/{len(result.outcomes)}",
             }
         )
-        writer.writerow(
-            {
-                "job_id": "sd",
-                "user": "",
-                "submit": "",
-                "nodes": "",
-                "d_expected": "",
-                "d_real": "",
-                "start": "",
-                "end": "",
-                "wait_s": f"{sd_w:.6f}",
-                "slowdown": f"{sd_sd:.6f}",
-                "status": "",
-            }
-        )
+        writer.writerow({"job_id": "sd", "wait_s": f"{sd_w:.6f}", "slowdown": f"{sd_sd:.6f}"})
 
     with paths["invocations"].open("w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=InvocationStats.CSV_FIELDS)

@@ -5,7 +5,7 @@ is decided on explicit occupancy grids and per-node capacity profiles, and
 optima come from exhaustive depth-first search with a plain additive lower
 bound.  Deliberately naive; only fit for tiny inputs.  The one exception is
 ``remove_blocks_one_by_one``, which replays a removal through ``IntVar``'s
-single-value primitives to pin the exact domain a batched move must leave.
+per-block primitive to pin the domain a batched move must leave.
 """
 
 from __future__ import annotations
@@ -524,7 +524,7 @@ def remove_blocks_one_by_one(var, reached, common) -> bool:
 
     ``remove_range(first, last)`` on each reached (first, last, node) block
     whose node is not in ``common``, in ascending order.  The batched
-    pruning must leave the same lo, hi and hole set, stale holes included.
+    pruning must leave the same lo, hi and values.
     """
     for first, last, node in reached:
         if node not in common and not var.remove_range(first, last):

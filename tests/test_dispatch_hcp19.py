@@ -4,6 +4,7 @@ import math
 import random
 
 import support
+from hpcdispatch.dispatch import hcp19
 from hpcdispatch.dispatch.common import DispatchConfig
 from hpcdispatch.dispatch.hcp19 import _build_schedule_model, build_and_solve_hcp19
 from hpcdispatch.dispatch.pcp20 import solve_pcp20
@@ -108,9 +109,9 @@ def test_pooled_cumulative_is_posted_only_when_it_can_prune():
     assert [jd.start for jd in decision.jobs] == [5]
 
 
-def test_iteration_bound_holds_unplaceable_jobs():
-    config = DispatchConfig(budget_ms=60_000, node_limit=None, hcp_max_iterations=1)
-    decision = build_and_solve_hcp19(scarce_instance(), config)
+def test_iteration_bound_holds_unplaceable_jobs(monkeypatch):
+    monkeypatch.setattr(hcp19, "MAX_ITERATIONS", 1)
+    decision = build_and_solve_hcp19(scarce_instance(), unlimited())
     assert decision.stats.realloc_iterations == 0
     assert decision.stats.deferred == 1
     (jd,) = decision.jobs

@@ -5,7 +5,7 @@ import random
 import oracles
 import support
 from hpcdispatch.dispatch.common import DispatchConfig
-from hpcdispatch.dispatch.pcp20 import build_pcp20, count_position_vars, solve_pcp20
+from hpcdispatch.dispatch.pcp20 import build_pcp20, count_position_vars, make_branch, solve_pcp20
 from hpcdispatch.kernel import Cumulative
 from hpcdispatch.system import preset
 
@@ -100,6 +100,27 @@ def test_span_filter_bakes_node_blocks_into_domains():
     values = sorted(gpu_vars[0].iter_values())
     # a two-wide claim must start a node block: odd positions only
     assert values == list(range(1, 64, 2))
+
+
+def test_branch_ranks_positions_by_bounds_not_holes():
+    # Two units with equal bounds: the first in list order is picked,
+    # whichever of them holds more holes.
+    system = support.system_of((1, {"core": 8}))
+    instance = support.instance_on(
+        system, t=0,
+        queued_jobs=[support.queued(1, 0, rn=2, unit_req={"core": 1}, d_expected=5)],
+    )
+    picks = []
+    for holed in (0, 1):
+        handle = build_pcp20(instance, support.window_of(instance))
+        (jv,) = handle.jobs
+        assert jv.start.assign(0)
+        ys = [y for _r, _u, y, _q in jv.positions]
+        assert ys[holed].remove_range(3, 5)
+        assert [(y.lo, y.hi) for y in ys] == [(1, 8), (1, 8)]
+        var, value = make_branch(handle)()
+        picks.append((ys.index(var), value))
+    assert picks == [(0, 8), (0, 8)]
 
 
 # -- decode and fallback ---------------------------------------------------------------

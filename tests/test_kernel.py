@@ -41,13 +41,11 @@ def test_new_var_rejects_empty_domain():
 def test_basic_domain_ops():
     solver = Solver()
     x = solver.new_var(0, 9, "x")
-    assert x.size() == 10
     assert not x.is_fixed()
     assert x.contains(0) and x.contains(9) and not x.contains(10)
 
     assert x.remove(4)
     assert not x.contains(4)
-    assert x.size() == 9
     assert list(x.iter_values()) == [0, 1, 2, 3, 5, 6, 7, 8, 9]
 
     assert x.assign(7)
@@ -68,9 +66,9 @@ def test_set_min_skips_holes_at_landing_value():
     x.remove(3)
     x.remove(4)
     assert x.set_min(3)
-    # 3 and 4 are holes, so the bound slides up to 5 and consumes them.
+    # 3 and 4 are holes, so the bound slides up to 5; they stay, stale.
     assert x.lo == 5
-    assert 3 not in x.holes and 4 not in x.holes
+    assert x.holes == {3, 4}
 
 
 def test_set_max_skips_holes_at_landing_value():
@@ -80,12 +78,12 @@ def test_set_max_skips_holes_at_landing_value():
     x.remove(6)
     assert x.set_max(6)
     assert x.hi == 4
-    assert not x.holes
+    assert x.holes == {5, 6}
 
 
 def test_bound_move_leaves_stale_holes_but_queries_stay_correct():
     # Bounds that jump across interior holes do not purge them; every
-    # membership query must still be right, and size() may only undercount.
+    # membership query must still be right.
     solver = Solver()
     x = solver.new_var(0, 9, "x")
     x.remove(5)
@@ -93,7 +91,6 @@ def test_bound_move_leaves_stale_holes_but_queries_stay_correct():
     assert x.holes == {5}  # stale, outside [lo, hi]
     assert not x.contains(5)
     assert list(x.iter_values()) == [0, 1, 2, 3]
-    assert x.size() <= 4
 
 
 def test_remove_outside_bounds_is_noop():
@@ -115,39 +112,6 @@ def test_remove_range_variants():
     assert x.hi == 7
     assert x.remove_range(20, 30)  # disjoint: no-op
     assert list(x.iter_values()) == [2, 6, 7]
-
-
-def test_set_min_chain_drops_the_hole_run_at_each_moving_start():
-    solver = Solver()
-    x = solver.new_var(0, 12, "x")
-    for v in (3, 4, 6, 8, 9, 11):
-        x.remove(v)
-    mark = solver.mark()
-    # Like set_min(3), set_min(5) (below the new lo: no move), set_min(8).
-    assert x.set_min_chain([3, 5, 8])
-    assert (x.lo, x.hi) == (10, 12)
-    assert x.holes == {6, 11}  # 6 stays stale; the runs 3-4 and 8-9 went
-    assert solver.mark() == mark + 1  # one trail entry
-    solver.undo_to(mark)
-    assert domain_snapshot(x) == (0, 12, frozenset({3, 4, 6, 8, 9, 11}))
-    assert x.set_min_chain([0]) and solver.mark() == mark  # no move, no entry
-    assert not x.set_min_chain([13])
-
-
-def test_set_max_gap_drops_holes_between_new_hi_and_top():
-    solver = Solver()
-    x = solver.new_var(0, 12, "x")
-    for v in (2, 5, 7, 8, 10):
-        x.remove(v)
-    mark = solver.mark()
-    # Like removing 6..9, then set_max(9): the walk ends below the hole at 5.
-    assert x.set_max_gap(5, 9)
-    assert (x.lo, x.hi) == (0, 4)
-    assert x.holes == {2, 10}  # holes above top stay
-    assert solver.mark() == mark + 1
-    solver.undo_to(mark)
-    assert domain_snapshot(x) == (0, 12, frozenset({2, 5, 7, 8, 10}))
-    assert not x.set_max_gap(-1, 3)
 
 
 def test_remove_range_emptying_domain_fails():
@@ -184,15 +148,25 @@ def test_undo_restores_exact_domains():
     assert (domain_snapshot(x), domain_snapshot(y)) == before
 
 
-def test_undo_restores_holes_consumed_by_bound_moves():
+def test_bound_moves_skip_holes_keep_them_and_undo_restores_the_domain():
+    # Holes are only ever added; a bound move skips them and leaves them
+    # in the set, so the trail holds one entry per bound move and undo
+    # restores lo, hi and the holes exactly.
     solver = Solver()
-    x = solver.new_var(0, 9, "x")
-    x.remove(5)
+    x = solver.new_var(0, 12, "x")
+    for v in (3, 4, 6, 9, 10):
+        x.remove(v)
     before = domain_snapshot(x)
 
     mark = solver.mark()
-    assert x.set_min(5)  # lands on the hole, slides to 6, deletes it
-    assert x.lo == 6 and 5 not in x.holes
+    assert x.set_min(3)  # lands on the run 3-4 and slides to 5
+    assert x.set_max(10)  # lands on the run 9-10 and slides to 8
+    assert (x.lo, x.hi) == (5, 8)
+    assert x.holes == {3, 4, 6, 9, 10}
+    assert list(x.iter_values()) == [5, 7, 8]
+    assert solver.mark() == mark + 2
+    assert x.remove(5)  # a bound value: a bound move over the hole at 6
+    assert x.lo == 7 and x.holes == {3, 4, 6, 9, 10}
     solver.undo_to(mark)
     assert domain_snapshot(x) == before
 

@@ -336,13 +336,13 @@ GOLDEN_SCENARIOS = {
 }
 # sha256 prefixes of (jobs.csv + events.log, invocations.csv without wall_ms)
 GOLDEN_DIGESTS = {
-    ("A", "pcp20"): ("a2a537b562427c83", "53840eecc8b43d99"),
+    ("A", "pcp20"): ("a2a537b562427c83", "be59e6e1a398791e"),
     ("A", "pcp19"): ("a370a73da0c6a5c4", "c7a60d29bed3e71b"),
     ("A", "hcp19"): ("a2a537b562427c83", "31264b2fa1938b6f"),
-    ("B", "pcp20"): ("a357b607e5c097a6", "85ea4f9d08ae8af0"),
+    ("B", "pcp20"): ("a357b607e5c097a6", "35f756f763c1b1c0"),
     ("B", "pcp19"): ("1287b1bf946cbb4e", "ca81a418b74543b0"),
     ("B", "hcp19"): ("f857cd799fad88a0", "aaa7146ddcc1768f"),
-    ("C", "pcp20"): ("580af369af92941d", "6e0df5b87b16220d"),
+    ("C", "pcp20"): ("580af369af92941d", "22d7a6791ba634eb"),
     ("C", "pcp19"): ("98efbb75715a0672", "cae8f2d6be553928"),
     ("C", "hcp19"): ("baba7ee83795b97c", "5826f06aa93fd1aa"),
     ("D", "hcp19"): ("a2814ee2c0bc1320", "9b0cb95c18a192ff"),
