@@ -209,7 +209,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             # run gets infinity for every metric.
             row.update({m: _INFINITY for m in _COMPARE_METRICS})
         else:
-            row.update({m: result.summary_row()[m] for m in _COMPARE_METRICS})
+            summary = result.summary_row()
+            row.update({m: summary[m] for m in _COMPARE_METRICS})
         rows.append(row)
 
     out = Path(args.out)

@@ -124,8 +124,6 @@ class FreeRuns:
     a claim takes the lowest q consecutive free positions of the block.
     ``busy`` holds the nodes with any taken cell: the owners of the running
     allocations, and every node a claim took cells from.
-    ``begin``/``rollback``/``commit`` save and restore the masks and
-    ``busy``, which makes placement of a multi-unit job all-or-nothing.
 
     A node outside ``busy`` is wholly free, so all such nodes of one
     ``system.node_classes`` class fit the same units with the same slack.
@@ -144,18 +142,6 @@ class FreeRuns:
                 lo = entry.position - 1
                 self.free[entry.resource][lo : lo + entry.extent] = bytes(entry.extent)
                 self.busy.add(system.owner[entry.resource][lo])
-        self._saved: tuple[dict[str, bytearray], set[int]] | None = None
-
-    def begin(self) -> None:
-        self._saved = ({r: mask[:] for r, mask in self.free.items()}, set(self.busy))
-
-    def rollback(self) -> None:
-        assert self._saved is not None
-        self.free, self.busy = self._saved
-        self._saved = None
-
-    def commit(self) -> None:
-        self._saved = None
 
     def find(self, node: int, resource: str, q: int) -> int | None:
         """Start of the node's lowest q consecutive free positions, or None."""
@@ -268,18 +254,24 @@ def place_units_on_nodes(
     Nodes are drawn one unit at a time, so a lazy ``node_of_unit`` sees
     the earlier units' claims.  Fails (returning None, state untouched) on
     a None node or when some node's free cells are too fragmented for a
-    contiguous claim.
+    contiguous claim: every cell claimed so far was free before, so undoing
+    the claims frees them again, and the nodes they made busy leave ``busy``.
     """
-    free.begin()
+    busy = free.busy
+    fresh: list[int] = []
     entries: list[AllocationEntry] = []
     for unit, node in enumerate(node_of_unit):
+        if node is not None and node not in busy:
+            fresh.append(node)
         for resource, q in unit_req.items():
             position = None if node is None else free.claim(node, resource, q)
             if position is None:
-                free.rollback()
+                for entry in entries:
+                    lo = entry.position - 1
+                    free.free[entry.resource][lo : lo + entry.extent] = b"\1" * entry.extent
+                busy.difference_update(fresh)
                 return None
             entries.append(AllocationEntry(unit, resource, position, q))
-    free.commit()
     return tuple(entries)
 
 

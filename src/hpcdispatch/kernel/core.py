@@ -1,11 +1,14 @@
 """Finite-domain solver core.
 
 Variables hold interval-plus-holes integer domains; every mutation is
-recorded on a trail so backtracking restores domains exactly.  Propagators
-sit in a FIFO queue and are woken by the variables they watch; search is
-depth-first branch-and-bound with a pluggable branching callback, a strict
-improvement bound on a positive-weight linear objective, and a wall-clock
-budget checked between propagation fixpoints.  Search stops as soon as an
+recorded on a trail so backtracking restores domains exactly, and domains
+are all it restores.  Propagators sit in a FIFO queue and are woken by the
+variables they watch; a wake only enqueues, so the solver tells a
+propagator nothing except to run, and one that wants to know what changed
+compares the domains with what it saw last.  Search is depth-first
+branch-and-bound with a pluggable branching callback, a strict improvement
+bound on a positive-weight linear objective, and a wall-clock budget
+checked between propagation fixpoints.  Search stops as soon as an
 incumbent meets the objective's root bound (the constant plus the weighted
 lower bounds after root propagation): nothing can beat it, so it is optimal.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 # Trail entry kinds: an old lo, an old hi, or an added hole.  Holes are
 # only ever added, so undo is the one thing that takes a hole away.
@@ -50,7 +53,7 @@ class IntVar:
         self.lo = lo
         self.hi = hi
         self.holes: set[int] = set()
-        self.watchers: list[tuple[Any, Any]] = []
+        self.watchers: list[Propagator] = []
 
     def is_fixed(self) -> bool:
         return self.lo == self.hi
@@ -160,26 +163,39 @@ class SolveResult:
     stats: SearchStats = field(repr=False, default_factory=SearchStats)
 
 
-class _ObjectiveBound:
+class Propagator:
+    """A constraint the solver runs whenever a variable it watches changes.
+
+    ``post`` registers the watches with ``Solver.watch``; ``propagate``
+    narrows domains and returns False on failure.  ``in_queue`` is the
+    solver's bookkeeping: set while the propagator waits in the queue.
+    """
+
+    name = "constraint"
+
+    def __init__(self) -> None:
+        self.in_queue = False
+
+    def post(self, solver: Solver) -> None:
+        raise NotImplementedError
+
+    def propagate(self, solver: Solver) -> bool:
+        raise NotImplementedError
+
+
+class _ObjectiveBound(Propagator):
     """sum(w_i * v_i) <= solver's current bound; weights strictly positive."""
 
     name = "objective"
-    __slots__ = ("vars", "weights", "in_queue")
 
     def __init__(self, variables: list[IntVar], weights: list[int]):
+        super().__init__()
         self.vars = variables
         self.weights = weights
-        self.in_queue = False
 
     def post(self, solver: Solver) -> None:
         for var in self.vars:
             solver.watch(var, self)
-
-    def note(self, tag: Any) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
 
     def propagate(self, solver: Solver) -> bool:
         bound = solver._objective_bound
@@ -207,7 +223,7 @@ class Solver:
     def __init__(self, name: str = ""):
         self.name = name
         self.vars: list[IntVar] = []
-        self.props: list[Any] = []
+        self.props: list[Propagator] = []
         self._trail: list[tuple[int, IntVar, int]] = []
         self._queue: deque = deque()
         self._objective_vars: list[IntVar] = []
@@ -226,13 +242,13 @@ class Solver:
         self.vars.append(var)
         return var
 
-    def add(self, prop: Any) -> Any:
+    def add(self, prop: Propagator) -> Propagator:
         self.props.append(prop)
         prop.post(self)
         return prop
 
-    def watch(self, var: IntVar, prop: Any, tag: Any = None) -> None:
-        var.watchers.append((prop, tag))
+    def watch(self, var: IntVar, prop: Propagator) -> None:
+        var.watchers.append(prop)
 
     def minimize(self, variables: list[IntVar], weights: list[int], constant: int = 0) -> None:
         if len(variables) != len(weights):
@@ -254,13 +270,12 @@ class Solver:
     # -- propagation & trail -------------------------------------------------
 
     def _wake(self, var: IntVar) -> None:
-        for prop, tag in var.watchers:
-            prop.note(tag)
+        for prop in var.watchers:
             if not prop.in_queue:
                 prop.in_queue = True
                 self._queue.append(prop)
 
-    def enqueue(self, prop: Any) -> None:
+    def enqueue(self, prop: Propagator) -> None:
         if not prop.in_queue:
             prop.in_queue = True
             self._queue.append(prop)
@@ -268,7 +283,6 @@ class Solver:
     def _clear_queue(self) -> None:
         for prop in self._queue:
             prop.in_queue = False
-            prop.reset()
         self._queue.clear()
 
     def propagate(self) -> bool:
@@ -279,7 +293,6 @@ class Solver:
             prop.in_queue = False
             stats.propagations += 1
             if not prop.propagate(self):
-                prop.reset()
                 self._clear_queue()
                 return False
         return True

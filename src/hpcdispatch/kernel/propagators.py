@@ -13,30 +13,9 @@ profile, and taken positions enter as the release intervals of ``Released``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Sequence
+from typing import Sequence
 
-from hpcdispatch.kernel.core import IntVar, Solver
-
-_FULL = None  # sentinel: next propagation must consider every pair
-
-
-class Propagator:
-    name = "constraint"
-
-    def __init__(self) -> None:
-        self.in_queue = False
-
-    def post(self, solver: Solver) -> None:
-        raise NotImplementedError
-
-    def propagate(self, solver: Solver) -> bool:
-        raise NotImplementedError
-
-    def note(self, tag: Any) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
+from hpcdispatch.kernel.core import IntVar, Propagator, Solver
 
 
 class Task:
@@ -252,9 +231,18 @@ class Diffn(Propagator):
 
     When two boxes overlap for sure on one axis, the other axis is forced
     apart: if only one relative order remains possible it is enforced on
-    the bounds, and if none remains the constraint fails.  Wakes carry the
-    index of the changed box so re-propagation only rescans its pairs.
-    Boxes of zero area are dropped.
+    the bounds, and if none remains the constraint fails.  Boxes of zero
+    area are dropped.
+
+    A pair test reads only the two boxes' bounds, so a call rescans only
+    boxes whose bounds changed.  ``_seen`` holds each box's (x.lo, x.hi,
+    y.lo, y.hi) as last seen, or None.  Each pass marks as dirty the boxes
+    whose bounds differ from it, records them, and rescans the dirty rows
+    against every partner (every i < j pair while entries are None) until
+    no box is dirty.  Every pair has then been tested at its two recorded
+    bounds, so a box whose bounds come back to them, by backtracking or
+    otherwise, needs no rescan.  A failure sets every entry to None, so a
+    failed state reached again is checked again.
     """
 
     name = "diffn"
@@ -262,39 +250,39 @@ class Diffn(Propagator):
     def __init__(self, boxes: Sequence[Box]):
         super().__init__()
         self.boxes = [b for b in boxes if b.x_len > 0 and b.y_len > 0]
-        self._dirty: set[int] | None = _FULL
+        self._seen: list[tuple[int, int, int, int] | None] = [None] * len(self.boxes)
 
     def post(self, solver: Solver) -> None:
-        for idx, box in enumerate(self.boxes):
-            solver.watch(box.x, self, idx)
-            solver.watch(box.y, self, idx)
-
-    def note(self, tag: Any) -> None:
-        if self._dirty is not _FULL:
-            self._dirty.add(tag)
-
-    def reset(self) -> None:
-        self._dirty = _FULL
+        for box in self.boxes:
+            solver.watch(box.x, self)
+            solver.watch(box.y, self)
 
     def propagate(self, solver: Solver) -> bool:
         boxes = self.boxes
+        seen = self._seen
         count = len(boxes)
         while True:
-            work = self._dirty
-            self._dirty = set()
-            if work is _FULL:
-                rows = ((i, range(i + 1, count)) for i in range(count))
-            elif not work:
+            full = False
+            dirty = []
+            for i, box in enumerate(boxes):
+                x = box.x
+                y = box.y
+                bounds = (x.lo, x.hi, y.lo, y.hi)
+                if bounds != seen[i]:
+                    full = full or seen[i] is None
+                    seen[i] = bounds
+                    dirty.append(i)
+            if not dirty:
                 return True
+            if full:
+                rows = ((i, range(i + 1, count)) for i in range(count))
             else:
-                rows = ((i, range(count)) for i in sorted(work))
+                rows = ((i, range(count)) for i in dirty)
             for i, partners in rows:
                 a = boxes[i]
                 if not all(j == i or self._prune_pair(a, boxes[j]) for j in partners):
-                    self.reset()
+                    self._seen = [None] * count
                     return False
-            if not self._dirty:
-                return True
 
     @staticmethod
     def _prune_pair(a: Box, b: Box) -> bool:

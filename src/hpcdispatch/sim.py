@@ -321,6 +321,7 @@ def write_artifacts(result: SimResult, out_dir: str | Path) -> dict[str, Path]:
         "events": out / "events.log",
         "summary": out / "summary.csv",
     }
+    summary = result.summary_row()
 
     job_fields = (
         "job_id",
@@ -360,18 +361,16 @@ def write_artifacts(result: SimResult, out_dir: str | Path) -> dict[str, Path]:
                     "status": status,
                 }
             )
-        done = result.completed()
-        avg_sd, sd_sd = result._stat([o.slowdown for o in done])
-        avg_w, sd_w = result._stat([float(o.wait) for o in done])
         writer.writerow(
             {
                 "job_id": "avg",
-                "wait_s": f"{avg_w:.6f}",
-                "slowdown": f"{avg_sd:.6f}",
-                "status": f"completed={len(done)}/{len(result.outcomes)}",
+                "wait_s": summary["avg_wait_s"],
+                "slowdown": summary["avg_slowdown"],
+                "status": f"completed={len(result.completed())}/{len(result.outcomes)}",
             }
         )
-        writer.writerow({"job_id": "sd", "wait_s": f"{sd_w:.6f}", "slowdown": f"{sd_sd:.6f}"})
+        sd_row = {"job_id": "sd", "wait_s": summary["sd_wait_s"], "slowdown": summary["sd_slowdown"]}
+        writer.writerow(sd_row)
 
     with paths["invocations"].open("w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=InvocationStats.CSV_FIELDS)
@@ -382,10 +381,9 @@ def write_artifacts(result: SimResult, out_dir: str | Path) -> dict[str, Path]:
     paths["events"].write_text("\n".join(result.events) + "\n", encoding="utf-8")
 
     with paths["summary"].open("w", newline="", encoding="utf-8") as fh:
-        row = result.summary_row()
-        writer = csv.DictWriter(fh, fieldnames=list(row))
+        writer = csv.DictWriter(fh, fieldnames=list(summary))
         writer.writeheader()
-        writer.writerow(row)
+        writer.writerow(summary)
 
     return paths
 

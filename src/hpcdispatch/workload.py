@@ -21,6 +21,7 @@ SWF_COMMENT = ";"
 ORACLE = "oracle"
 LAST_TWO = "last2"
 PREDICTOR_MODES = (ORACLE, LAST_TWO)
+DEFAULT_DURATION = 3600  # last2's guess with no history and no requested time
 
 
 @dataclass(frozen=True)
@@ -248,19 +249,16 @@ class DurationPredictor:
     ``oracle`` returns the real runtime.  ``last2`` averages the user's two
     most recent completed runtimes (rounded up); with one completion it
     returns that runtime, and with none it falls back to the trace-supplied
-    requested time and then to ``default_duration``.  History is updated
+    requested time and then to ``DEFAULT_DURATION``.  History is updated
     only when a job terminates, never when it is dispatched.
     """
 
     mode: str = ORACLE
-    default_duration: int = 3600
     _history: dict[int, deque[int]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.mode not in PREDICTOR_MODES:
             raise ValueError(f"unknown predictor mode {self.mode!r}")
-        if self.default_duration < 1:
-            raise ValueError("default_duration must be >= 1")
 
     def predict(self, job: JobRecord) -> int:
         if self.mode == ORACLE:
@@ -271,7 +269,7 @@ class DurationPredictor:
         elif job.requested:
             value = job.requested
         else:
-            value = self.default_duration
+            value = DEFAULT_DURATION
         return max(1, value)
 
     def record_completion(self, user_id: int, runtime: int) -> None:

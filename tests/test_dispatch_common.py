@@ -198,19 +198,20 @@ def test_claim_takes_the_lowest_free_window():
     assert free.claim(1, "gpu", 1) == 2
 
 
-def test_transactions_roll_back_claims():
-    _, free = make_free()
-    free.begin()
-    free.claim(1, "core", 2)
-    free.claim(2, "core", 8)
-    free.rollback()
-    assert (free.total_free(1, "core"), free.total_free(2, "core")) == (6, 8)
-    assert free.claim(1, "core", 2) == 1
+def masks_of(free):
+    return {r: bytes(mask) for r, mask in free.free.items()}
 
-    free.begin()
-    free.claim(2, "core", 8)
-    free.commit()
-    assert free.total_free(2, "core") == 0 and free.find(2, "core", 1) is None
+
+def test_failed_placement_frees_only_its_own_claims():
+    system, free = make_free()
+    kept = place_units_on_nodes(system, free, [1], {"core": 2})
+    assert kept is not None and kept[0].position == 1  # cores 1-2 of node 1
+    masks, busy = masks_of(free), set(free.busy)
+    # node 2 takes cores 9-13 and gpu 3; node 1 then has only 4 free cores
+    assert place_units_on_nodes(system, free, [2, 1], {"core": 5, "gpu": 1}) is None
+    assert masks_of(free) == masks  # running cells and the kept claim stay taken
+    assert free.busy == busy == {1}
+    assert place_units_on_nodes(system, free, [2], {"core": 8, "gpu": 2}) is not None
 
 
 def random_running(rng, system, attempts):
@@ -452,9 +453,11 @@ def test_node_choice_work_does_not_grow_with_the_machine():
 def test_place_job_is_all_or_nothing():
     system = support.system_of((2, {"core": 4}))
     free = FreeRuns(system, [])
+    masks = masks_of(free)
     assert place_job(system, free, rn=3, unit_req={"core": 3}) is None
     # failed placement leaves no residue
     assert (free.total_free(1, "core"), free.total_free(2, "core")) == (4, 4)
+    assert masks_of(free) == masks and free.busy == set()
 
     allocation = place_job(system, free, rn=2, unit_req={"core": 3})
     assert allocation is not None
@@ -480,9 +483,11 @@ def test_place_units_on_nodes_respects_choice_and_fragmentation():
     assert ok is not None and ok[0].position == 3
 
     free2 = FreeRuns(system, running)
+    masks = masks_of(free2)
     assert place_units_on_nodes(system, free2, [2, 1], {"core": 3}) is None
-    # the first unit's claim on node 2 was rolled back
+    # the first unit's claim on node 2 was undone
     assert (free2.total_free(1, "core"), free2.total_free(2, "core")) == (3, 4)
+    assert masks_of(free2) == masks and free2.busy == {1}
 
 
 def test_emergency_dispatch_takes_what_fits():

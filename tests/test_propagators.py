@@ -237,6 +237,72 @@ def test_diffn_rejects_int_origin_box():
             Diffn([Box(v, 2, v, 2), Box(x, 2, y, 2)])
 
 
+def test_diffn_fails_again_on_a_revisited_state():
+    solver = Solver()
+    ax = solver.new_var(0, 0)
+    ay = solver.new_var(0, 0)
+    bx = solver.new_var(0, 3)
+    by = solver.new_var(0, 3)
+    solver.add(Diffn([Box(ax, 2, ay, 2), Box(bx, 2, by, 2)]))
+    assert solver.propagate_all()
+    mark = solver.mark()
+    for _ in range(2):
+        assert bx.assign(1) and by.assign(1)  # b overlaps a on both axes
+        assert not solver.propagate()
+        solver.undo_to(mark)
+    assert bx.assign(2) and by.assign(1)
+    assert solver.propagate()
+
+
+def _fresh_diffn_fixpoint(solver: Solver, boxes: list[Box]):
+    """(ok, bounds of every variable) of a new Diffn over copies of the domains."""
+    fresh = Solver()
+    copies = {}
+    for var in solver.vars:
+        copy = fresh.new_var(var.lo, var.hi)
+        copy.holes = {v for v in var.holes if var.lo < v < var.hi}
+        copies[var] = copy
+    fresh.add(Diffn([Box(copies[b.x], b.x_len, copies[b.y], b.y_len) for b in boxes]))
+    ok = fresh.propagate_all()
+    return ok, [(copies[var].lo, copies[var].hi) for var in solver.vars]
+
+
+def test_diffn_rescans_from_bounds_match_a_fresh_diffn_on_random_sequences():
+    rng = random.Random(20260913)
+    for _ in range(150):
+        solver = Solver()
+        pool = [solver.new_var(0, rng.randint(3, 9)) for _ in range(rng.randint(3, 8))]
+        boxes = [
+            Box(rng.choice(pool), rng.randint(1, 3), rng.choice(pool), rng.randint(1, 3))
+            for _ in range(rng.randint(2, 5))
+        ]
+        solver.add(Diffn(boxes))
+        if not solver.propagate_all():
+            continue
+        marks = [solver.mark()]
+        for _ in range(40):
+            step = rng.random()
+            if step < 0.25:
+                marks.append(solver.mark())
+                continue
+            if step < 0.45:
+                solver.undo_to(marks.pop() if len(marks) > 1 else marks[0])
+                continue
+            for var in rng.sample(pool, rng.randint(1, 2)):
+                if var.lo == var.hi:
+                    continue
+                v = rng.randint(var.lo + 1, var.hi)
+                op = rng.choice((var.set_min, var.set_max, var.remove))
+                assert op(v if op is not var.set_max else v - 1)
+            expected = _fresh_diffn_fixpoint(solver, boxes)
+            ok = solver.propagate()
+            assert ok == expected[0]
+            if ok:
+                assert [(var.lo, var.hi) for var in solver.vars] == expected[1]
+            else:
+                solver.undo_to(marks.pop() if len(marks) > 1 else marks[0])
+
+
 # -- released -------------------------------------------------------------------
 
 
