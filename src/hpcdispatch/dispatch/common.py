@@ -324,8 +324,10 @@ def drive(
     after which they are deferred to t+1.
 
     The driver owns the rest: window selection, the budget, statistics,
-    fallback with the optional first-fit rescue, and an independent check
-    of every decision before it leaves.
+    and the fallback when no decoded decision comes out (timeout,
+    infeasible build, or no incumbent), with the optional first-fit rescue.
+    It does not check decisions: the simulator checks each one
+    (``DispatchDecision.violations``) where it applies it.
     """
     config = config or DispatchConfig()
     t0 = time.perf_counter()
@@ -384,20 +386,12 @@ def drive(
         jobs = [JobDecision(d.job_id, t + 1, None) if d.job_id in unplaced else d for d in decoded]
         break
 
-    if jobs is None:
-        decision.fallback = True
-    else:
+    stats.fallback = jobs is None
+    if jobs is not None:
         decision.jobs = jobs
-        if decision.violations(instance):
-            # A decoded solution failing the independent validator means a
-            # model or propagator bug; refuse to dispatch rather than corrupt state.
-            decision.jobs = []
-            decision.fallback = True
-            stats.status = "decode-error"
-    if decision.fallback and config.emergency_first_fit:
+    elif config.emergency_first_fit:
         decision.jobs = emergency_dispatch(instance, window)
 
     stats.dispatched = len(decision.dispatched())
-    stats.fallback = decision.fallback
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
     return decision

@@ -59,7 +59,7 @@ def _build_schedule_model(
     system = instance.system
     t = instance.t
     eoh = horizon(t, window, instance.running)
-    solver = Solver("hcp19")
+    solver = Solver()
     handle = Hcp19Handle(solver=solver)
     for entry in window:
         lo = t + 1 if entry.job_id in held else t

@@ -130,9 +130,14 @@ class DispatchInstance:
     system: SystemModel
 
     def validate(self) -> list[Violation]:
-        """Check snapshot invariants: every queued job fits the empty system,
-        and running jobs must be mutually consistent."""
+        """Check snapshot invariants: every job id appears once, every queued
+        job fits the empty system, and running jobs must be mutually consistent."""
         problems: list[Violation] = []
+        seen: set[int] = set()
+        for job_id in [e.job_id for e in self.queued] + [r.job_id for r in self.running]:
+            if job_id in seen:
+                problems.append(Violation("repeated-id", f"job {job_id} appears twice"))
+            seen.add(job_id)
         for entry in self.queued:
             if not fits_system(self.system, entry):
                 problems.append(
@@ -349,28 +354,42 @@ class JobDecision:
 class DispatchDecision:
     jobs: list[JobDecision] = field(default_factory=list)
     stats: InvocationStats | None = None
-    fallback: bool = False
 
     def dispatched(self) -> list[JobDecision]:
         return [d for d in self.jobs if d.allocation is not None]
 
     def violations(self, instance: DispatchInstance) -> list[Violation]:
-        """Independent feasibility check of this decision against the snapshot.
+        """The one check of this decision against its snapshot.
 
-        Every running job and every freshly dispatched job holds its
-        allocation at t, so disjoint occupancy at that instant is exactly
-        what a valid decision needs, whatever the real durations turn out
-        to be.
+        The simulator runs it on every decision before applying it.  Each
+        job has at most one decision, and a dispatched job must be queued
+        and start at t.  Every running job and every freshly dispatched job
+        then holds its allocation at t, so disjoint occupancy at that
+        instant is exactly what a valid decision needs, whatever the real
+        durations turn out to be.
         """
+        queued = {entry.job_id for entry in instance.queued}
+        seen: set[int] = set()
+        problems: list[Violation] = []
         dispatched = []
-        for decision in self.dispatched():
-            if decision.start != instance.t:
-                return [
+        for decision in self.jobs:
+            job_id = decision.job_id
+            if job_id in seen:
+                problems.append(Violation("repeated-job", f"job {job_id} is decided twice"))
+            seen.add(job_id)
+            if decision.allocation is None:
+                continue
+            if job_id not in queued:
+                problems.append(Violation("unknown-job", f"job {job_id} is not queued"))
+            elif decision.start != instance.t:
+                problems.append(
                     Violation(
                         "late-allocation",
-                        f"job {decision.job_id} has an allocation but start {decision.start} != t",
+                        f"job {job_id} has an allocation but start {decision.start} != t",
                     )
-                ]
-            dispatched.append((decision.job_id, decision.allocation))
+                )
+            dispatched.append((job_id, decision.allocation))
+        if problems:
+            return problems
         running = [(run.job_id, run.allocation) for run in instance.running]
         return validate_allocation(instance.system, running, dispatched)

@@ -76,7 +76,7 @@ def build_pcp19(
     system = instance.system
     t = instance.t
     eoh = horizon(t, window, instance.running)
-    solver = Solver("pcp19")
+    solver = Solver()
     handle = Pcp19Handle(solver=solver)
 
     free_now = FreeRuns(system, instance.running)

@@ -79,7 +79,7 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
     system = instance.system
     t = instance.t
     eoh = horizon(t, window, instance.running)
-    solver = Solver("pcp20")
+    solver = Solver()
     handle = ModelHandle(solver=solver)
 
     for entry in window:

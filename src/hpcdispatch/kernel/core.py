@@ -171,8 +171,6 @@ class Propagator:
     solver's bookkeeping: set while the propagator waits in the queue.
     """
 
-    name = "constraint"
-
     def __init__(self) -> None:
         self.in_queue = False
 
@@ -185,8 +183,6 @@ class Propagator:
 
 class _ObjectiveBound(Propagator):
     """sum(w_i * v_i) <= solver's current bound; weights strictly positive."""
-
-    name = "objective"
 
     def __init__(self, variables: list[IntVar], weights: list[int]):
         super().__init__()
@@ -220,8 +216,7 @@ Branching = Callable[[], "tuple[IntVar, int] | None"]
 class Solver:
     """Owns variables, propagators, the trail, and the search loop."""
 
-    def __init__(self, name: str = ""):
-        self.name = name
+    def __init__(self) -> None:
         self.vars: list[IntVar] = []
         self.props: list[Propagator] = []
         self._trail: list[tuple[int, IntVar, int]] = []
@@ -404,20 +399,3 @@ class Solver:
                 self._clear_queue()
             self.stats.fails += 1
         return False
-
-    # -- debugging ---------------------------------------------------------------
-
-    def dump(self) -> str:
-        """Human-readable listing of variables, domains, and constraints."""
-        lines = [f"model {self.name or '(unnamed)'}: {len(self.vars)} vars, {len(self.props)} constraints"]
-        for var in self.vars:
-            lines.append(f"  {var!r}")
-        for prop in self.props:
-            lines.append(f"  constraint {getattr(prop, 'name', type(prop).__name__)}")
-        if self._objective_vars:
-            terms = " + ".join(
-                f"{w}*{v.name or f'v{v.index}'}"
-                for v, w in zip(self._objective_vars, self._objective_weights)
-            )
-            lines.append(f"  minimize {terms} + {self._objective_const}")
-        return "\n".join(lines)

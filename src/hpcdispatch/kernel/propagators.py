@@ -56,8 +56,6 @@ class Cumulative(Propagator):
     ``can_prune``.
     """
 
-    name = "cumulative"
-
     @staticmethod
     def can_prune(tasks: Sequence[Task], peak: int, capacity: int) -> bool:
         """Whether a cumulative over ``tasks`` and some constants can ever act.
@@ -245,8 +243,6 @@ class Diffn(Propagator):
     failed state reached again is checked again.
     """
 
-    name = "diffn"
-
     def __init__(self, boxes: Sequence[Box]):
         super().__init__()
         self.boxes = [b for b in boxes if b.x_len > 0 and b.y_len > 0]
@@ -329,8 +325,6 @@ class Released(Propagator):
     its scans meet or jump past, so it does not grow with the intervals
     elsewhere.
     """
-
-    name = "released"
 
     def __init__(self, start: IntVar, y: IntVar, q: int, held: Held):
         super().__init__()
@@ -476,8 +470,6 @@ class ElementEqual(Propagator):
     reached node is common and the call returns at once.
     """
 
-    name = "element_eq"
-
     def __init__(self, blocks_a: Blocks, y_a: IntVar, blocks_b: Blocks, y_b: IntVar):
         super().__init__()
         for blocks, var in ((blocks_a, y_a), (blocks_b, y_b)):
@@ -562,8 +554,6 @@ def _reached_blocks(blocks: Blocks, var: IntVar) -> list[tuple[int, int, int]]:
 class AllDifferent(Propagator):
     """Forward checking: a fixed value is removed from every other domain."""
 
-    name = "alldifferent"
-
     def __init__(self, variables: Sequence[IntVar]):
         super().__init__()
         self.vars = list(variables)
@@ -593,8 +583,6 @@ class AllDifferent(Propagator):
 
 class BoolSumEq(Propagator):
     """Sum of 0/1 variables equals a constant."""
-
-    name = "bool_sum_eq"
 
     def __init__(self, variables: Sequence[IntVar], total: int):
         super().__init__()

@@ -7,10 +7,12 @@ time a dispatcher spends deciding is measured but never added to the
 simulated clock, so prediction quality and solver speed influence only
 the decisions themselves, not the physics of the replay.
 
-Every invocation's dispatched allocations are checked against the running
-jobs' allocations at that instant before they are applied; a violation
-aborts the run, because it can only mean a dispatcher produced an unsound
-decision.
+Every invocation's decision is checked once, here, before it is applied
+(``DispatchDecision.violations``): each dispatched job must be queued,
+dispatched once and start now, and its allocation must be disjoint from
+the running jobs' allocations at that instant.  A violation aborts the
+run, because it can only mean a dispatcher produced an unsound decision;
+no dispatcher replaces such a decision with a fallback.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from hpcdispatch.dispatch.instance import (
 )
 from hpcdispatch.system import (
     SystemModel,
-    validate_allocation,
+    validate_allocation,  # noqa: F401 -- a bench/run.py:install_spans hook
     validate_mutual,  # noqa: F401 -- a bench/run.py:install_spans hook
 )
 from hpcdispatch.workload import PREDICTOR_MODES, DurationPredictor, JobRecord, index_jobs
@@ -246,17 +248,13 @@ def run_simulation(
         decision = dispatch_fn(instance, config.dispatch)
         last_dispatch_t = t
         result.invocations.append(decision.stats)
-        dispatched = decision.dispatched()
-        problems = validate_allocation(
-            system,
-            [(jid, run.allocation) for jid, run in running.items()],
-            [(jd.job_id, jd.allocation) for jd in dispatched],
-        )
+        problems = decision.violations(instance)
         if problems:
             detail = "; ".join(str(p) for p in problems[:5])
             raise SimulationError(
                 f"dispatcher {config.dispatcher} produced an invalid decision at t={t}: {detail}"
             )
+        dispatched = decision.dispatched()
         for jd in dispatched:
             entry = queue.pop(jd.job_id)
             duration = entry.job.runtime
@@ -273,7 +271,7 @@ def run_simulation(
             log(f"t={t} start job={jd.job_id} wait={t - entry.job.submit}")
         log(
             f"t={t} dispatch queued={len(instance.queued)} window={decision.stats.window_size}"
-            f" dispatched={len(dispatched)} fallback={int(decision.fallback)}"
+            f" dispatched={len(dispatched)} fallback={int(decision.stats.fallback)}"
         )
 
         if dispatched:

@@ -120,7 +120,7 @@ def build_case(kind: str, rng: random.Random):
     ``vars`` lists every decision variable in enumeration order; ``ok``
     takes the corresponding value tuple.
     """
-    solver = Solver(kind)
+    solver = Solver()
     if kind == "cumulative":
         n = rng.randint(1, 4)
         starts = [

@@ -31,6 +31,7 @@ from hpcdispatch.dispatch.instance import (
     replicas,
     unit_demands,
 )
+from hpcdispatch.sim import SimConfig, SimulationError, run_simulation
 from hpcdispatch.system import preset, validate_allocation
 from hpcdispatch.workload import make_job
 
@@ -514,39 +515,26 @@ DECODERS = {
 }
 
 
-def one_node_half_busy():
-    """Cores 1-2 of a four-core node run job 9; job 1 wants two cores now."""
-    system = support.system_of((1, {"core": 4}))
-    running = [
-        support.running(system, 9, start=0, d_expected=50, placements=[(0, 1, "core", 1, 2)])
-    ]
-    queued = [support.queued(1, submit=0, rn=1, unit_req={"core": 2}, d_expected=10)]
-    return support.instance_on(system, t=5, queued_jobs=queued, running_jobs=running)
-
-
 @pytest.mark.parametrize("name", sorted(DISPATCHERS))
 @pytest.mark.parametrize("rescue", [False, True])
 def test_decode_guard_refuses_an_overlapping_decision(name, rescue, monkeypatch):
+    """A decoded decision is checked where the simulator applies it, and
+    an invalid one aborts the run: the driver neither falls back nor lets
+    the first-fit rescue replace it."""
     module, decoder = DECODERS[name]
 
     def overlapping(handle, instance, values):
-        return [JobDecision(1, instance.t, (AllocationEntry(0, "core", 2, 2),))]
+        return [
+            JobDecision(entry.job_id, instance.t, (AllocationEntry(0, "core", 1, 2),))
+            for entry in instance.queued
+        ]
 
     monkeypatch.setattr(module, decoder, overlapping)
-    instance = one_node_half_busy()
-    config = DispatchConfig(budget_ms=10_000, node_limit=None, emergency_first_fit=rescue)
-    decision = DISPATCHERS[name](instance, config)
-    assert decision.stats.status == "decode-error"
-    assert decision.fallback and decision.stats.fallback
-    if rescue:
-        # The first-fit rescue takes the free cores 3-4 instead.
-        assert [d.allocation for d in decision.dispatched()] == [
-            (AllocationEntry(0, "core", 3, 2),)
-        ]
-    else:
-        assert decision.dispatched() == []
-    assert decision.stats.dispatched == len(decision.dispatched())
-    assert decision.violations(instance) == []
+    system = support.system_of((1, {"core": 4}))
+    trace = [make_job(job_id, 0, 0, 1, {"core": 2}, 10) for job_id in (1, 2)]
+    dispatch = DispatchConfig(budget_ms=10_000, node_limit=None, emergency_first_fit=rescue)
+    with pytest.raises(SimulationError, match="double-booking"):
+        run_simulation(trace, system, SimConfig(dispatcher=name, dispatch=dispatch))
 
 
 @pytest.mark.parametrize("name", sorted(DISPATCHERS))
@@ -558,4 +546,4 @@ def test_empty_window_is_optimal_at_zero(name):
     stats = decision.stats
     assert (stats.status, stats.objective) == ("optimal", 0)
     assert (stats.queue_size, stats.window_size, stats.n_vars) == (1, 0, 0)
-    assert decision.jobs == [] and not decision.fallback
+    assert decision.jobs == [] and not decision.stats.fallback

@@ -81,7 +81,7 @@ def test_pooled_schedule_triggers_reallocation_loop():
     (jd,) = decision.jobs
     assert jd.start == 11  # pushed past t after the failed placement
     assert decision.violations(instance) == []
-    assert not decision.fallback
+    assert not decision.stats.fallback
 
 
 def test_pooled_cumulative_is_posted_only_when_it_can_prune():
@@ -123,7 +123,7 @@ def test_zero_budget_times_out_with_fallback():
     instance = scarce_instance()
     decision = build_and_solve_hcp19(instance, DispatchConfig(budget_ms=0.0))
     assert decision.stats.status == "timeout"
-    assert decision.fallback
+    assert decision.stats.fallback
     assert decision.jobs == []
 
     rescue = build_and_solve_hcp19(

@@ -162,6 +162,6 @@ def test_build_deadline_on_a_big_system_reports_timeout():
     instance = support.instance_on(system, t=1000, queued_jobs=jobs)
     decision = build_and_solve_pcp19(instance, DispatchConfig(budget_ms=1.0))
     assert decision.stats.status == "timeout"
-    assert decision.fallback
+    assert decision.stats.fallback
     assert decision.stats.n_vars > 40_000  # the count is known without building
     assert decision.jobs == []

@@ -213,7 +213,7 @@ def test_node_limit_exhaustion_reports_timeout_fallback():
     instance = support.instance_on(system, t=1000, queued_jobs=jobs)
     decision = solve_pcp20(instance, DispatchConfig(budget_ms=10_000, node_limit=0))
     assert decision.stats.status == "timeout"
-    assert decision.fallback
+    assert decision.stats.fallback
     assert decision.jobs == []
 
 

@@ -125,6 +125,16 @@ def test_validate_flags_overlapping_running_jobs():
     assert {v.kind for v in instance.validate()} == {"double-booking"}
 
 
+def test_validate_flags_a_repeated_job_id():
+    system = support.system_of((1, {"core": 4}))
+    job = support.queued(1, submit=0, rn=1, unit_req={"core": 1}, d_expected=10)
+    run = support.running(system, 1, start=0, d_expected=10, placements=[(0, 1, "core", 1, 1)])
+    twice_queued = DispatchInstance(t=5, queued=[job, job], running=[], system=system)
+    queued_and_running = DispatchInstance(t=5, queued=[job], running=[run], system=system)
+    for instance in (twice_queued, queued_and_running):
+        assert [v.kind for v in instance.validate()] == ["repeated-id"]
+
+
 # -- decisions ----------------------------------------------------------------------
 
 
@@ -166,6 +176,16 @@ def test_decision_violations_reject_allocation_with_future_start():
         jobs=[JobDecision(3, 51, allocation=(AllocationEntry(1, "core", 3, 1),))]
     )
     assert [v.kind for v in decision.violations(instance)] == ["late-allocation"]
+
+
+def test_decision_violations_reject_unknown_and_repeated_jobs():
+    instance = sample_instance()
+    core = (AllocationEntry(1, "core", 3, 1),)
+    decision = DispatchDecision(
+        jobs=[JobDecision(1, 50, core), JobDecision(3, 50, core), JobDecision(3, 60)]
+    )
+    kinds = [v.kind for v in decision.violations(instance)]
+    assert kinds == ["unknown-job", "repeated-job"]
 
 
 # -- invocation stats ------------------------------------------------------------------

@@ -347,14 +347,3 @@ def test_search_statistics_are_deterministic():
 
     assert run() == run()
 
-
-def test_dump_mentions_objective_and_constraints():
-    solver = Solver("toy")
-    x = solver.new_var(0, 3, "x")
-    y = solver.new_var(0, 3, "y")
-    solver.add(AllDifferent([x, y]))
-    solver.minimize([x], [2], constant=1)
-    text = solver.dump()
-    assert "toy" in text
-    assert "alldifferent" in text
-    assert "minimize" in text

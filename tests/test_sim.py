@@ -6,7 +6,9 @@ import hashlib
 import pytest
 
 import support
+from hpcdispatch import sim
 from hpcdispatch.dispatch import DISPATCHERS, DispatchConfig
+from hpcdispatch.dispatch import instance as instance_module
 from hpcdispatch.dispatch.instance import (
     AllocationEntry,
     DispatchDecision,
@@ -23,7 +25,7 @@ from hpcdispatch.sim import (
     snapshot_instance,
     write_artifacts,
 )
-from hpcdispatch.system import preset
+from hpcdispatch.system import preset, validate_allocation
 from hpcdispatch.workload import eurora_mix, generate_trace, gpu_scarce_mix, make_job
 
 
@@ -164,6 +166,51 @@ def test_overlapping_dispatch_aborts_the_run():
             run_simulation(two_job_trace(), one_core(), sim_config(dispatcher="stub-pile"))
     finally:
         del DISPATCHERS["stub-pile"]
+
+
+def _twice(t):
+    return [
+        JobDecision(1, t, (AllocationEntry(0, "core", 1, 1),)),
+        JobDecision(1, t, (AllocationEntry(0, "core", 2, 1),)),
+    ]
+
+
+def _not_queued(t):
+    return [JobDecision(7, t, (AllocationEntry(0, "core", 1, 1),))]
+
+
+def _late(t):
+    return [JobDecision(1, t + 5, (AllocationEntry(0, "core", 1, 1),))]
+
+
+MALFORMED = {"repeated-job": _twice, "unknown-job": _not_queued, "late-allocation": _late}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_decision_aborts_the_run(kind, monkeypatch):
+    def stub(instance, config):
+        stats = InvocationStats(dispatcher="stub", t=instance.t)
+        return DispatchDecision(jobs=MALFORMED[kind](instance.t), stats=stats)
+
+    monkeypatch.setitem(DISPATCHERS, "stub", stub)
+    trace = [make_job(1, 1, 0, 1, {"core": 1}, 10)]
+    with pytest.raises(SimulationError, match=kind):
+        run_simulation(trace, support.system_of((1, {"core": 2})), sim_config(dispatcher="stub"))
+
+
+def test_each_invocation_checks_its_decision_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate_allocation(*args)
+
+    # Wherever the simulator or a dispatcher looks the check up.
+    monkeypatch.setattr(sim, "validate_allocation", counted)
+    monkeypatch.setattr(instance_module, "validate_allocation", counted)
+    result = run_simulation(two_job_trace(), one_core(), sim_config())
+    assert len(result.invocations) == 2
+    assert len(calls) == len(result.invocations)
 
 
 def test_wall_cap_aborts_the_run():
