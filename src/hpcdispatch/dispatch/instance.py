@@ -209,7 +209,7 @@ class DispatchInstance:
         if not isinstance(data, dict):
             raise ValueError("snapshot: not a JSON object")
         with _payload_part("snapshot"):
-            t = int(data["t"])
+            t = _integer("t", data["t"])
             system_payload = data["system"]
             if isinstance(system_payload, str):
                 system = preset(system_payload)
@@ -220,29 +220,30 @@ class DispatchInstance:
         queued = []
         for number, entry in enumerate(queued_payload, 1):
             with _payload_part(_entry_label("queued", number, entry)):
-                rn = int(entry["rn"])
-                req = {str(r): int(v) for r, v in entry["req"].items()}
+                rn = _integer("rn", entry["rn"])
+                req = {str(r): _integer(f"req {r!r}", v) for r, v in entry["req"].items()}
                 for r, total in req.items():
                     if rn < 1 or total % rn:
                         raise ValueError(f"demand {total} for {r!r} not divisible by rn={rn}")
                 job = JobRecord(
-                    job_id=int(entry["id"]),
-                    user_id=int(entry.get("user", 0)),
-                    submit=int(entry["q"]),
+                    job_id=_integer("id", entry["id"]),
+                    user_id=_integer("user", entry.get("user", 0)),
+                    submit=_integer("q", entry["q"]),
                     node_count=rn,
                     demand=req,
-                    runtime=int(entry["d_real"]),
+                    runtime=_integer("d_real", entry["d_real"]),
                 )
-                queued.append(QueuedJob(job=job, d_expected=int(entry["d_expected"])))
+                d_expected = _integer("d_expected", entry["d_expected"])
+                queued.append(QueuedJob(job=job, d_expected=d_expected))
         running = []
         for number, entry in enumerate(running_payload, 1):
             with _payload_part(_entry_label("running", number, entry)):
                 allocation = tuple(
                     AllocationEntry(
-                        unit=int(a["unit"]),
+                        unit=_integer("unit", a["unit"]),
                         resource=str(a["r"]),
-                        position=int(a["y"]),
-                        extent=int(a["q"]),
+                        position=_integer("y", a["y"]),
+                        extent=_integer("q", a["q"]),
                     )
                     for a in entry.get("allocation", [])
                 )
@@ -253,19 +254,20 @@ class DispatchInstance:
                     units.add(a.unit)
                 # The saved form drops the running job's owner and arrival time;
                 # neither influences any dispatcher decision.
+                start = _integer("s", entry["s"])
                 job = JobRecord(
-                    job_id=int(entry["id"]),
+                    job_id=_integer("id", entry["id"]),
                     user_id=0,
-                    submit=int(entry["s"]),
+                    submit=start,
                     node_count=max(1, len(units)),
                     demand=demand,
-                    runtime=int(entry["d_real"]),
+                    runtime=_integer("d_real", entry["d_real"]),
                 )
                 running.append(
                     RunningJob(
                         job=job,
-                        start=int(entry["s"]),
-                        d_expected=int(entry["d_expected"]),
+                        start=start,
+                        d_expected=_integer("d_expected", entry["d_expected"]),
                         allocation=allocation,
                     )
                 )
@@ -294,6 +296,14 @@ def _payload_part(where: str) -> Iterator[None]:
         raise ValueError(f"{where}: missing {exc}") from None
     except (TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+def _integer(what: str, value: object) -> int:
+    """``value`` if it is an int; checked, not coerced, as int() would load
+    2.5 as 2 and accept "4" or true."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def _entry_label(kind: str, number: int, entry: object) -> str:

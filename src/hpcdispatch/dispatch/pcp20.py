@@ -1,17 +1,20 @@
 """Joint scheduling-and-allocation dispatcher over flat position spaces.
 
 One model decides both when and where jobs run.  Each job unit gets one
-position variable per requested resource type, ranging over the whole
-system's flattened capacity for that type, so the variable count depends
-only on the visible queue, never on the node count.  Non-overlap of the
-queued jobs' (time x position) boxes (posted where a resource has two or
-more, since a lone box has no pair to keep apart), plus one release
-constraint per position variable against the running allocations' release
-intervals, carries allocation feasibility; one same-node constraint per
-unit and pair of resources, over the system's node blocks, keeps a unit on
-one node; pooled and position-axis cumulatives provide relaxation pruning,
-and are posted only when they can prune (``Cumulative.can_prune``), so a
-resource no window job requests gets no propagator at all.
+position variable per requested resource type, ranging over that type's
+flattened capacity within the start windows of its claim width
+(``SystemModel.start_windows``).  A domain is two bounds over one shared
+windows object per (resource, width), so neither the variable count nor
+the size of a variable depends on the node count, only on the visible
+queue.  Non-overlap of the queued jobs' (time x position) boxes (posted
+where a resource has two or more, since a lone box has no pair to keep
+apart), plus one release constraint per position variable against the
+running allocations' release intervals, carries allocation feasibility;
+one same-node constraint per unit and pair of resources, over the
+positions' start windows, keeps a unit on one node; pooled and
+position-axis cumulatives provide relaxation pruning, and are posted only
+when they can prune (``Cumulative.can_prune``), so a resource no window
+job requests gets no propagator at all.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from hpcdispatch.kernel import (
     Released,
     Solver,
     Task,
-    apply_span_filter,
 )
 
 
@@ -65,7 +67,6 @@ class _JobVars:
 class ModelHandle:
     solver: Solver
     jobs: list[_JobVars] = field(default_factory=list)
-    infeasible_build: bool = False
 
 
 def count_position_vars(instance: DispatchInstance, window: list[QueuedJob]) -> tuple[int, int]:
@@ -89,14 +90,16 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
         for resource in requested_resources(system, entry):
             q = unit_req[resource]
             # A q-wide claim at y occupies y..y+q-1, so y and y+q-1 must
-            # share a node block; the span filter bakes that into the domain.
-            span = system.span_filter(resource, q)
+            # share a node block: y ranges over the start windows.  A valid
+            # instance has one, as fits_system checks cap // q.
+            windows = system.start_windows(resource, q)
             for unit in range(entry.rn):
                 yvar = solver.new_var(
-                    1, system.total_capacity[resource], f"y{entry.job_id}.{resource}.{unit}"
+                    1,
+                    system.total_capacity[resource],
+                    f"y{entry.job_id}.{resource}.{unit}",
+                    windows,
                 )
-                if not apply_span_filter(yvar, span):
-                    handle.infeasible_build = True
                 positions.append((resource, unit, yvar, q))
         handle.jobs.append(
             _JobVars(
@@ -163,11 +166,7 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
             by_res[res].append(yvar)
         for unit in range(jv.entry.rn):
             for r1, r2 in zip(resources, resources[1:]):
-                solver.add(
-                    ElementEqual(
-                        system.blocks[r1], by_res[r1][unit], system.blocks[r2], by_res[r2][unit]
-                    )
-                )
+                solver.add(ElementEqual(by_res[r1][unit], by_res[r2][unit]))
         if jv.entry.rn > 1:
             for r in resources:
                 solver.add(AllDifferent(by_res[r]))
@@ -181,7 +180,7 @@ def make_branch(handle: ModelHandle):
     """Earliest-startable job first; fix its start low, then its position
     variable with the narrowest bounds (least hi - lo, first in list order
     on a tie) high (best fit).  Job ties: priority, then job id.  The pick
-    reads bounds only, never holes."""
+    reads bounds only, and every value it returns is a bound."""
     jobs = handle.jobs
 
     def branch():
@@ -229,11 +228,10 @@ def _decode(
     return out
 
 
-def _build(instance, window, held, deadline) -> ModelHandle | None:
+def _build(instance, window, held, deadline) -> ModelHandle:
     # Decoding never leaves a job unplaced, so held stays empty; the build
     # does not watch the deadline.
-    handle = build_pcp20(instance, window)
-    return None if handle.infeasible_build else handle
+    return build_pcp20(instance, window)
 
 
 def solve_pcp20(

@@ -6,6 +6,7 @@ from hpcdispatch.kernel.core import (
     STATUS_OPTIMAL,
     STATUS_TIMEOUT,
     IntVar,
+    NodeBlocks,
     SearchStats,
     SolveResult,
     Solver,
@@ -17,10 +18,8 @@ from hpcdispatch.kernel.propagators import (
     Cumulative,
     Diffn,
     ElementEqual,
-    NodeBlocks,
     Released,
     Task,
-    apply_span_filter,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "IntVar",
     "NodeBlocks",
     "Released",
-    "apply_span_filter",
     "SearchStats",
     "SolveResult",
     "Solver",

@@ -1,11 +1,13 @@
 """Finite-domain solver core.
 
-Variables hold interval-plus-holes integer domains; every mutation is
-recorded on a trail so backtracking restores domains exactly, and domains
-are all it restores.  Propagators sit in a FIFO queue and are woken by the
-variables they watch; a wake only enqueues, so the solver tells a
-propagator nothing except to run, and one that wants to know what changed
-compares the domains with what it saw last.  Search is depth-first
+Variables hold interval domains, optionally restricted to fixed, shared
+windows (such as the start windows of a claim).  Only bounds ever move;
+every move is recorded on a trail so backtracking restores domains
+exactly, and domains are all it restores.  Branching picks a bound, so its
+refutation moves that bound too.  Propagators sit in a FIFO queue and are
+woken by the variables they watch; a wake only enqueues, so the solver
+tells a propagator nothing except to run, and one that wants to know what
+changed compares the domains with what it saw last.  Search is depth-first
 branch-and-bound with a pluggable branching callback, a strict improvement
 bound on a positive-weight linear objective, and a wall-clock budget
 checked between propagation fixpoints.  Search stops as soon as an
@@ -16,13 +18,13 @@ lower bounds after root propagation): nothing can beat it, so it is optimal.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
-# Trail entry kinds: an old lo, an old hi, or an added hole.  Holes are
-# only ever added, so undo is the one thing that takes a hole away.
-_LO, _HI, _HOLE = 0, 1, 2
+# Trail entry kinds: an old lo or an old hi.
+_LO, _HI = 0, 1
 
 STATUS_OPTIMAL = "optimal"  # incumbent proven optimal (tree exhausted or root bound met)
 STATUS_FEASIBLE = "feasible"  # budget hit, incumbent in hand
@@ -30,29 +32,55 @@ STATUS_INFEASIBLE = "infeasible"  # exhausted without any solution
 STATUS_TIMEOUT = "timeout"  # budget hit before the first solution
 
 
-class IntVar:
-    """Integer variable with a bounds-plus-holes domain.
+class NodeBlocks(list):
+    """Ascending, disjoint (first, last, node) intervals plus their parallel
+    ``firsts`` and ``nodes`` lists.
 
-    The domain is the values in [lo, hi] that are not in ``holes``.  Holes
-    are only ever added, by ``remove`` and ``remove_range``, and only
-    ``undo_to`` takes them away.  A bound move that lands on a hole skips
-    past it, so lo and hi are values while the domain is not empty, and
-    the holes it moves across stay in the set (purging them would cost
-    O(holes), and span-filtered position variables carry one hole per
-    node boundary).  Anything reading ``holes`` directly must ignore
-    entries outside (lo, hi); ``contains``, ``iter_values`` and the domain
-    operations already do.
+    ``SystemModel.blocks`` holds one per resource, contiguous and covering
+    1..total; ``SystemModel.start_windows`` derives from it the starts a
+    q-wide claim may take, and an ``IntVar`` may range over such windows.
+    The parallel lists are built once, with the intervals, so that a bound
+    move can bisect ``firsts`` and ``ElementEqual`` can compare the nodes
+    it reaches as slices.
     """
 
-    __slots__ = ("solver", "index", "name", "lo", "hi", "holes", "watchers")
+    def __init__(self, blocks: Iterable[tuple[int, int, int]] = ()):
+        super().__init__(blocks)
+        self.firsts = [first for first, _, _ in self]
+        self.nodes = [node for _, _, node in self]
 
-    def __init__(self, solver: Solver, index: int, lo: int, hi: int, name: str):
+
+class IntVar:
+    """Integer variable whose domain is an interval, optionally within windows.
+
+    Without ``windows`` the domain is every value in [lo, hi].  With them,
+    it is the values in [lo, hi] that lie in one of the ``NodeBlocks``
+    intervals: fixed data, shared by every variable built over it and never
+    trailed.  Only lo and hi ever change, and only ``undo_to`` moves them
+    back.  A bound move that lands between two windows snaps into the next
+    one, with one bisection of ``windows.firsts``, so lo and hi are values
+    while the domain is not empty.  ``remove`` moves a bound when it
+    removes lo or hi and otherwise does nothing, so branching and
+    refutation act on bounds only.
+    """
+
+    __slots__ = ("solver", "index", "name", "lo", "hi", "windows", "watchers")
+
+    def __init__(
+        self,
+        solver: Solver,
+        index: int,
+        lo: int,
+        hi: int,
+        name: str,
+        windows: NodeBlocks | None,
+    ):
         self.solver = solver
         self.index = index
         self.name = name
         self.lo = lo
         self.hi = hi
-        self.holes: set[int] = set()
+        self.windows = windows
         self.watchers: list[Propagator] = []
 
     def is_fixed(self) -> bool:
@@ -63,20 +91,32 @@ class IntVar:
             raise ValueError(f"variable {self.name or self.index} is not fixed")
         return self.lo
 
-    def contains(self, v: int) -> bool:
-        return self.lo <= v <= self.hi and v not in self.holes
+    def next_value(self, v: int) -> int:
+        """The least value >= v that the windows allow; past hi means none."""
+        windows = self.windows
+        if windows is None:
+            return v
+        k = bisect_right(windows.firsts, v)
+        if k and v <= windows[k - 1][1]:
+            return v
+        return windows.firsts[k] if k < len(windows) else v
 
-    def iter_values(self) -> Iterator[int]:
-        holes = self.holes
-        return (v for v in range(self.lo, self.hi + 1) if v not in holes)
+    def prev_value(self, v: int) -> int:
+        """The greatest value <= v that the windows allow; below lo means none."""
+        windows = self.windows
+        if windows is None:
+            return v
+        k = bisect_right(windows.firsts, v)
+        if k and v > windows[k - 1][1]:
+            return windows[k - 1][1]
+        return v
 
     def set_min(self, v: int) -> bool:
         if v <= self.lo:
             return True
         self.solver._trail.append((_LO, self, self.lo))
-        holes = self.holes
-        while v in holes:
-            v += 1
+        if self.windows is not None:
+            v = self.next_value(v)
         self.lo = v
         if v > self.hi:
             return False
@@ -87,9 +127,8 @@ class IntVar:
         if v >= self.hi:
             return True
         self.solver._trail.append((_HI, self, self.hi))
-        holes = self.holes
-        while v in holes:
-            v -= 1
+        if self.windows is not None:
+            v = self.prev_value(v)
         self.hi = v
         if v < self.lo:
             return False
@@ -97,53 +136,18 @@ class IntVar:
         return True
 
     def remove(self, v: int) -> bool:
-        if v < self.lo or v > self.hi:
-            return True
+        """Remove v if it is a bound; any other value stays in the domain."""
         if v == self.lo:
             return self.set_min(v + 1)
         if v == self.hi:
             return self.set_max(v - 1)
-        if v in self.holes:
-            return True
-        self.solver._trail.append((_HOLE, self, v))
-        self.holes.add(v)
-        self.solver._wake(self)
-        return True
-
-    def remove_range(self, a: int, b: int) -> bool:
-        """Remove every value in [a, b] from the domain."""
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        if a > b:
-            return True
-        if a <= self.lo:
-            return self.set_min(b + 1)
-        if b >= self.hi:
-            return self.set_max(a - 1)
-        trail = self.solver._trail
-        holes = self.holes
-        added = False
-        for v in range(a, b + 1):
-            if v not in holes:
-                trail.append((_HOLE, self, v))
-                holes.add(v)
-                added = True
-        if added:
-            self.solver._wake(self)
         return True
 
     def assign(self, v: int) -> bool:
-        if not self.contains(v):
-            return False
         return self.set_min(v) and self.set_max(v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_fixed():
-            dom = str(self.lo)
-        elif self.holes:
-            dom = f"[{self.lo}..{self.hi}]\\{sorted(self.holes)}"
-        else:
-            dom = f"[{self.lo}..{self.hi}]"
+        dom = str(self.lo) if self.is_fixed() else f"[{self.lo}..{self.hi}]"
         return f"{self.name or f'v{self.index}'}={dom}"
 
 
@@ -230,10 +234,16 @@ class Solver:
 
     # -- model construction -------------------------------------------------
 
-    def new_var(self, lo: int, hi: int, name: str = "") -> IntVar:
-        if lo > hi:
+    def new_var(
+        self, lo: int, hi: int, name: str = "", windows: NodeBlocks | None = None
+    ) -> IntVar:
+        """A variable over [lo, hi], or over the values of [lo, hi] in ``windows``."""
+        var = IntVar(self, len(self.vars), lo, hi, name, windows)
+        if windows is not None:
+            var.lo = var.next_value(lo)
+            var.hi = var.prev_value(hi)
+        if var.lo > var.hi or (windows is not None and not windows):
             raise ValueError(f"empty initial domain [{lo},{hi}] for {name!r}")
-        var = IntVar(self, len(self.vars), lo, hi, name)
         self.vars.append(var)
         return var
 
@@ -304,13 +314,11 @@ class Solver:
     def undo_to(self, mark: int) -> None:
         trail = self._trail
         while len(trail) > mark:
-            kind, var, payload = trail.pop()
+            kind, var, old = trail.pop()
             if kind == _LO:
-                var.lo = payload
-            elif kind == _HI:
-                var.hi = payload
+                var.lo = old
             else:
-                var.holes.discard(payload)
+                var.hi = old
 
     # -- search ----------------------------------------------------------------
 
@@ -322,8 +330,10 @@ class Solver:
     ) -> SolveResult:
         """Depth-first branch-and-bound driven by ``branch``.
 
-        ``branch`` returns (var, value) to try next (refuted as var != value
-        on backtracking) or None once every decision variable is fixed.
+        ``branch`` returns (var, value) to try next, or None once every
+        decision variable is fixed.  ``value`` must be var.lo or var.hi, so
+        that its refutation, var != value, moves a bound; any other value
+        is a ValueError.
         Each incumbent tightens a strict upper bound on the objective, so
         the final incumbent is optimal whenever the tree is exhausted.  An
         incumbent equal to the root bound (the objective's constant plus
@@ -365,6 +375,11 @@ class Solver:
                     break
                 continue
             var, value = decision
+            if value != var.lo and value != var.hi:
+                raise ValueError(
+                    f"branching chose {value} for {var.name or var.index}, "
+                    f"which is not a bound of [{var.lo},{var.hi}]"
+                )
             mark = self.mark()
             frames.append((mark, var, value))
             stats.decisions += 1

@@ -4,8 +4,10 @@ The set is exactly what the dispatch models need: timetable-filtering
 cumulative (with an optional 0/1 presence variable per task), pairwise
 diffn over variable rectangles, "a claim starts only after the held
 intervals it meets are released", "two positions lie on the same node" over
-the system's node blocks, forward-checking alldifferent, and a boolean
-cardinality sum.  Constants, such as running jobs, are never watched or
+each position's start windows, forward-checking alldifferent, and a boolean
+cardinality sum.  Domains are bounds over windows (see ``IntVar``), so
+every propagator moves only bounds, and the release and same-node checks
+are exact on them.  Constants, such as running jobs, are never watched or
 pushed: a cumulative task placed at a plain int is folded into a base
 profile, and taken positions enter as the release intervals of ``Released``.
 """
@@ -319,11 +321,12 @@ class Released(Propagator):
     share one ``held``; it is read, never copied.
 
     Filtering is exact on bounds: ``y.lo`` and ``y.hi`` move to the nearest
-    values whose window meets no interval released after ``start.hi``, and
-    ``start.lo`` rises to the least release level at which some value of
-    ``y`` fits.  A call bisects ``held`` and then reads only the intervals
-    its scans meet or jump past, so it does not grow with the intervals
-    elsewhere.
+    values of ``y`` whose claim meets no interval released after
+    ``start.hi``, and ``start.lo`` rises to the least release level at which
+    some value of ``y`` fits.  A jump past an interval lands on the next
+    value of ``y`` (``IntVar.next_value`` / ``prev_value``).  A call bisects
+    ``held`` and then reads only the intervals its scans meet or jump past,
+    so it does not grow with the intervals elsewhere.
     """
 
     def __init__(self, start: IntVar, y: IntVar, q: int, held: Held):
@@ -344,9 +347,8 @@ class Released(Propagator):
         count = len(held)
         if not count:
             return True
-        holes = y.holes
         floor = start.lo
-        # Upward from y.lo: find a window whose latest release is below
+        # Upward from y.lo: find a claim whose latest release is below
         # ``bar``, first any that fits (bar = start.hi + 1), then ever lower
         # ones until one fits at ``floor``.  A jump passes the rightmost
         # interval released at ``bar`` or later; every value it skips
@@ -372,9 +374,7 @@ class Released(Propagator):
                     level = release
                 j += 1
             if block >= 0:
-                v = held[block][1] + 1
-                while v in holes:
-                    v += 1
+                v = y.next_value(held[block][1] + 1)
                 k = block + 1
                 continue
             if first_fit is None:
@@ -409,150 +409,74 @@ class Released(Propagator):
                 j -= 1
             if block < 0:
                 return v >= y.hi or y.set_max(v)
-            v = held[block][0] - q
-            while v in holes:
-                v -= 1
+            v = y.prev_value(held[block][0] - q)
             k = block - 1
-
-
-def apply_span_filter(var: IntVar, filt: tuple[int, int, frozenset[int]]) -> bool:
-    """Restrict a freshly created variable in place (no trail, no wakes).
-
-    ``filt`` is (lo, hi, holes) with every hole strictly between lo and hi.
-    Only valid before search starts; the restriction becomes part of the
-    root domain.  Like ``set_min`` and ``set_max``, a bound that lands on a
-    hole skips past it.
-    """
-    holes = var.holes
-    holes.update(filt[2])
-    lo = max(var.lo, filt[0])
-    hi = min(var.hi, filt[1])
-    while lo in holes:
-        lo += 1
-    while hi in holes:
-        hi -= 1
-    var.lo, var.hi = lo, hi
-    return lo <= hi
-
-
-Blocks = Sequence[tuple[int, int, int]]
-
-
-class NodeBlocks(list):
-    """Node blocks plus their parallel ``firsts`` and ``nodes`` lists.
-
-    A list of ascending, contiguous (first, last, node) triples covering
-    1..total; ``firsts[k]`` and ``nodes[k]`` are block k's first position
-    and node.  The parallel lists are built once, with the blocks, so that
-    ``ElementEqual`` can bisect and compare the reached nodes as slices.
-    """
-
-    def __init__(self, blocks: Blocks = ()):
-        super().__init__(blocks)
-        self.firsts = [first for first, _, _ in self]
-        self.nodes = [node for _, _, node in self]
 
 
 class ElementEqual(Propagator):
     """Positions ``y_a`` and ``y_b`` lie on the same node.
 
-    ``blocks_a`` and ``blocks_b`` are two resources' node blocks, as in
-    ``SystemModel.blocks``: ascending, contiguous (first, last, node)
-    triples covering 1..total.  Filtering is exact on the index domains: a
-    block's positions survive only while the other index can still reach
-    its node.  A call reads only the blocks that meet each index's
-    [lo, hi], found by bisection, so it does not grow with the node count,
-    and moves each bound of each index at most once (``_keep_common``).
-
-    When both block lists are ``NodeBlocks``, a call first tries a cheaper
-    test: if each index reaches every block meeting its [lo, hi]
-    (``_reached_slice``) and the two runs of nodes are equal, every
-    reached node is common and the call returns at once.
+    Each position ranges over its own windows (``IntVar.windows``), such as
+    ``SystemModel.start_windows`` builds, and a window's node is the node
+    of every position in it.  Filtering is exact on bounds: each bound
+    moves to the nearest window on a node the other position reaches.  Two
+    bisections per position find the windows meeting its [lo, hi] as one
+    slice of ``windows.nodes``; each of them holds a value, since lo and hi
+    are values and windows are intervals.  So a call does not grow with the
+    node count outside the positions' bounds.  If the two slices are equal,
+    every reached node is common and the call returns at once.
     """
 
-    def __init__(self, blocks_a: Blocks, y_a: IntVar, blocks_b: Blocks, y_b: IntVar):
+    def __init__(self, y_a: IntVar, y_b: IntVar):
         super().__init__()
-        for blocks, var in ((blocks_a, y_a), (blocks_b, y_b)):
-            total = blocks[-1][1] if blocks else 0
-            if var.lo < 1 or var.hi > total:
-                raise ValueError(
-                    f"index {var.name!r} domain [{var.lo},{var.hi}] is outside [1,{total}]"
-                )
-        self.blocks_a = blocks_a
+        for var in (y_a, y_b):
+            if var.windows is None:
+                raise ValueError(f"position {var.name!r} has no windows to give its nodes")
         self.y_a = y_a
-        self.blocks_b = blocks_b
         self.y_b = y_b
-        self.slices = isinstance(blocks_a, NodeBlocks) and isinstance(blocks_b, NodeBlocks)
 
     def post(self, solver: Solver) -> None:
         solver.watch(self.y_a, self)
         solver.watch(self.y_b, self)
 
     def propagate(self, solver: Solver) -> bool:
-        if self.slices:
-            nodes_a = _reached_slice(self.blocks_a, self.y_a)
-            if nodes_a is not None and nodes_a == _reached_slice(self.blocks_b, self.y_b):
-                return True
-        reached_a = _reached_blocks(self.blocks_a, self.y_a)
-        reached_b = _reached_blocks(self.blocks_b, self.y_b)
-        nodes_b = {node for _, _, node in reached_b}
-        common = {node for _, _, node in reached_a if node in nodes_b}
+        y_a, y_b = self.y_a, self.y_b
+        k_a, end_a = _reached(y_a)
+        k_b, end_b = _reached(y_b)
+        nodes_a = y_a.windows.nodes[k_a:end_a]
+        nodes_b = y_b.windows.nodes[k_b:end_b]
+        if nodes_a == nodes_b:
+            return True
+        common = set(nodes_a).intersection(nodes_b)
         if not common:
             return False
-        return _keep_common(self.y_a, reached_a, common) and _keep_common(
-            self.y_b, reached_b, common
-        )
+        return _keep_common(y_a, k_a, end_a, common) and _keep_common(y_b, k_b, end_b, common)
 
 
-def _keep_common(var: IntVar, reached: list[tuple[int, int, int]], common: set[int]) -> bool:
-    """Remove the reached blocks whose node is not in ``common``, one bound move per side."""
-    low = 0
-    while reached[low][2] not in common:
-        low += 1
-    high = len(reached) - 1
-    while reached[high][2] not in common:
-        high -= 1
-    if not (var.set_min(reached[low][0]) and var.set_max(reached[high][1])):
-        return False
-    for first, last, node in reached[low + 1 : high]:
-        if node not in common and not var.remove_range(first, last):
-            return False
-    return True
+def _reached(var: IntVar) -> tuple[int, int]:
+    """The slice of ``var.windows`` that meets [var.lo, var.hi]."""
+    firsts = var.windows.firsts
+    return bisect_right(firsts, var.lo) - 1, bisect_right(firsts, var.hi)
 
 
-def _reached_slice(blocks: NodeBlocks, var: IntVar) -> list[int] | None:
-    """The nodes of the blocks meeting [var.lo, var.hi], if var reaches them all.
-
-    lo is a value and so is every block start inside (lo, hi] that is not
-    a hole, so when none is a hole, every block meeting the bounds holds a
-    value.  Otherwise None: some block may be empty.
-    """
-    firsts = blocks.firsts
-    k = bisect_right(firsts, var.lo) - 1
-    end = bisect_right(firsts, var.hi)
-    if var.holes and not var.holes.isdisjoint(firsts[k + 1 : end]):
-        return None
-    return blocks.nodes[k:end]
-
-
-def _reached_blocks(blocks: Blocks, var: IntVar) -> list[tuple[int, int, int]]:
-    """The blocks meeting [var.lo, var.hi] that still hold a value of var."""
-    lo, hi, holes = var.lo, var.hi, var.holes
-    # (p + 1,) sorts after exactly the blocks that start at or before p.
-    k = bisect_left(blocks, (lo + 1,)) - 1
-    out = [blocks[k]]  # it holds lo, and lo is never a hole
-    for block in blocks[k + 1 : bisect_left(blocks, (hi + 1,))]:
-        p = block[0]
-        last = block[1] if block[1] < hi else hi
-        while p in holes and p <= last:
-            p += 1
-        if p <= last:
-            out.append(block)
-    return out
+def _keep_common(var: IntVar, k: int, end: int, common: set[int]) -> bool:
+    """Move var's bounds to the nearest reached windows whose node is in ``common``."""
+    windows = var.windows
+    nodes = windows.nodes
+    while nodes[k] not in common:
+        k += 1
+    end -= 1
+    while nodes[end] not in common:
+        end -= 1
+    return var.set_min(windows.firsts[k]) and var.set_max(windows[end][1])
 
 
 class AllDifferent(Propagator):
-    """Forward checking: a fixed value is removed from every other domain."""
+    """Forward checking: a fixed value is removed from every other domain.
+
+    ``IntVar.remove`` moves only bounds, so a fixed value prunes another
+    variable only where it is one of that variable's bounds.
+    """
 
     def __init__(self, variables: Sequence[IntVar]):
         super().__init__()

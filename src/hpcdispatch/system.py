@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from hpcdispatch.kernel.propagators import NodeBlocks
+from hpcdispatch.kernel.core import NodeBlocks
 
 
 class SystemModel:
@@ -59,8 +59,7 @@ class SystemModel:
         )
         # Flattened position spaces: owner[r][p-1] is the node id owning
         # position p; blocks[r] lists (first, last, node) spans in node order,
-        # with the parallel first-position and node lists the same-node
-        # constraint reads.
+        # from which start_windows derives the position domains.
         self.total_capacity: dict[str, int] = {}
         self.owner: dict[str, list[int]] = {}
         self.blocks: dict[str, NodeBlocks] = {}
@@ -79,34 +78,27 @@ class SystemModel:
             self.owner[resource] = owner
             self.blocks[resource] = NodeBlocks(blocks)
             self.total_capacity[resource] = len(owner)
-        self._span_filters: dict[tuple[str, int], tuple[int, int, frozenset[int]]] = {}
+        self._start_windows: dict[tuple[str, int], NodeBlocks] = {}
 
     def cap(self, node: int, resource: str) -> int:
         return self.caps[node - 1].get(resource, 0)
 
-    def span_filter(self, resource: str, q: int) -> tuple[int, int, frozenset[int]]:
-        """Domain filter for "a q-wide claim of resource starts inside one node block".
+    def start_windows(self, resource: str, q: int) -> NodeBlocks:
+        """Where a q-wide claim of ``resource`` may start and stay on one node.
 
-        Returns (lo, hi, holes) for ``kernel.apply_span_filter``; lo > hi
-        means no block is q wide.  Memoized per (resource, q).
+        One (first, last - q + 1, node) window per node block at least q
+        wide; empty if no block is.  Memoized per (resource, q), so every
+        position variable of one claim width shares one object.
         """
         key = (resource, q)
-        cached = self._span_filters.get(key)
-        if cached is None:
-            windows = [
-                (first, last - q + 1)
-                for first, last, _ in self.blocks[resource]
+        windows = self._start_windows.get(key)
+        if windows is None:
+            windows = self._start_windows[key] = NodeBlocks(
+                (first, last - q + 1, node)
+                for first, last, node in self.blocks[resource]
                 if last - first + 1 >= q
-            ]
-            holes: set[int] = set()
-            for (_, prev_hi), (next_lo, _) in zip(windows, windows[1:]):
-                holes.update(range(prev_hi + 1, next_lo))
-            if windows:
-                cached = (windows[0][0], windows[-1][1], frozenset(holes))
-            else:
-                cached = (1, 0, frozenset())
-            self._span_filters[key] = cached
-        return cached
+            )
+        return windows
 
     def position_to_node(self, resource: str, position: int) -> int:
         owner = self.owner.get(resource)

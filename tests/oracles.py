@@ -3,9 +3,7 @@
 Nothing here touches the solver kernel or the dispatch models: feasibility
 is decided on explicit occupancy grids and per-node capacity profiles, and
 optima come from exhaustive depth-first search with a plain additive lower
-bound.  Deliberately naive; only fit for tiny inputs.  The one exception is
-``remove_blocks_one_by_one``, which replays a removal through ``IntVar``'s
-per-block primitive to pin the domain a batched move must leave.
+bound.  Deliberately naive; only fit for tiny inputs.
 """
 
 from __future__ import annotations
@@ -517,19 +515,6 @@ def owner_list(blocks) -> list:
 
 def same_node_ok(owner_a, owner_b, position_a: int, position_b: int) -> bool:
     return owner_a[position_a - 1] == owner_b[position_b - 1]
-
-
-def remove_blocks_one_by_one(var, reached, common) -> bool:
-    """The same-node channel's pruning of one side, one block at a time.
-
-    ``remove_range(first, last)`` on each reached (first, last, node) block
-    whose node is not in ``common``, in ascending order.  The batched
-    pruning must leave the same lo, hi and values.
-    """
-    for first, last, node in reached:
-        if node not in common and not var.remove_range(first, last):
-            return False
-    return True
 
 
 def alldifferent_ok(values) -> bool:

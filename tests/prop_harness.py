@@ -7,11 +7,12 @@ unsupported values (filtering here is not arc consistent) but must never
 drop a supported one, and may only fail when no full assignment exists.
 Cumulative tasks are sometimes constants (plain ints), so base profiles
 are drawn too; the oracle takes them as fixed values.  Diffn boxes are
-sometimes already placed (singleton domains).  Release cases draw
-a claim whose position domain carries a node layout's span holes, against
-random held intervals.  Element cases draw the node blocks of two resources
-over a few nodes, some lacking one resource, and judge by per-position
-owners.
+sometimes already placed (singleton domains).  Domains are intervals, as
+the kernel keeps them.  Release cases draw a claim whose position ranges
+over a node layout's start windows, against random held intervals.
+Element cases draw two resources over a few nodes, some lacking one
+resource, and a position over each one's start windows for a random claim
+width, and judge by per-position owners.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from hpcdispatch.kernel import (
     Released,
     Solver,
     Task,
-    apply_span_filter,
 )
 from hpcdispatch.system import SystemModel
 
@@ -41,62 +41,42 @@ KINDS = ("cumulative", "diffn", "element", "alldifferent", "boolsum", "release")
 def _random_var(solver: Solver, rng: random.Random, lo=-2, hi=8, max_size=8) -> IntVar:
     a = rng.randint(lo, hi - 1)
     b = min(hi, a + rng.randint(0, max_size - 1))
-    var = solver.new_var(a, b, f"v{len(solver.vars)}")
-    for v in range(a + 1, b):
-        if rng.random() < 0.25:
-            var.remove(v)
-    return var
+    return solver.new_var(a, b, f"v{len(solver.vars)}")
 
 
-def _random_block_maps(rng: random.Random):
-    """Node blocks of two resources on 1-5 nodes; a node may lack either one."""
+def _random_system(rng: random.Random) -> SystemModel:
+    """Resources a and b on 1-5 nodes; a node may lack either one."""
     nodes = rng.randint(1, 5)
     while True:
-        caps = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(nodes)]
-        if sum(a for a, _ in caps) >= 2 and sum(b for _, b in caps) >= 2:
-            break
-    maps = []
-    for side in (0, 1):
-        blocks = []
-        first = 1
-        for node, cap in enumerate(caps, 1):
-            if cap[side]:
-                blocks.append((first, first + cap[side] - 1, node))
-                first += cap[side]
-        maps.append(blocks)
-    return maps
+        caps = [{"a": rng.randint(0, 3), "b": rng.randint(0, 3)} for _ in range(nodes)]
+        if sum(c["a"] for c in caps) >= 2 and sum(c["b"] for c in caps) >= 2:
+            return SystemModel(caps)
 
 
-def _random_position_var(solver: Solver, rng: random.Random, total: int) -> IntVar:
-    """A random domain inside [1, total], sometimes with stale holes past its bounds."""
-    var = _random_var(solver, rng, lo=1, hi=total)
+def _random_position_var(
+    solver: Solver, rng: random.Random, system: SystemModel, resource: str
+) -> tuple[IntVar, int]:
+    """(y, q): a position over the start windows of a random claim width q,
+    its bounds sometimes narrowed to random values of its domain."""
+    q = rng.randint(1, max(cap[resource] for cap in system.caps))
+    total = system.total_capacity[resource]
+    y = solver.new_var(1, total, f"y{len(solver.vars)}", system.start_windows(resource, q))
     if rng.random() < 0.3:
-        var.set_min(rng.choice(_domain(var)))
+        y.set_min(rng.choice(domain(y)))
     if rng.random() < 0.3:
-        var.set_max(rng.choice(_domain(var)))
-    return var
+        y.set_max(rng.choice(domain(y)))
+    return y, q
 
 
 def _random_claim(solver: Solver, rng: random.Random):
     """(y, q, held): a q-wide claim over a few nodes, and disjoint held intervals.
 
-    y's domain is the span filter of q on random node sizes, then thinned
-    like any position variable.  Intervals are at most three wide, a few
-    positions apart, with releases in [0, 8].
+    y ranges over the start windows of q on random node sizes.  Intervals
+    are at most three wide, a few positions apart, with releases in [0, 8].
     """
-    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
-    q = rng.randint(1, min(3, max(sizes)))
-    system = SystemModel([{"core": size} for size in sizes])
+    system = SystemModel([{"core": rng.randint(1, 4)} for _ in range(rng.randint(1, 5))])
+    y, q = _random_position_var(solver, rng, system, "core")
     total = system.total_capacity["core"]
-    y = solver.new_var(1, total, f"y{len(solver.vars)}")
-    apply_span_filter(y, system.span_filter("core", q))
-    for v in range(y.lo + 1, y.hi):
-        if rng.random() < 0.2:
-            y.remove(v)
-    if rng.random() < 0.3:
-        y.set_min(rng.choice(_domain(y)))
-    if rng.random() < 0.3:
-        y.set_max(rng.choice(_domain(y)))
     held = []
     p = rng.randint(0, 2)
     while p <= total + 1:
@@ -106,8 +86,15 @@ def _random_claim(solver: Solver, rng: random.Random):
     return y, q, held
 
 
-def _domain(var: IntVar) -> list[int]:
-    return list(var.iter_values())
+def domain(var: IntVar) -> list[int]:
+    """The values of var: [lo, hi], within its windows if it has any."""
+    if var.windows is None:
+        return list(range(var.lo, var.hi + 1))
+    return [
+        v
+        for first, last, _ in var.windows
+        for v in range(max(first, var.lo), min(last, var.hi) + 1)
+    ]
 
 
 def _value(term: IntVar | int, lookup: dict) -> int:
@@ -192,13 +179,11 @@ def build_case(kind: str, rng: random.Random):
         return solver, [start, y], lambda values: oracles.released_ok(held, q, *values)
 
     if kind == "element":
-        blocks_a, blocks_b = _random_block_maps(rng)
-        variables = [
-            _random_position_var(solver, rng, blocks[-1][1]) for blocks in (blocks_a, blocks_b)
-        ]
-        solver.add(ElementEqual(blocks_a, variables[0], blocks_b, variables[1]))
-        owner_a = oracles.owner_list(blocks_a)
-        owner_b = oracles.owner_list(blocks_b)
+        system = _random_system(rng)
+        variables = [_random_position_var(solver, rng, system, r)[0] for r in ("a", "b")]
+        solver.add(ElementEqual(*variables))
+        owner_a = oracles.owner_list(system.blocks["a"])
+        owner_b = oracles.owner_list(system.blocks["b"])
         return solver, variables, lambda values: oracles.same_node_ok(owner_a, owner_b, *values)
 
     if kind == "alldifferent":
@@ -225,7 +210,7 @@ def build_case(kind: str, rng: random.Random):
 def run_case(kind: str, rng: random.Random) -> str:
     """One random case; raises AssertionError with context on a violation."""
     solver, variables, ok = build_case(kind, rng)
-    before = [_domain(v) for v in variables]
+    before = [domain(v) for v in variables]
     supported = oracles.support_sets(before, ok)
     feasible = bool(supported[0]) if variables else ok(())
     outcome = solver.propagate_all()
@@ -236,7 +221,7 @@ def run_case(kind: str, rng: random.Random) -> str:
         )
         return "fail-ok"
     for var, dom, keep in zip(variables, before, supported):
-        left = set(var.iter_values())
+        left = set(domain(var))
         lost = keep - left
         assert not lost, (
             f"{kind}: supported values {sorted(lost)} removed from {var.name}; "

@@ -159,6 +159,22 @@ def tiny_instance(rng: random.Random) -> DispatchInstance:
 # -- queue mixes for the variable-count checks ---------------------------------
 
 
+def size_independence_queue() -> list[QueuedJob]:
+    """A fixed 10-job queue at t=600 for machines of 16 cores, 16 mem, 2 gpu and 2 mic per node."""
+    return [
+        queued(1, 440, 1, {"core": 4}, 300),
+        queued(2, 450, 1, {"core": 2, "mem": 8}, 1200),
+        queued(3, 460, 1, {"core": 1, "gpu": 2}, 600),
+        queued(4, 470, 1, {"core": 8, "mem": 16}, 900),
+        queued(5, 480, 1, {"core": 2, "mic": 2}, 450),
+        queued(6, 490, 2, {"core": 8}, 3600),
+        queued(7, 495, 2, {"core": 4, "gpu": 1}, 150),
+        queued(8, 500, 2, {"core": 2, "mem": 4}, 800),
+        queued(9, 505, 1, {"core": 16}, 60),
+        queued(10, 510, 2, {"core": 1, "mem": 1}, 2400),
+    ]
+
+
 def eurora_style_queue(rng: random.Random, size: int, t: int = 1000) -> list[QueuedJob]:
     """Mixed serial/parallel jobs shaped like the 64-node preset's workload.
 
@@ -216,8 +232,6 @@ def full_pcp20(instance: DispatchInstance, budget_ms: float = 120_000.0):
     """
     config = _unlimited(budget_ms)
     handle = build_pcp20(instance, window_of(instance, config))
-    if handle.infeasible_build:
-        return None, None
     result = handle.solver.solve(pcp20_branch(handle), budget_ms=budget_ms)
     assert result.status == STATUS_OPTIMAL, f"pcp20 did not finish: {result.status}"
     system = instance.system

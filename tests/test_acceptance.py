@@ -103,18 +103,7 @@ def test_variable_count_law(capsys):
 def test_system_size_independence(capsys):
     started = time.perf_counter()
     caps = {"core": 16, "mem": 16, "gpu": 2, "mic": 2}
-    queue = [
-        support.queued(1, 440, 1, {"core": 4}, 300),
-        support.queued(2, 450, 1, {"core": 2, "mem": 8}, 1200),
-        support.queued(3, 460, 1, {"core": 1, "gpu": 2}, 600),
-        support.queued(4, 470, 1, {"core": 8, "mem": 16}, 900),
-        support.queued(5, 480, 1, {"core": 2, "mic": 2}, 450),
-        support.queued(6, 490, 2, {"core": 8}, 3600),
-        support.queued(7, 495, 2, {"core": 4, "gpu": 1}, 150),
-        support.queued(8, 500, 2, {"core": 2, "mem": 4}, 800),
-        support.queued(9, 505, 1, {"core": 16}, 60),
-        support.queued(10, 510, 2, {"core": 1, "mem": 1}, 2400),
-    ]
+    queue = support.size_independence_queue()
     joint, replicated = [], []
     for nodes in (2, 64, 1173):
         system = support.system_of((nodes, caps), name=f"synth{nodes}")

@@ -139,6 +139,27 @@ MALFORMED = {
         '{"t": 5, "system": "eurora", "queued": [{"id": 1, "q": 0, "req": {"core": 1},'
         ' "d_expected": 5, "d_real": 5}]}',
     ),
+    "snapshot-fractional-rn": (
+        "--instance", "s.json",
+        '{"t": 5, "system": "eurora", "queued": [{"id": 1, "q": 0, "rn": 2.5,'
+        ' "req": {"core": 4}, "d_expected": 5, "d_real": 5}]}',
+    ),
+    "snapshot-bool-t": ("--instance", "s.json", '{"t": true, "system": "eurora"}'),
+    "snapshot-text-d-expected": (
+        "--instance", "s.json",
+        '{"t": 5, "system": "eurora", "queued": [{"id": 1, "q": 0, "rn": 1,'
+        ' "req": {"core": 1}, "d_expected": "4", "d_real": 5}]}',
+    ),
+    "snapshot-fractional-position": (
+        "--instance", "s.json",
+        '{"t": 5, "system": "eurora", "running": [{"id": 1, "s": 0, "d_expected": 9,'
+        ' "d_real": 9, "allocation": [{"unit": 1, "r": "core", "y": 1.7, "q": 1}]}]}',
+    ),
+    "snapshot-fractional-start": (
+        "--instance", "s.json",
+        '{"t": 20, "system": "eurora", "running": [{"id": 1, "s": 10.9, "d_expected": 9,'
+        ' "d_real": 9, "allocation": [{"unit": 1, "r": "core", "y": 1, "q": 1}]}]}',
+    ),
     "snapshot-list": ("--instance", "s.json", "[1]"),
     "snapshot-deep-nesting": ("--instance", "s.json", "[" * 100_000),
     "system-groups-text": ("--system", "sys.json", '{"groups": "x"}'),
@@ -180,6 +201,12 @@ def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, case):
         assert err == "error: duplicate job id 1 in trace\n"
     if case == "system-deep-nesting":
         assert err.startswith(f"error: system config {path}: ") and "recursion" in err
+    if case in ("snapshot-fractional-rn", "snapshot-text-d-expected"):
+        assert err.startswith("error: queued job 1: ") and "must be an integer" in err
+    if case in ("snapshot-fractional-position", "snapshot-fractional-start"):
+        assert err.startswith("error: running job 1: ") and "must be an integer" in err
+    if case == "snapshot-bool-t":
+        assert err == "error: snapshot: t must be an integer, not True\n"
     if case == "snapshot-deep-nesting":
         assert err.startswith(f"error: snapshot {path}: ") and "recursion" in err
 

@@ -3,6 +3,7 @@
 import random
 
 import oracles
+import prop_harness
 import support
 from hpcdispatch.dispatch.common import DispatchConfig
 from hpcdispatch.dispatch.pcp20 import build_pcp20, count_position_vars, make_branch, solve_pcp20
@@ -97,30 +98,66 @@ def test_span_filter_bakes_node_blocks_into_domains():
     (jv,) = handle.jobs
     gpu_vars = [y for res, _u, y, _q in jv.positions if res == "gpu"]
     assert len(gpu_vars) == 1
-    values = sorted(gpu_vars[0].iter_values())
+    values = prop_harness.domain(gpu_vars[0])
     # a two-wide claim must start a node block: odd positions only
     assert values == list(range(1, 64, 2))
 
 
+def test_position_domains_share_the_start_windows():
+    # Every position variable holds its (resource, width)'s one windows
+    # object, so nothing is copied per variable.
+    for name in ("eurora", "kit-forhlr2"):
+        system = preset(name)
+        rng = random.Random(12)
+        jobs = support.eurora_style_queue(rng, 12)
+        if name == "kit-forhlr2":
+            jobs = [entry for entry in jobs if entry.job.demand.get("mic", 0) == 0]
+        instance = support.instance_on(system, t=1000, queued_jobs=jobs)
+        handle = build_pcp20(instance, support.window_of(instance))
+        positions = [(res, q, y) for jv in handle.jobs for res, _u, y, q in jv.positions]
+        assert len(positions) > len(handle.jobs)
+        for resource, q, y in positions:
+            assert y.windows is system.start_windows(resource, q)
+
+
+def test_search_cost_ignores_node_count():
+    # Gate check 2's 10-job queue on an idle machine: the same status,
+    # objective, decisions and propagations on 64 and on 20,000 nodes.
+    caps = {"core": 16, "mem": 16, "gpu": 2, "mic": 2}
+    queue = support.size_independence_queue()
+    outcomes = []
+    for nodes in (64, 20_000):
+        system = support.system_of((nodes, caps), name=f"synth{nodes}")
+        instance = support.instance_on(system, 600, queue)
+        handle = build_pcp20(instance, support.window_of(instance))
+        result = handle.solver.solve(make_branch(handle), node_limit=1500)
+        stats = result.stats
+        outcomes.append((result.status, result.objective, stats.decisions, stats.propagations))
+    assert outcomes[0] == outcomes[1] == ("optimal", 138190, 34, 235)
+
+
 def test_branch_ranks_positions_by_bounds_not_holes():
-    # Two units with equal bounds: the first in list order is picked,
-    # whichever of them holds more holes.
-    system = support.system_of((1, {"core": 8}))
-    instance = support.instance_on(
-        system, t=0,
-        queued_jobs=[support.queued(1, 0, rn=2, unit_req={"core": 1}, d_expected=5)],
-    )
+    # One unit's two-wide core position, over starts 1, 3-4 and 6-7, and
+    # its one-wide mem position, over 1-8, both with bounds 3..7: the first
+    # in list order (the system's resource order) is picked, whichever of
+    # them holds fewer values.
     picks = []
-    for holed in (0, 1):
+    for first in ({"core": 2, "mem": 2}, {"mem": 2, "core": 2}):
+        system = support.system_of((1, first), (2, {"core": 3, "mem": 3}))
+        instance = support.instance_on(
+            system, t=0,
+            queued_jobs=[support.queued(1, 0, rn=1, unit_req={"core": 2, "mem": 1}, d_expected=5)],
+        )
         handle = build_pcp20(instance, support.window_of(instance))
         (jv,) = handle.jobs
         assert jv.start.assign(0)
-        ys = [y for _r, _u, y, _q in jv.positions]
-        assert ys[holed].remove_range(3, 5)
-        assert [(y.lo, y.hi) for y in ys] == [(1, 8), (1, 8)]
+        ys = {res: y for res, _u, y, _q in jv.positions}
+        for y in ys.values():
+            assert y.set_min(3) and y.set_max(7)
+        assert [len(prop_harness.domain(ys[r])) for r in ("core", "mem")] == [4, 5]
         var, value = make_branch(handle)()
-        picks.append((ys.index(var), value))
-    assert picks == [(0, 8), (0, 8)]
+        picks.append((next(r for r, y in ys.items() if y is var), value))
+    assert picks == [("core", 7), ("mem", 7)]
 
 
 # -- decode and fallback ---------------------------------------------------------------

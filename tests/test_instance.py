@@ -84,6 +84,38 @@ def test_load_rejects_demand_not_divisible_by_units():
     assert "divisible" in str(err.value)
 
 
+NOT_INTEGERS = {
+    "rn-float": ("queued", "rn", 2.5, "queued job 3: rn must be an integer, not 2.5"),
+    "rn-bool": ("queued", "rn", True, "queued job 3: rn must be an integer, not True"),
+    "d_expected-text": (
+        "queued", "d_expected", "4", "queued job 3: d_expected must be an integer, not '4'"
+    ),
+    "req-float": ("queued", "req", {"core": 1.0}, "queued job 3: req 'core' must be an integer"),
+    "start-float": ("running", "s", 10.9, "running job 1: s must be an integer, not 10.9"),
+    "position-float": ("allocation", "y", 1.7, "running job 1: y must be an integer, not 1.7"),
+    "extent-bool": ("allocation", "q", False, "running job 1: q must be an integer, not False"),
+    "t-text": ("snapshot", "t", "50", "snapshot: t must be an integer, not '50'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGERS))
+def test_load_rejects_numbers_that_are_not_integers(case):
+    # Checked, not coerced: int() would load 2.5 as 2, 1.7 as position 1,
+    # true as 1 and "4" as 4.
+    part, key, value, where = NOT_INTEGERS[case]
+    payload = sample_instance().to_payload()
+    target = {
+        "snapshot": payload,
+        "queued": payload["queued"][0],
+        "running": payload["running"][0],
+        "allocation": payload["running"][0]["allocation"][0],
+    }[part]
+    target[key] = value
+    with pytest.raises(ValueError) as err:
+        DispatchInstance.from_payload(payload)
+    assert str(err.value).startswith(where)
+
+
 # -- invariants ---------------------------------------------------------------------
 
 

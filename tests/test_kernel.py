@@ -10,6 +10,8 @@ from hpcdispatch.kernel.core import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_TIMEOUT,
+    NodeBlocks,
+    Propagator,
     Solver,
 )
 from hpcdispatch.kernel.propagators import AllDifferent, BoolSumEq
@@ -26,7 +28,12 @@ def first_unfixed_min(variables):
 
 
 def domain_snapshot(var):
-    return (var.lo, var.hi, frozenset(var.holes))
+    return (var.lo, var.hi)
+
+
+# Allowed values 0-2, 5-7 and 10-12: the values between two windows are
+# the domain's holes.
+WINDOWS = NodeBlocks([(0, 2, 1), (5, 7, 2), (10, 12, 3)])
 
 
 # -- domains ------------------------------------------------------------------
@@ -36,17 +43,21 @@ def test_new_var_rejects_empty_domain():
     solver = Solver()
     with pytest.raises(ValueError):
         solver.new_var(3, 2, "bad")
+    with pytest.raises(ValueError):
+        solver.new_var(3, 4, "between windows", WINDOWS)
+    with pytest.raises(ValueError):
+        solver.new_var(0, 9, "no window", NodeBlocks())
 
 
 def test_basic_domain_ops():
     solver = Solver()
     x = solver.new_var(0, 9, "x")
     assert not x.is_fixed()
-    assert x.contains(0) and x.contains(9) and not x.contains(10)
 
-    assert x.remove(4)
-    assert not x.contains(4)
-    assert list(x.iter_values()) == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+    assert x.remove(4)  # not a bound: the domain stays [0, 9]
+    assert (x.lo, x.hi, solver.mark()) == (0, 9, 0)
+    assert x.remove(0) and x.remove(9)
+    assert (x.lo, x.hi) == (1, 8)
 
     assert x.assign(7)
     assert x.is_fixed()
@@ -60,37 +71,42 @@ def test_value_raises_when_unfixed():
         x.value()
 
 
+def test_new_var_snaps_its_bounds_into_the_windows_untrailed():
+    solver = Solver()
+    x = solver.new_var(3, 11, "x", WINDOWS)
+    assert (x.lo, x.hi) == (5, 11)
+    assert x.windows is WINDOWS
+    assert solver.mark() == 0  # the windows are part of the root domain
+    y = solver.new_var(-5, 20, "y", WINDOWS)
+    assert (y.lo, y.hi) == (0, 12)
+
+
 def test_set_min_skips_holes_at_landing_value():
     solver = Solver()
-    x = solver.new_var(0, 9, "x")
-    x.remove(3)
-    x.remove(4)
+    x = solver.new_var(0, 12, "x", WINDOWS)
     assert x.set_min(3)
-    # 3 and 4 are holes, so the bound slides up to 5; they stay, stale.
+    # 3 and 4 lie between windows, so the bound snaps up to 5.
     assert x.lo == 5
-    assert x.holes == {3, 4}
+    assert x.set_min(6) and x.lo == 6  # inside a window: no snap
+    assert not x.set_min(13)  # past the last window
 
 
 def test_set_max_skips_holes_at_landing_value():
     solver = Solver()
-    x = solver.new_var(0, 9, "x")
-    x.remove(5)
-    x.remove(6)
-    assert x.set_max(6)
-    assert x.hi == 4
-    assert x.holes == {5, 6}
+    x = solver.new_var(0, 12, "x", WINDOWS)
+    assert x.set_max(9)
+    assert x.hi == 7
+    assert x.set_max(4) and x.hi == 2
+    assert not x.set_max(-1)  # below the first window
 
 
-def test_bound_move_leaves_stale_holes_but_queries_stay_correct():
-    # Bounds that jump across interior holes do not purge them; every
-    # membership query must still be right.
+def test_next_and_prev_value_follow_the_windows():
     solver = Solver()
-    x = solver.new_var(0, 9, "x")
-    x.remove(5)
-    assert x.set_max(3)
-    assert x.holes == {5}  # stale, outside [lo, hi]
-    assert not x.contains(5)
-    assert list(x.iter_values()) == [0, 1, 2, 3]
+    x = solver.new_var(0, 12, "x", WINDOWS)
+    assert [x.next_value(v) for v in (-1, 0, 2, 3, 8, 12, 13)] == [0, 0, 2, 5, 10, 12, 13]
+    assert [x.prev_value(v) for v in (-1, 0, 3, 7, 9, 12, 20)] == [-1, 0, 2, 7, 7, 12, 12]
+    plain = solver.new_var(0, 12, "plain")
+    assert (plain.next_value(3), plain.prev_value(9)) == (3, 9)
 
 
 def test_remove_outside_bounds_is_noop():
@@ -98,34 +114,19 @@ def test_remove_outside_bounds_is_noop():
     x = solver.new_var(2, 6)
     assert x.remove(1)
     assert x.remove(7)
-    assert domain_snapshot(x) == (2, 6, frozenset())
-
-
-def test_remove_range_variants():
-    solver = Solver()
-    x = solver.new_var(0, 9)
-    assert x.remove_range(3, 5)  # interior: holes
-    assert sorted(x.holes) == [3, 4, 5]
-    assert x.remove_range(0, 1)  # prefix: bound move
-    assert x.lo == 2
-    assert x.remove_range(8, 12)  # suffix, clipped: bound move
-    assert x.hi == 7
-    assert x.remove_range(20, 30)  # disjoint: no-op
-    assert list(x.iter_values()) == [2, 6, 7]
-
-
-def test_remove_range_emptying_domain_fails():
-    solver = Solver()
-    x = solver.new_var(4, 6)
-    assert not x.remove_range(0, 10)
+    assert x.remove(4)  # inside: a bound-only domain keeps it
+    assert domain_snapshot(x) == (2, 6)
+    assert solver.mark() == 0
 
 
 def test_assign_outside_domain_fails():
     solver = Solver()
-    x = solver.new_var(0, 5)
-    x.remove(3)
-    assert not x.assign(3)
-    assert not x.assign(6)
+    x = solver.new_var(0, 12, "x", WINDOWS)
+    assert not x.assign(3)  # between windows
+    solver.undo_to(0)
+    assert not x.assign(13)
+    solver.undo_to(0)
+    assert x.assign(6) and x.value() == 6
 
 
 # -- trail --------------------------------------------------------------------
@@ -133,42 +134,43 @@ def test_assign_outside_domain_fails():
 
 def test_undo_restores_exact_domains():
     solver = Solver()
-    x = solver.new_var(0, 9, "x")
+    x = solver.new_var(0, 12, "x", WINDOWS)
     y = solver.new_var(-3, 3, "y")
-    x.remove(4)
+    assert x.set_min(1)
     before = (domain_snapshot(x), domain_snapshot(y))
 
     mark = solver.mark()
     assert x.set_min(2)
-    assert x.remove_range(6, 7)
+    assert x.remove(2)  # the lower bound: snaps over 3-4 to 5
     assert y.set_max(1)
-    assert y.remove(0)
-    assert x.set_min(5)  # strands the pre-mark hole at 4 outside the bounds
+    assert y.remove(1)
+    assert x.set_max(9)
+    assert (domain_snapshot(x), domain_snapshot(y)) == ((5, 7), (-3, 0))
     solver.undo_to(mark)
     assert (domain_snapshot(x), domain_snapshot(y)) == before
 
 
 def test_bound_moves_skip_holes_keep_them_and_undo_restores_the_domain():
-    # Holes are only ever added; a bound move skips them and leaves them
-    # in the set, so the trail holds one entry per bound move and undo
-    # restores lo, hi and the holes exactly.
+    # A bound move that lands between windows snaps into the next one; the
+    # windows are shared data, never trailed, so the trail holds one entry
+    # per bound move and undo restores lo and hi exactly.
     solver = Solver()
-    x = solver.new_var(0, 12, "x")
-    for v in (3, 4, 6, 9, 10):
-        x.remove(v)
+    x = solver.new_var(0, 12, "x", WINDOWS)
+    other = solver.new_var(0, 12, "other", WINDOWS)
     before = domain_snapshot(x)
 
     mark = solver.mark()
-    assert x.set_min(3)  # lands on the run 3-4 and slides to 5
-    assert x.set_max(10)  # lands on the run 9-10 and slides to 8
-    assert (x.lo, x.hi) == (5, 8)
-    assert x.holes == {3, 4, 6, 9, 10}
-    assert list(x.iter_values()) == [5, 7, 8]
+    assert x.set_min(3)  # lands on the gap 3-4 and snaps to 5
+    assert x.set_max(9)  # lands on the gap 8-9 and snaps to 7
+    assert (x.lo, x.hi) == (5, 7)
     assert solver.mark() == mark + 2
-    assert x.remove(5)  # a bound value: a bound move over the hole at 6
-    assert x.lo == 7 and x.holes == {3, 4, 6, 9, 10}
+    assert x.remove(7)  # a bound value: one bound move
+    assert (x.lo, x.hi) == (5, 6)
+    assert x.windows is other.windows is WINDOWS
+    assert WINDOWS == [(0, 2, 1), (5, 7, 2), (10, 12, 3)]
     solver.undo_to(mark)
     assert domain_snapshot(x) == before
+    assert domain_snapshot(other) == (0, 12)
 
 
 def test_nested_marks_unwind_in_order():
@@ -294,6 +296,57 @@ def test_node_limit_after_incumbent_yields_feasible():
     result = solver.solve(branch_max, node_limit=2)
     assert result.status == STATUS_FEASIBLE
     assert result.objective == 5
+
+
+class _Forbid(Propagator):
+    """Fails once ``var`` is fixed at ``value``."""
+
+    def __init__(self, var, value):
+        super().__init__()
+        self.var = var
+        self.value = value
+
+    def post(self, solver):
+        solver.watch(self.var, self)
+
+    def propagate(self, solver):
+        return not self.var.lo == self.var.hi == self.value
+
+
+@pytest.mark.parametrize("windowed", [False, True])
+@pytest.mark.parametrize("pick", ["lo", "hi"])
+def test_refuting_a_bound_moves_that_bound(pick, windowed):
+    # The first decision fixes x at its pick, which fails; its refutation
+    # raises lo or lowers hi, over the gap 3-4 or 8-9 with windows.
+    solver = Solver()
+    x = solver.new_var(2, 10, "x", WINDOWS if windowed else None)
+    solver.add(_Forbid(x, getattr(x, pick)))
+    solver.minimize([x], [1])
+    seen = []
+
+    def branch():
+        seen.append((x.lo, x.hi))
+        return None if x.is_fixed() else (x, getattr(x, pick))
+
+    result = solver.solve(branch)
+    assert result.status == STATUS_OPTIMAL and result.stats.fails >= 1
+    assert seen[:2] == [(2, 10), {
+        ("lo", False): (3, 10),
+        ("lo", True): (5, 10),
+        ("hi", False): (2, 9),
+        ("hi", True): (2, 7),
+    }[pick, windowed]]
+
+
+def test_branching_on_an_interior_value_raises():
+    # The refutation x != 5 of an interior value could move no bound, so
+    # search would loop on it until the node limit; it is refused at once.
+    solver = Solver()
+    x = solver.new_var(0, 9, "x")
+    solver.minimize([x], [1])
+    with pytest.raises(ValueError, match="not a bound"):
+        solver.solve(lambda: (x, 5) if not x.is_fixed() else None, node_limit=1000)
+    assert solver.stats.decisions == 0
 
 
 def test_solve_unwinds_all_decision_frames():

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import prop_harness
-from hpcdispatch.kernel.core import Solver
+from hpcdispatch.kernel.core import NodeBlocks, Solver
 from hpcdispatch.kernel.propagators import (
     AllDifferent,
     BoolSumEq,
@@ -15,13 +15,10 @@ from hpcdispatch.kernel.propagators import (
     Cumulative,
     Diffn,
     ElementEqual,
-    NodeBlocks,
     Released,
     Task,
     _keep_common,
-    _reached_blocks,
-    _reached_slice,
-    apply_span_filter,
+    _reached,
 )
 from hpcdispatch.system import SystemModel
 
@@ -164,11 +161,11 @@ def test_entailed_cumulative_never_acts_on_random_cases():
         need = peak + sum(task.demand for task in tasks)
         capacity = max(0, need + rng.randint(-2, 1))
         entailed = not Cumulative.can_prune(tasks, peak, capacity)
-        before = [(var.lo, var.hi, set(var.holes)) for var in variables]
+        before = [(var.lo, var.hi) for var in variables]
         mark = solver.mark()
         solver.add(Cumulative(tasks + [Task(s, d, q) for s, d, q in constants], capacity))
         ok = solver.propagate_all()
-        after = [(var.lo, var.hi, var.holes) for var in variables]
+        after = [(var.lo, var.hi) for var in variables]
         if entailed:
             assert ok and after == before and solver.mark() == mark, (constants, capacity)
             seen["entailed"] += 1
@@ -259,9 +256,7 @@ def _fresh_diffn_fixpoint(solver: Solver, boxes: list[Box]):
     fresh = Solver()
     copies = {}
     for var in solver.vars:
-        copy = fresh.new_var(var.lo, var.hi)
-        copy.holes = {v for v in var.holes if var.lo < v < var.hi}
-        copies[var] = copy
+        copies[var] = fresh.new_var(var.lo, var.hi)
     fresh.add(Diffn([Box(copies[b.x], b.x_len, copies[b.y], b.y_len) for b in boxes]))
     ok = fresh.propagate_all()
     return ok, [(copies[var].lo, copies[var].hi) for var in solver.vars]
@@ -347,12 +342,12 @@ def test_released_rejects_empty_claim():
 def test_released_filtering_is_exact_on_random_cases():
     # Bounds are exact: y.lo and y.hi are the lowest and highest values of y
     # that fit some start, and start.lo is the least start that fits some
-    # y, all found by brute force over domains with span holes.
+    # y, all found by brute force over positions within start windows.
     rng = random.Random(50_000)
     outcomes = set()
     for _ in range(600):
         solver, variables, ok = prop_harness.build_case("release", rng)
-        before = [list(var.iter_values()) for var in variables]
+        before = [prop_harness.domain(var) for var in variables]
         supported = oracles.support_sets(before, ok)
         feasible = solver.propagate_all()
         outcomes.add(feasible)
@@ -372,8 +367,7 @@ def test_released_reads_only_intervals_in_range_on_a_large_system():
     held = _ReadLog([(4 * n + 1, 4 * n + 2, 10 + n % 7) for n in range(nodes)])
     solver = Solver()
     s = solver.new_var(0, 5, "s")
-    y = solver.new_var(1, system.total_capacity["core"], "y")
-    assert apply_span_filter(y, system.span_filter("core", 2))
+    y = solver.new_var(1, system.total_capacity["core"], "y", system.start_windows("core", 2))
     assert y.set_min(4 * 100 + 1) and y.set_max(4 * 103 - 1)  # nodes 101..103
     prop = Released(s, y, 2, held)
     assert prop.propagate(solver)
@@ -386,189 +380,149 @@ def test_released_reads_only_intervals_in_range_on_a_large_system():
 
 # -- element ------------------------------------------------------------------
 
-# Node blocks as in SystemModel.blocks: (first, last, node), ascending and
-# contiguous from position 1.
-CORE = [(1, 2, 1), (3, 4, 2), (5, 6, 3)]
-GPU = [(1, 1, 1), (2, 2, 3)]  # node 2 has no gpu
+# Start windows of one-wide claims, as SystemModel.start_windows builds them:
+# (first, last, node), ascending.
+CORE = NodeBlocks([(1, 2, 1), (3, 4, 2), (5, 6, 3)])
+GPU = NodeBlocks([(1, 1, 1), (2, 2, 3)])  # node 2 has no gpu
 
 
 def test_element_filters_index_against_fixed_value():
     solver = Solver()
-    core = solver.new_var(1, 6, "core")
-    gpu = solver.new_var(2, 2, "gpu")
-    solver.add(ElementEqual(CORE, core, GPU, gpu))
+    core = solver.new_var(1, 6, "core", CORE)
+    gpu = solver.new_var(2, 2, "gpu", GPU)
+    solver.add(ElementEqual(core, gpu))
     assert solver.propagate_all()
-    assert sorted(core.iter_values()) == [5, 6]  # node 3's block
+    assert (core.lo, core.hi) == (5, 6)  # node 3's window
 
 
 def test_element_empty_intersection_fails():
     solver = Solver()
-    core = solver.new_var(1, 2, "core")  # node 1 only
-    gpu = solver.new_var(2, 2, "gpu")  # node 3 only
-    solver.add(ElementEqual(CORE, core, GPU, gpu))
+    core = solver.new_var(1, 2, "core", CORE)  # node 1 only
+    gpu = solver.new_var(2, 2, "gpu", GPU)  # node 3 only
+    solver.add(ElementEqual(core, gpu))
     assert not solver.propagate_all()
 
 
 def test_element_cross_array_run_pruning():
-    # Node 2 holds cores but no gpu, so its core block goes.
+    # Cores on nodes 2-3 and gpus on nodes 1 and 3 share only node 3, so
+    # both positions move there.
     solver = Solver()
-    core = solver.new_var(1, 6, "core")
-    gpu = solver.new_var(1, 2, "gpu")
-    solver.add(ElementEqual(CORE, core, GPU, gpu))
+    core = solver.new_var(3, 6, "core", CORE)
+    gpu = solver.new_var(1, 2, "gpu", GPU)
+    solver.add(ElementEqual(core, gpu))
     assert solver.propagate_all()
-    assert sorted(core.iter_values()) == [1, 2, 5, 6]
-    assert sorted(gpu.iter_values()) == [1, 2]
-
-
-def test_element_ignores_stale_holes_beyond_bounds():
-    # Bound moves that skip past holes leave them outside [lo, hi]; they
-    # must not make a block look empty or count as values.
-    blocks = [(1, 3, 1), (4, 6, 2), (7, 9, 3)]
+    assert (core.lo, core.hi, gpu.lo, gpu.hi) == (5, 6, 2, 2)
+    # Filtering is on bounds: node 2's window between two common nodes stays.
     solver = Solver()
-    y = solver.new_var(1, 9, "y")
-    z = solver.new_var(3, 3, "z")
-    assert y.remove(4) and y.set_min(5)
-    assert y.remove(8) and y.set_max(7)
-    assert y.holes == {4, 8}  # both stale
-    solver.add(ElementEqual(blocks, y, [(1, 1, 1), (2, 2, 2), (3, 3, 3)], z))
+    core = solver.new_var(1, 6, "core", CORE)
+    gpu = solver.new_var(1, 2, "gpu", GPU)
+    solver.add(ElementEqual(core, gpu))
     assert solver.propagate_all()
-    assert y.value() == 7
+    assert (core.lo, core.hi, gpu.lo, gpu.hi) == (1, 6, 1, 2)
 
 
 def test_element_rejects_indices_outside_the_blocks():
+    # A position takes its nodes from its windows, so one without windows
+    # is refused; one with windows never holds a value outside them.
     solver = Solver()
-    inside = solver.new_var(1, 2, "inside")
-    for lo, hi in ((0, 3), (1, 7)):
-        outside = solver.new_var(lo, hi, "outside")
-        with pytest.raises(ValueError, match=r"outside \[1,6\]"):
-            ElementEqual(CORE, outside, GPU, inside)
-    with pytest.raises(ValueError, match=r"outside \[1,2\]"):
-        ElementEqual(CORE, inside, GPU, solver.new_var(1, 3, "gpu"))
-    with pytest.raises(ValueError, match=r"outside \[1,0\]"):
-        ElementEqual(CORE, inside, [], inside)
+    inside = solver.new_var(0, 7, "inside", CORE)
+    assert (inside.lo, inside.hi) == (1, 6)
+    plain = solver.new_var(1, 2, "plain")
+    for pair in ((inside, plain), (plain, inside)):
+        with pytest.raises(ValueError, match="'plain' has no windows"):
+            ElementEqual(*pair)
 
 
 def test_element_filtering_is_exact_on_random_block_maps():
-    # Filtering is exact: what survives is precisely the brute-force
-    # supported set, computed from per-position owner lists.
+    # Filtering is exact on bounds: each lo and hi is the least and the
+    # greatest brute-force supported value, from per-position owner lists.
     rng = random.Random(40_000)
-    outcomes = set()
-    for _ in range(600):
+    outcomes = {True: 0, False: 0}
+    for _ in range(1000):
         solver, variables, ok = prop_harness.build_case("element", rng)
-        before = [list(var.iter_values()) for var in variables]
+        before = [prop_harness.domain(var) for var in variables]
         supported = oracles.support_sets(before, ok)
         feasible = solver.propagate_all()
-        outcomes.add(feasible)
+        outcomes[feasible] += 1
         if feasible:
-            assert [set(var.iter_values()) for var in variables] == supported
+            assert [(var.lo, var.hi) for var in variables] == [
+                (min(keep), max(keep)) for keep in supported
+            ], (before, supported)
         else:
             assert supported == [set(), set()]
-    assert outcomes == {True, False}
-
-
-def _random_pruning_case(rng: random.Random):
-    """Node blocks and a position domain on them, holes of every origin."""
-    while True:
-        blocks, first = [], 1
-        for node in range(1, rng.randint(1, 8) + 1):
-            width = rng.randint(1, 4)
-            blocks.append((first, first + width - 1, node))
-            first += width
-        total = first - 1
-        # Span holes of a q-wide claim: it cannot start in its block's last q - 1.
-        q = rng.randint(1, 3)
-        holes = {p for f, last, _ in blocks for p in range(max(f, last - q + 2), last + 1)}
-        holes |= {f for f, _, _ in blocks if rng.random() < 0.3}  # holes at block starts
-        holes |= {p for p in range(1, total + 1) if rng.random() < 0.15}
-        values = [p for p in range(1, total + 1) if p not in holes]
-        if values:
-            break
-    lo, hi = sorted(rng.choice(values) for _ in range(2))
-    return blocks, lo, hi, holes  # holes outside [lo, hi] are stale
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_keep_common_matches_per_block_removal_on_random_cases():
-    # One bound move per side leaves the bounds and values that remove_range
-    # block by block leaves, with no more trail entries, and undoes to the
-    # same state.
+    # One bound move per side leaves the bounds that removing each reached
+    # window whose node is not common would leave, with at most two trail
+    # entries, and undoes to the same state.
     rng = random.Random(45_000)
-    seen = {"below": 0, "between": 0, "above": 0, "stale": 0}
+    seen = {"below": 0, "between": 0, "above": 0}
     for _ in range(3000):
-        blocks, lo, hi, holes = _random_pruning_case(rng)
-        sides = []
-        for _side in range(2):
-            solver = Solver()
-            var = solver.new_var(1, blocks[-1][1], "y")
-            var.lo, var.hi, var.holes = lo, hi, set(holes)
-            sides.append((solver, var))
-        reached = _reached_blocks(blocks, sides[0][1])
-        nodes = [node for _, _, node in reached]
+        solver = Solver()
+        system = SystemModel([{"core": rng.randint(1, 4)} for _ in range(rng.randint(1, 8))])
+        var, _ = prop_harness._random_position_var(solver, rng, system, "core")
+        lo, hi, mark = var.lo, var.hi, solver.mark()
+        k, end = _reached(var)
+        nodes = var.windows.nodes[k:end]
         common = {node for node in nodes if rng.random() < 0.5} or {rng.choice(nodes)}
-        old_ok = oracles.remove_blocks_one_by_one(sides[0][1], reached, common)
-        new_ok = _keep_common(sides[1][1], reached, common)
-        (old_solver, old), (new_solver, new) = sides
-        assert (new_ok, new.lo, new.hi, set(new.iter_values())) == (
-            old_ok, old.lo, old.hi, set(old.iter_values())
-        ), (blocks, lo, hi, sorted(holes), sorted(common))
-        assert new_solver.mark() <= old_solver.mark()
-        for solver, var in sides:
-            solver.undo_to(0)
-            assert (var.lo, var.hi, var.holes) == (lo, hi, holes)
+        node_of = {v: node for first, last, node in var.windows for v in range(first, last + 1)}
+        kept = [v for v in prop_harness.domain(var) if node_of[v] in common]
+        assert _keep_common(var, k, end, common)
+        assert (var.lo, var.hi) == (min(kept), max(kept))
+        assert solver.mark() <= mark + 2
+        solver.undo_to(mark)
+        assert (var.lo, var.hi) == (lo, hi)
 
-        inside = [i for i, (_, _, node) in enumerate(reached) if node in common]
+        inside = [i for i, node in enumerate(nodes) if node in common]
         seen["below"] += inside[0] > 0
-        seen["between"] += any(node not in common for _, _, node in reached[inside[0] : inside[-1]])
-        seen["above"] += inside[-1] < len(reached) - 1
-        seen["stale"] += any(h < lo or h > hi for h in holes)
+        seen["between"] += any(node not in common for node in nodes[inside[0] : inside[-1]])
+        seen["above"] += inside[-1] < len(nodes) - 1
     assert min(seen.values()) >= 100, seen
 
 
 def test_node_blocks_early_return_matches_the_block_scan_on_random_maps():
-    # With NodeBlocks a call returns at once when both indices reach the
-    # same run of nodes; every propagation ends exactly as with plain lists.
+    # A call returns at once when both positions reach the same run of
+    # nodes; moving each bound to a common node then moves nothing, so the
+    # early return ends exactly where the scan would.
     rng = random.Random(47_000)
     seen = {"early": 0, "scanned": 0}
     for _ in range(2000):
-        maps = prop_harness._random_block_maps(rng)
-        domains = []
-        for blocks in maps:
-            var = prop_harness._random_position_var(Solver(), rng, blocks[-1][1])
-            holes = set(var.holes)
-            if rng.random() < 0.5:  # keep only the stale holes
-                holes = {h for h in holes if not var.lo < h < var.hi}
-            domains.append((var.lo, var.hi, holes))
-        ends = []
-        for wrap in (list, NodeBlocks):
-            solver = Solver()
-            variables = []
-            for lo, hi, holes in domains:
-                var = solver.new_var(lo, hi, "y")
-                var.holes = set(holes)
-                variables.append(var)
-            blocks_a, blocks_b = (wrap(blocks) for blocks in maps)
-            if wrap is NodeBlocks:
-                nodes_a = _reached_slice(blocks_a, variables[0])
-                early = nodes_a is not None and nodes_a == _reached_slice(blocks_b, variables[1])
-                seen["early" if early else "scanned"] += 1
-            solver.add(ElementEqual(blocks_a, variables[0], blocks_b, variables[1]))
-            ok = solver.propagate_all()
-            ends.append((ok, solver.mark(), [(v.lo, v.hi, v.holes) for v in variables]))
-        assert ends[0] == ends[1], (maps, domains)
+        system = prop_harness._random_system(rng)
+        solver = Solver()
+        y_a, y_b = (prop_harness._random_position_var(solver, rng, system, r)[0] for r in "ab")
+        (k_a, end_a), (k_b, end_b) = _reached(y_a), _reached(y_b)
+        nodes_a = y_a.windows.nodes[k_a:end_a]
+        nodes_b = y_b.windows.nodes[k_b:end_b]
+        common = set(nodes_a) & set(nodes_b)
+        mark = solver.mark()
+        state = [(y.lo, y.hi) for y in (y_a, y_b)]
+        ok = ElementEqual(y_a, y_b).propagate(solver)
+        if nodes_a == nodes_b:
+            seen["early"] += 1
+            assert ok and solver.mark() == mark
+            assert _keep_common(y_a, k_a, end_a, common) and _keep_common(y_b, k_b, end_b, common)
+            assert [(y.lo, y.hi) for y in (y_a, y_b)] == state and solver.mark() == mark
+        else:
+            seen["scanned"] += 1
+            assert ok == bool(common)
     assert min(seen.values()) >= 300, seen
 
 
 def test_system_blocks_carry_parallel_firsts_and_nodes():
     system = SystemModel([{"core": 2, "gpu": 1}, {"core": 3}, {"core": 1, "gpu": 2}])
     for resource in system.resources:
-        blocks = system.blocks[resource]
-        assert isinstance(blocks, NodeBlocks)
-        assert blocks.firsts == [first for first, _, _ in blocks]
-        assert blocks.nodes == [node for _, _, node in blocks]
+        for blocks in (system.blocks[resource], system.start_windows(resource, 2)):
+            assert isinstance(blocks, NodeBlocks)
+            assert blocks.firsts == [first for first, _, _ in blocks]
+            assert blocks.nodes == [node for _, _, node in blocks]
     assert system.blocks["gpu"].nodes == [1, 3]
+    assert system.start_windows("gpu", 2).nodes == [3]
 
 
 class _ReadLog(Sequence):
-    """A block list that records which indices a propagator reads."""
+    """A list that records which indices a propagator reads."""
 
     def __init__(self, blocks):
         self.blocks = blocks
@@ -582,51 +536,34 @@ class _ReadLog(Sequence):
         return self.blocks[k]
 
 
+def _logged_windows(windows: NodeBlocks) -> NodeBlocks:
+    """A copy of ``windows`` whose ``firsts`` and ``nodes`` log their reads."""
+    logged = NodeBlocks(windows)
+    logged.firsts = _ReadLog(logged.firsts)
+    logged.nodes = _ReadLog(logged.nodes)
+    return logged
+
+
 def test_element_reads_only_blocks_in_range_on_a_large_system():
     nodes = 20_000
     system = SystemModel([{"core": 4, "gpu": 1}] * nodes)
-    core_blocks = _ReadLog(system.blocks["core"])
-    gpu_blocks = _ReadLog(system.blocks["gpu"])
+    core_windows = _logged_windows(system.start_windows("core", 1))
+    gpu_windows = _logged_windows(system.start_windows("gpu", 1))
     solver = Solver()
-    core = solver.new_var(4 * 100 + 1, 4 * 103, "core")  # nodes 101..103
-    gpu = solver.new_var(102, 105, "gpu")  # nodes 102..105
-    prop = ElementEqual(core_blocks, core, gpu_blocks, gpu)
-    core_blocks.read.clear()
-    gpu_blocks.read.clear()
+    core = solver.new_var(4 * 100 + 1, 4 * 103, "core", core_windows)  # nodes 101..103
+    gpu = solver.new_var(102, 105, "gpu", gpu_windows)  # nodes 102..105
+    prop = ElementEqual(core, gpu)
+    for windows in (core_windows, gpu_windows):
+        windows.firsts.read.clear()
+        windows.nodes.read.clear()
     assert prop.propagate(solver)
     assert (core.lo, core.hi, gpu.lo, gpu.hi) == (405, 412, 102, 103)
-    # The blocks meeting [lo, hi], plus two bisections' probes per side.
-    probes = 2 * nodes.bit_length()
-    assert {100, 101, 102} <= core_blocks.read
-    assert len(core_blocks.read) <= 3 + probes
-    assert {101, 102, 103, 104} <= gpu_blocks.read
-    assert len(gpu_blocks.read) <= 4 + probes
-
-
-# -- span filters ---------------------------------------------------------------
-
-
-def test_apply_span_filter_restricts_in_place():
-    solver = Solver()
-    y = solver.new_var(1, 4, "y")
-    assert apply_span_filter(y, (1, 3, frozenset({2})))
-    assert (y.lo, y.hi) == (1, 3)
-    assert y.holes == {2}
-    assert solver.mark() == 0  # untrailed: the filter is part of the root domain
-
-
-def test_apply_span_filter_empty_reports_failure():
-    solver = Solver()
-    y = solver.new_var(1, 4, "y")
-    assert not apply_span_filter(y, (1, 0, frozenset()))
-
-
-def test_apply_span_filter_slides_bounds_off_holes():
-    solver = Solver()
-    y = solver.new_var(3, 8, "y")
-    assert apply_span_filter(y, (1, 9, frozenset({2, 5, 8})))
-    assert (y.lo, y.hi) == (3, 7)  # 8 is a hole, so hi slides down past it
-    assert list(y.iter_values()) == [3, 4, 6, 7]
+    # The windows meeting [lo, hi], plus a few bisections' probes.
+    probes = 4 * nodes.bit_length()
+    assert core_windows.nodes.read == {100, 101, 102}
+    assert gpu_windows.nodes.read == {101, 102, 103, 104}
+    for windows in (core_windows, gpu_windows):
+        assert len(windows.firsts.read) <= 4 + probes
 
 
 # -- alldifferent / boolsum -----------------------------------------------------

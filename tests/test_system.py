@@ -83,28 +83,30 @@ def test_flattened_position_geometry():
 def test_span_filter_two_wide_runs():
     system = SystemModel([{"core": 2}, {"core": 2}])
     # Starts 1 and 3 keep a two-wide claim inside node 1 or node 2.
-    assert system.span_filter("core", 2) == (1, 3, frozenset({2}))
-    assert system.span_filter("core", 1) == (1, 4, frozenset())
+    assert system.start_windows("core", 2) == [(1, 1, 1), (3, 3, 2)]
+    assert system.start_windows("core", 1) == [(1, 2, 1), (3, 4, 2)]
 
 
 def test_span_filter_no_window_signals_empty():
     system = SystemModel([{"core": 2}, {"core": 2}])
-    lo, hi, holes = system.span_filter("core", 3)  # no block is three wide
-    assert lo > hi and holes == frozenset()
+    windows = system.start_windows("core", 3)  # no block is three wide
+    assert windows == [] and windows.firsts == [] and windows.nodes == []
 
 
 def test_span_filter_skips_narrow_blocks():
     system = SystemModel([{"core": 3}, {"core": 1}, {"core": 1}, {"core": 4}])
     # Blocks [1,3] [4,4] [5,5] [6,9]: only nodes 1 and 4 hold a two-wide claim.
-    assert system.span_filter("core", 2) == (1, 8, frozenset({3, 4, 5}))
+    windows = system.start_windows("core", 2)
+    assert windows == [(1, 2, 1), (6, 8, 4)]
+    assert (windows.firsts, windows.nodes) == ([1, 6], [1, 4])
 
 
 def test_span_filter_is_memoized():
     system = SystemModel([{"core": 4, "gpu": 2}, {"core": 4, "gpu": 2}])
-    assert system.span_filter("core", 2) is system.span_filter("core", 2)
-    assert system.span_filter("gpu", 2) == (1, 3, frozenset({2}))
-    assert system.span_filter("core", 2) == (1, 7, frozenset({4}))
-    assert set(system._span_filters) == {("core", 2), ("gpu", 2)}
+    assert system.start_windows("core", 2) is system.start_windows("core", 2)
+    assert system.start_windows("gpu", 2) == [(1, 1, 1), (3, 3, 2)]
+    assert system.start_windows("core", 2) == [(1, 3, 1), (5, 7, 2)]
+    assert set(system._start_windows) == {("core", 2), ("gpu", 2)}
 
 
 def test_position_lookups():
