@@ -566,6 +566,42 @@ def test_element_reads_only_blocks_in_range_on_a_large_system():
         assert len(windows.firsts.read) <= 4 + probes
 
 
+# -- span filters ---------------------------------------------------------------
+# A span filter is now the start windows a variable is built over.
+
+
+def _values(var) -> list[int]:
+    values, v = [], var.lo
+    while v <= var.hi:
+        values.append(v)
+        v = var.next_value(v + 1)
+    return values
+
+
+def test_apply_span_filter_restricts_in_place():
+    system = SystemModel([{"core": 2}, {"core": 2}])
+    solver = Solver()
+    y = solver.new_var(1, 4, "y", system.start_windows("core", 2))
+    assert (y.lo, y.hi) == (1, 3)
+    assert _values(y) == [1, 3]  # 2 would split the claim across nodes
+    assert solver.mark() == 0  # untrailed: the filter is part of the root domain
+
+
+def test_apply_span_filter_empty_reports_failure():
+    system = SystemModel([{"core": 2}, {"core": 2}])
+    solver = Solver()
+    with pytest.raises(ValueError):
+        solver.new_var(1, 4, "y", system.start_windows("core", 3))
+
+
+def test_apply_span_filter_slides_bounds_off_holes():
+    solver = Solver()
+    windows = NodeBlocks([(1, 1, 1), (3, 4, 2), (6, 7, 3), (9, 9, 4)])
+    y = solver.new_var(3, 8, "y", windows)
+    assert (y.lo, y.hi) == (3, 7)  # 8 is a hole, so hi slides down past it
+    assert _values(y) == [3, 4, 6, 7]
+
+
 # -- alldifferent / boolsum -----------------------------------------------------
 
 
