@@ -2,9 +2,10 @@
 
 Covers the dispatch settings, the driver that runs one invocation of any
 dispatcher model, job priorities, the visible queue window, horizon
-arithmetic, the integer objective encoding, and heuristic placement on
-one free-position mask per resource (used by the two-stage dispatcher, by
-presence materialization, and by the optional emergency fallback).
+arithmetic, the integer objective encoding, and heuristic placement on a
+copy of the snapshot ledger's free-position masks (used by the two-stage
+dispatcher, by presence materialization, and by the optional emergency
+fallback).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hpcdispatch.dispatch.instance import (
     DispatchInstance,
     InvocationStats,
     JobDecision,
+    Ledger,
     QueuedJob,
     RunningJob,
     dominant_resource,
@@ -116,14 +118,17 @@ def horizon(t: int, window: Sequence[QueuedJob], running: Sequence[RunningJob]) 
 
 
 class FreeRuns:
-    """Free positions at a fixed instant: one mask per resource.
+    """Free positions at a fixed instant: a scratch copy of a ``Ledger``.
 
-    ``free[r][p - 1]`` is 1 while position p of r's flattened space is
-    free; every running allocation is zeroed at construction.  Per-node
-    queries read only the node's block ``system.node_span[(node, r)]``, so
-    a claim takes the lowest q consecutive free positions of the block.
-    ``busy`` holds the nodes with any taken cell: the owners of the running
-    allocations, and every node a claim took cells from.
+    It copies the ledger's masks (``free[r][p - 1]`` is 1 while position p
+    of r's flattened space is free) and busy nodes, so claims change the
+    copy, never the ledger, and a new copy costs one ``bytearray`` per
+    resource whatever the running jobs hold.  Like the ledger, it is valid
+    only at the instant of the snapshot it came from.  Per-node queries
+    read only the node's block ``system.node_span[(node, r)]``, so a claim
+    takes the lowest q consecutive free positions of the block.  ``busy``
+    holds the nodes with any taken cell: the ledger's busy nodes, and every
+    node a claim took cells from.
 
     A node outside ``busy`` is wholly free, so all such nodes of one
     ``system.node_classes`` class fit the same units with the same slack.
@@ -133,15 +138,10 @@ class FreeRuns:
     the machine holds.
     """
 
-    def __init__(self, system: SystemModel, running: Iterable[RunningJob]):
-        self.system = system
-        self.free = {r: bytearray(b"\1") * system.total_capacity[r] for r in system.resources}
-        self.busy: set[int] = set()
-        for run in running:
-            for entry in run.allocation:
-                lo = entry.position - 1
-                self.free[entry.resource][lo : lo + entry.extent] = bytes(entry.extent)
-                self.busy.add(system.owner[entry.resource][lo])
+    def __init__(self, ledger: Ledger):
+        self.system = ledger.system
+        self.free = {r: bytearray(mask) for r, mask in ledger.free.items()}
+        self.busy: set[int] = set(ledger.busy)
 
     def find(self, node: int, resource: str, q: int) -> int | None:
         """Start of the node's lowest q consecutive free positions, or None."""
@@ -156,10 +156,6 @@ class FreeRuns:
             self.free[resource][position - 1 : position - 1 + q] = bytes(q)
             self.busy.add(node)
         return position
-
-    def total_free(self, node: int, resource: str) -> int:
-        span = self.system.node_span.get((node, resource))
-        return 0 if span is None else self.free[resource].count(1, span[0] - 1, span[1])
 
     def candidates(self) -> list[int]:
         """Busy nodes plus the lowest wholly free node of each class, ascending."""
@@ -279,7 +275,7 @@ def emergency_dispatch(
     instance: DispatchInstance, window: Sequence[QueuedJob]
 ) -> list[JobDecision]:
     """Greedy first-fit used when a solver produced nothing dispatchable."""
-    free = FreeRuns(instance.system, instance.running)
+    free = FreeRuns(instance.ledger)
     out: list[JobDecision] = []
     for entry in window:
         unit_req = unit_demands(instance.system, entry)

@@ -65,13 +65,9 @@ def _build_schedule_model(
         lo = t + 1 if entry.job_id in held else t
         handle.jobs.append(_JobVars(entry=entry, start=solver.new_var(lo, eoh, f"s{entry.job_id}")))
     # Running jobs are constant (residual, extent) parts on [t, t + residual);
-    # all start at t, so the pooled peak is the sum of their extents.  Their
+    # all start at t, so the pooled peak is the ledger's used count.  Their
     # tasks are built only for a cumulative that is posted.
-    peak = dict.fromkeys(system.resources, 0)
-    for run in instance.running:
-        for alloc in run.allocation:
-            if alloc.resource in peak:
-                peak[alloc.resource] += alloc.extent
+    used = instance.ledger.used
     for resource in system.resources:
         tasks = []
         for jv in handle.jobs:
@@ -79,7 +75,7 @@ def _build_schedule_model(
             if total > 0:
                 tasks.append(Task(jv.start, jv.entry.d_expected, total))
         capacity = system.total_capacity[resource]
-        if Cumulative.can_prune(tasks, peak[resource], capacity):
+        if Cumulative.can_prune(tasks, used[resource], capacity):
             tasks += [
                 Task(t, residual(run, t), alloc.extent)
                 for run in instance.running
@@ -109,7 +105,7 @@ def _place(
 ) -> list[JobDecision]:
     """Best-fit placement of every job the schedule starts at t, window order."""
     system = instance.system
-    free = FreeRuns(system, instance.running)
+    free = FreeRuns(instance.ledger)
     out: list[JobDecision] = []
     for jv in handle.jobs:
         start = values[jv.start]

@@ -6,16 +6,20 @@ with concrete allocations, and the system.  Snapshots serialize to a
 stable JSON form so dispatchers can be compared offline on the identical
 problems a simulation produced.  The demand helpers here say what a
 queued job asks of a system: its per-unit demands, how many of its units
-each node could hold, and whether it fits the empty system at all.
+each node could hold, and whether it fits the empty system at all.  The
+``Ledger`` records what the running jobs hold, per resource, for the
+dispatchers to read.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from hpcdispatch.system import (
     PRESET_CONFIGS,
@@ -120,6 +124,75 @@ def fits_system(system: SystemModel, entry: QueuedJob) -> bool:
     return slots >= entry.rn
 
 
+class Ledger:
+    """What the running jobs hold: one occupancy record per resource.
+
+    ``free[r][p - 1]`` is 1 while position p of r's flattened space is
+    free; ``used[r]`` counts the held positions; ``held[r]`` lists the held
+    ``(first, last, expected_end)`` ranges in position order, where
+    expected_end is the job's start + d_expected.  A job may run past it,
+    so a reader at time t takes ``max(expected_end, t + 1)`` as the release
+    (``releases``), which is t + ``common.residual``.  ``busy`` maps each
+    node with a held cell to its number of held ranges.
+
+    ``occupy`` and ``release`` cost O(the job's allocation entries), so the
+    simulator keeps one ledger per run and updates it at each start and
+    END instead of rebuilding it per invocation.  Dispatchers only read
+    it; placement claims cells on a ``FreeRuns`` copy.
+    """
+
+    def __init__(self, system: SystemModel):
+        self.system = system
+        self.free = {r: bytearray(b"\1") * system.total_capacity[r] for r in system.resources}
+        self.used = dict.fromkeys(system.resources, 0)
+        self.held: dict[str, list[tuple[int, int, int]]] = {r: [] for r in system.resources}
+        self.busy: dict[int, int] = {}
+
+    @classmethod
+    def of(cls, system: SystemModel, running: Iterable[RunningJob]) -> "Ledger":
+        ledger = cls(system)
+        for run in running:
+            ledger.occupy(run)
+        return ledger
+
+    def occupy(self, run: RunningJob) -> None:
+        end = run.start + run.d_expected
+        owner, busy = self.system.owner, self.busy
+        for entry in run.allocation:
+            resource, lo, extent = entry.resource, entry.position - 1, entry.extent
+            self.free[resource][lo : lo + extent] = bytes(extent)
+            self.used[resource] += extent
+            insort(self.held[resource], (entry.position, lo + extent, end))
+            node = owner[resource][lo]
+            busy[node] = busy.get(node, 0) + 1
+
+    def release(self, run: RunningJob) -> None:
+        owner, busy = self.system.owner, self.busy
+        for entry in run.allocation:
+            resource, lo, extent = entry.resource, entry.position - 1, entry.extent
+            self.free[resource][lo : lo + extent] = b"\1" * extent
+            self.used[resource] -= extent
+            held = self.held[resource]
+            del held[bisect_left(held, (entry.position,))]
+            node = owner[resource][lo]
+            if busy[node] == 1:
+                del busy[node]
+            else:
+                busy[node] -= 1
+
+    def releases(self, resource: str, t: int) -> list[tuple[int, int, int]]:
+        """The held ``(first, last, release)`` ranges at t, in position order."""
+        floor = t + 1
+        return [
+            (first, last, end if end > floor else floor)
+            for first, last, end in self.held[resource]
+        ]
+
+    def total_free(self, node: int, resource: str) -> int:
+        span = self.system.node_span.get((node, resource))
+        return 0 if span is None else self.free[resource].count(1, span[0] - 1, span[1])
+
+
 @dataclass
 class DispatchInstance:
     """The dispatcher-facing problem at one point in simulated time."""
@@ -128,6 +201,17 @@ class DispatchInstance:
     queued: list[QueuedJob]
     running: list[RunningJob]
     system: SystemModel
+
+    @cached_property
+    def ledger(self) -> Ledger:
+        """What ``running`` holds, built on first use; never serialized.
+
+        The simulator assigns the ledger it keeps instead, which describes
+        the running jobs only at this snapshot's instant: the run updates
+        it once the decision is applied.  Checks read ``running``, never
+        the ledger, so a ledger fault cannot hide a double booking.
+        """
+        return Ledger.of(self.system, self.running)
 
     def validate(self) -> list[Violation]:
         """Check snapshot invariants: every job id appears once, every queued

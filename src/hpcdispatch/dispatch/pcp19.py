@@ -79,7 +79,7 @@ def build_pcp19(
     solver = Solver()
     handle = Pcp19Handle(solver=solver)
 
-    free_now = FreeRuns(system, instance.running)
+    ledger = instance.ledger
     # Queued tasks feeding each per-(node, resource) capacity constraint.
     node_tasks: dict[tuple[int, str], list[Task]] = {}
 
@@ -93,7 +93,7 @@ def build_pcp19(
         # Branch on fuller nodes first: best fit at the node granularity.
         node_order = sorted(
             (node for node in range(1, system.node_count + 1) if counts[node - 1] > 0),
-            key=lambda node: (free_now.total_free(node, r_star), node),
+            key=lambda node: (ledger.total_free(node, r_star), node),
         )
         presences: list[tuple[int, int, IntVar]] = []
         for batch, node in enumerate(node_order):
@@ -162,7 +162,7 @@ def _materialize(
     than split it.
     """
     system = instance.system
-    free = FreeRuns(system, instance.running)
+    free = FreeRuns(instance.ledger)
     out: list[JobDecision] = []
     for jv in handle.jobs:
         start = values[jv.start]

@@ -29,7 +29,6 @@ from hpcdispatch.dispatch.common import (
     horizon,
     objective_terms,
     priority,
-    residual,
     select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
 )
 from hpcdispatch.dispatch.instance import (
@@ -111,24 +110,8 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
         )
 
     # Running jobs are given data: their positions are held until
-    # t + residual.  Per resource: the held (first, last, release)
-    # intervals, the pooled peak (every running job starts at t, so the
-    # extents add up) and the axis peak (a valid instance's held intervals
-    # are disjoint, so the longest residual).
-    held_by: dict[str, list[tuple[int, int, int]]] = {r: [] for r in system.resources}
-    pooled_peak = dict.fromkeys(system.resources, 0)
-    axis_peak = dict.fromkeys(system.resources, 0)
-    for run in instance.running:
-        dur = residual(run, t)
-        for alloc in run.allocation:
-            resource = alloc.resource
-            held = held_by.get(resource)
-            if held is not None:
-                held.append((alloc.position, alloc.position + alloc.extent - 1, t + dur))
-                pooled_peak[resource] += alloc.extent
-                if dur > axis_peak[resource]:
-                    axis_peak[resource] = dur
-
+    # t + residual, which the ledger keeps per resource in position order.
+    ledger = instance.ledger
     for resource in system.resources:
         boxes: list[Box] = []
         pooled: list[Task] = []
@@ -143,19 +126,26 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
                     continue
                 boxes.append(Box(jv.start, d, yvar, q))
                 axis.append(Task(yvar, q, d))
-        held = held_by[resource]
+        if not boxes:
+            # Nothing to keep apart or release, and with no variable task
+            # neither cumulative can prune: a valid instance's peaks fit.
+            continue
         # A single box has no pair to keep apart, so its Diffn never prunes.
         if len(boxes) > 1:
             solver.add(Diffn(boxes))
-        if boxes and held:
-            held.sort()
+        held = ledger.releases(resource, t)
+        if held:
             for box in boxes:
                 solver.add(Released(box.x, box.y, box.y_len, held))
+        # Every running job starts at t, so the pooled peak is the used
+        # count; the held ranges are disjoint, so the axis peak is the
+        # longest residual.
         capacity = system.total_capacity[resource]
-        if Cumulative.can_prune(pooled, pooled_peak[resource], capacity):
+        if Cumulative.can_prune(pooled, ledger.used[resource], capacity):
             pooled += [Task(t, release - t, last - first + 1) for first, last, release in held]
             solver.add(Cumulative(pooled, capacity))
-        if Cumulative.can_prune(axis, axis_peak[resource], eoh - t):
+        axis_peak = max((release for _, _, release in held), default=t) - t
+        if Cumulative.can_prune(axis, axis_peak, eoh - t):
             axis += [Task(first, last - first + 1, release - t) for first, last, release in held]
             solver.add(Cumulative(axis, eoh - t))
 

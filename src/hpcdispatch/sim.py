@@ -7,12 +7,21 @@ time a dispatcher spends deciding is measured but never added to the
 simulated clock, so prediction quality and solver speed influence only
 the decisions themselves, not the physics of the replay.
 
+The loop keeps one ``Ledger`` of what the running jobs hold, updated at
+each start and END in the job's own entries, and gives it to every
+snapshot, so no dispatcher rebuilds the per-resource occupancy from the
+running allocations.  The ledger is valid only at the snapshot's instant,
+and dispatchers only read it.
+
 Every invocation's decision is checked once, here, before it is applied
 (``DispatchDecision.violations``): each dispatched job must be queued,
 dispatched once and start now, and its allocation must be disjoint from
-the running jobs' allocations at that instant.  A violation aborts the
-run, because it can only mean a dispatcher produced an unsound decision;
-no dispatcher replaces such a decision with a fallback.
+the running jobs' allocations at that instant.  The check reads the
+running allocations, never the ledger, so a ledger fault shows up as a
+rejected decision instead of being shared by dispatcher and check.  A
+violation aborts the run, because it can only mean a dispatcher produced
+an unsound decision; no dispatcher replaces such a decision with a
+fallback.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from hpcdispatch.dispatch import DISPATCHERS, DispatchConfig
 from hpcdispatch.dispatch.instance import (
     DispatchInstance,
     InvocationStats,
+    Ledger,
     QueuedJob,
     RunningJob,
     fits_system,
@@ -128,13 +138,17 @@ def snapshot_instance(
     queue: dict[int, QueuedJob],
     running: dict[int, RunningJob],
     system: SystemModel,
+    ledger: Ledger,
 ) -> DispatchInstance:
-    return DispatchInstance(
+    """The dispatcher's view at t; ``ledger`` records what ``running`` holds."""
+    instance = DispatchInstance(
         t=t,
         queued=sorted(queue.values(), key=lambda e: e.job_id),
         running=sorted(running.values(), key=lambda r: r.job_id),
         system=system,
     )
+    instance.ledger = ledger
+    return instance
 
 
 def run_simulation(
@@ -169,6 +183,7 @@ def run_simulation(
     heapq.heapify(heap)
     queue: dict[int, QueuedJob] = {}
     running: dict[int, RunningJob] = {}
+    ledger = Ledger(system)  # what ``running`` holds, kept at each start and END
 
     wall_start = time.perf_counter()
     stall_retries = 0
@@ -201,6 +216,7 @@ def run_simulation(
             if kind == _END:
                 # A job's END event is queued at the time it ends.
                 run = running.pop(jid)
+                ledger.release(run)
                 outcome = outcomes[jid]
                 outcome.end = t
                 outcome.completed = True
@@ -241,7 +257,7 @@ def run_simulation(
                 retry_pending = True
             continue
 
-        instance = snapshot_instance(t, queue, running, system)
+        instance = snapshot_instance(t, queue, running, system, ledger)
         seq += 1
         if dump_dir:
             instance.dump(dump_dir / f"instance_{seq:06d}_t{t}.json")
@@ -260,12 +276,13 @@ def run_simulation(
             duration = entry.job.runtime
             if config.strict_kill:
                 duration = min(duration, entry.d_expected)
-            running[jd.job_id] = RunningJob(
+            run = running[jd.job_id] = RunningJob(
                 job=entry.job,
                 start=t,
                 d_expected=entry.d_expected,
                 allocation=jd.allocation,
             )
+            ledger.occupy(run)
             outcomes[jd.job_id].start = t
             heapq.heappush(heap, (t + duration, _END, jd.job_id))
             log(f"t={t} start job={jd.job_id} wait={t - entry.job.submit}")

@@ -25,6 +25,7 @@ from hpcdispatch.dispatch.common import (
 from hpcdispatch.dispatch.instance import (
     AllocationEntry,
     JobDecision,
+    Ledger,
     RunningJob,
     dominant_resource,
     fits_system,
@@ -166,7 +167,17 @@ def test_horizon_sums_window_and_residuals():
 # -- free positions ---------------------------------------------------------------------
 
 
-def make_free():
+def free_runs(system, running):
+    return FreeRuns(Ledger.of(system, running))
+
+
+def total_free(free, node, resource):
+    """Free cells of the node's block, counted from the mask."""
+    span = free.system.node_span.get((node, resource))
+    return 0 if span is None else free.free[resource].count(1, span[0] - 1, span[1])
+
+
+def make_ledger():
     """Node 1 runs job 1 on cores 3-4 and gpu 1; node 2 is idle."""
     system = support.system_of((2, {"core": 8, "gpu": 2}))
     running = [
@@ -175,28 +186,62 @@ def make_free():
             placements=[(1, 1, "core", 3, 2), (1, 1, "gpu", 1, 1)],
         )
     ]
-    return system, FreeRuns(system, running)
+    return system, Ledger.of(system, running)
+
+
+def make_free():
+    system, ledger = make_ledger()
+    return system, FreeRuns(ledger)
 
 
 def test_free_runs_reflect_running_jobs():
-    _, free = make_free()
+    _, ledger = make_ledger()
+    free = FreeRuns(ledger)
     assert free.find(1, "core", 4) == 5 and free.find(1, "core", 5) is None
     assert free.find(1, "gpu", 1) == 2 and free.find(1, "gpu", 2) is None
     assert free.find(2, "core", 8) == 9
-    assert free.total_free(1, "core") == 6
-    assert free.total_free(2, "gpu") == 2
+    assert ledger.total_free(1, "core") == total_free(free, 1, "core") == 6
+    assert ledger.total_free(2, "gpu") == total_free(free, 2, "gpu") == 2
     assert free.find(1, "mem", 1) is None  # unknown resource on this system
-    assert free.total_free(1, "mem") == 0
+    assert ledger.total_free(1, "mem") == total_free(free, 1, "mem") == 0
+    assert (ledger.used, ledger.busy) == ({"core": 2, "gpu": 1}, {1: 2})
+    assert ledger.held == {"core": [(3, 4, 50)], "gpu": [(1, 1, 50)]}
 
 
 def test_claim_takes_the_lowest_free_window():
-    _, free = make_free()
+    _, ledger = make_ledger()
+    masks = masks_of(ledger)
+    free = FreeRuns(ledger)
     assert free.claim(1, "core", 2) == 1  # consumes cores 1-2 exactly
     assert free.claim(1, "core", 3) == 5
     assert free.claim(2, "core", 1) == 9  # positions are global: node 2 starts at 9
-    assert free.total_free(1, "core") == 1
+    assert total_free(free, 1, "core") == 1
     assert free.claim(1, "core", 2) is None
     assert free.claim(1, "gpu", 1) == 2
+    # claims write to the copy, never to the ledger it came from
+    assert masks_of(ledger) == masks and ledger.busy == {1: 2}
+
+
+def test_ledger_release_undoes_occupy():
+    system = support.system_of((2, {"core": 8, "gpu": 2}))
+    first = support.running(system, 1, start=0, d_expected=50, placements=[(0, 1, "core", 3, 2)])
+    second = support.running(
+        system, 2, start=5, d_expected=10,
+        placements=[(0, 1, "core", 7, 2), (0, 1, "gpu", 2, 1), (1, 2, "core", 1, 8)],
+    )
+    ledger = Ledger.of(system, [first])
+    empty = masks_of(Ledger(system))
+    alone = (masks_of(ledger), dict(ledger.used), {r: list(h) for r, h in ledger.held.items()})
+    ledger.occupy(second)
+    assert ledger.busy == {1: 3, 2: 1}
+    assert ledger.held["core"] == [(3, 4, 50), (7, 8, 15), (9, 16, 15)]
+    # at t=20 the second job is overdue: it is released no earlier than t + 1
+    assert ledger.releases("core", 20) == [(3, 4, 50), (7, 8, 21), (9, 16, 21)]
+    ledger.release(second)
+    assert (masks_of(ledger), ledger.used, ledger.held) == alone
+    assert ledger.busy == {1: 1}  # node 1 stays busy while any of its cells is held
+    ledger.release(first)
+    assert masks_of(ledger) == empty and ledger.busy == {}
 
 
 def masks_of(free):
@@ -246,10 +291,10 @@ def test_claims_match_a_brute_force_scan():
             (rng.randint(1, 3), {"core": rng.randint(1, 8), "gpu": rng.randint(1, 4)}),
         )
         running, busy = random_running(rng, system, 5)
-        free = FreeRuns(system, running)
+        free = free_runs(system, running)
         for (node, resource), (first, last) in sorted(system.node_span.items()):
             for _ in range(3):
-                assert free.total_free(node, resource) == last - first + 1 - len(
+                assert total_free(free, node, resource) == last - first + 1 - len(
                     busy[resource] & set(range(first, last + 1))
                 )
                 q = rng.randint(1, last - first + 1)
@@ -271,7 +316,7 @@ def test_claims_match_a_brute_force_scan():
 
 def test_best_fit_picks_tightest_node():
     system = support.system_of((1, {"core": 8}), (1, {"core": 4}))
-    free = FreeRuns(system, [])
+    free = free_runs(system, [])
     # both fit; node 2 retains the smaller free share of cores
     assert best_fit_node(system, free, {"core": 2}) == 2
     assert first_fit_node(system, free, {"core": 2}) == 1
@@ -279,13 +324,13 @@ def test_best_fit_picks_tightest_node():
 
 def test_best_fit_breaks_ties_on_lower_node_id():
     system = support.system_of((2, {"core": 4}))
-    free = FreeRuns(system, [])
+    free = free_runs(system, [])
     assert best_fit_node(system, free, {"core": 1}) == 1
 
 
 def test_best_fit_ranks_by_dominant_resource():
     system = support.system_of((1, {"core": 16, "gpu": 2}), (1, {"core": 4, "gpu": 2}))
-    free = FreeRuns(system, [])
+    free = free_runs(system, [])
     # core demand dominates gpu demand, so slack is measured in cores
     assert best_fit_node(system, free, {"core": 4, "gpu": 1}) == 2
 
@@ -301,7 +346,7 @@ def test_best_fit_breaks_ties_across_capacities_on_lower_node_id(caps, taken):
         support.running(system, node, start=0, d_expected=10, placements=[(0, node, "core", 1, k)])
         for node, k in enumerate(taken, 1)
     ]
-    free = FreeRuns(system, running)
+    free = free_runs(system, running)
     assert best_fit_node(system, free, {"core": 1}) == 1 == scan_best_fit(system, free, {"core": 1})
 
 
@@ -317,7 +362,7 @@ def test_best_fit_tests_fit_only_for_an_improving_key(monkeypatch):
         support.running(system, node, start=0, d_expected=50, placements=rows)
         for node, rows in placements.items()
     ]
-    free = FreeRuns(system, running)
+    free = free_runs(system, running)
     assert free.candidates() == [1, 3, 40, 500, 1153, 1160]
     tested = []
     find = FreeRuns.find
@@ -349,7 +394,7 @@ def scan_best_fit(system, free, unit_req):
     """best_fit_node's rule applied to every node of the system."""
     r_star = dominant_resource(system, unit_req)
     keys = [
-        (Fraction(free.total_free(node, r_star) - unit_req[r_star], system.cap(node, r_star)), node)
+        (Fraction(total_free(free, node, r_star) - unit_req[r_star], system.cap(node, r_star)), node)
         for node in range(1, system.node_count + 1)
         if all(free.find(node, r, q) is not None for r, q in unit_req.items())
     ]
@@ -406,7 +451,7 @@ def test_node_choice_matches_a_full_scan(monkeypatch):
     placed = failed = 0
     for _ in range(300):
         system = random_interleaved_system(rng)
-        free = FreeRuns(system, random_running(rng, system, rng.randint(0, 6))[0])
+        free = free_runs(system, random_running(rng, system, rng.randint(0, 6))[0])
         for _ in range(8):
             resources = rng.sample(system.resources, rng.randint(1, len(system.resources)))
             unit_req = {r: rng.randint(1, 3) for r in system.resources if r in resources}
@@ -433,7 +478,7 @@ def test_node_choice_work_does_not_grow_with_the_machine():
             placements=[(0, 15_000, "core", 1, 1), (0, 15_000, "gpu", 1, 1)],
         ),
     ]
-    free = FreeRuns(system, running)
+    free = free_runs(system, running)
     assert free.busy == {1, 10_001, 15_000}
     assert free.candidates() == [1, 2, 10_001, 10_002, 15_000]
     assert best_fit_node(system, free, {"core": 2}) == 10_001  # the tightest busy node
@@ -453,11 +498,11 @@ def test_node_choice_work_does_not_grow_with_the_machine():
 
 def test_place_job_is_all_or_nothing():
     system = support.system_of((2, {"core": 4}))
-    free = FreeRuns(system, [])
+    free = free_runs(system, [])
     masks = masks_of(free)
     assert place_job(system, free, rn=3, unit_req={"core": 3}) is None
     # failed placement leaves no residue
-    assert (free.total_free(1, "core"), free.total_free(2, "core")) == (4, 4)
+    assert (total_free(free, 1, "core"), total_free(free, 2, "core")) == (4, 4)
     assert masks_of(free) == masks and free.busy == set()
 
     allocation = place_job(system, free, rn=2, unit_req={"core": 3})
@@ -468,7 +513,7 @@ def test_place_job_is_all_or_nothing():
 
 def test_place_job_result_validates():
     system = support.system_of((2, {"core": 8, "gpu": 2}))
-    free = FreeRuns(system, [])
+    free = free_runs(system, [])
     allocation = place_job(system, free, rn=2, unit_req={"core": 4, "gpu": 1})
     assert validate_allocation(system, [], [(1, allocation)]) == []
 
@@ -478,16 +523,16 @@ def test_place_units_on_nodes_respects_choice_and_fragmentation():
     running = [
         support.running(system, 9, start=0, d_expected=99, placements=[(1, 1, "core", 2, 1)])
     ]
-    free = FreeRuns(system, running)
+    free = free_runs(system, running)
     # node 1 has free cells {1, 3, 4}: a 2-wide claim works, a 3-wide cannot
     ok = place_units_on_nodes(system, free, [1], {"core": 2})
     assert ok is not None and ok[0].position == 3
 
-    free2 = FreeRuns(system, running)
+    free2 = free_runs(system, running)
     masks = masks_of(free2)
     assert place_units_on_nodes(system, free2, [2, 1], {"core": 3}) is None
     # the first unit's claim on node 2 was undone
-    assert (free2.total_free(1, "core"), free2.total_free(2, "core")) == (3, 4)
+    assert (total_free(free2, 1, "core"), total_free(free2, 2, "core")) == (3, 4)
     assert masks_of(free2) == masks and free2.busy == {1}
 
 

@@ -9,12 +9,14 @@ import support
 from hpcdispatch import sim
 from hpcdispatch.dispatch import DISPATCHERS, DispatchConfig
 from hpcdispatch.dispatch import instance as instance_module
+from hpcdispatch.dispatch.common import residual
 from hpcdispatch.dispatch.instance import (
     AllocationEntry,
     DispatchDecision,
     DispatchInstance,
     InvocationStats,
     JobDecision,
+    Ledger,
 )
 from hpcdispatch.sim import (
     REPLAY_FIELDS,
@@ -168,6 +170,24 @@ def test_overlapping_dispatch_aborts_the_run():
         del DISPATCHERS["stub-pile"]
 
 
+@pytest.mark.parametrize("dispatcher", ["hcp19", "pcp20"])
+def test_the_check_reads_running_jobs_not_the_ledger(dispatcher, monkeypatch):
+    class Forgetful(Ledger):
+        """Shows every held range as free."""
+
+        def occupy(self, run):
+            pass
+
+        def release(self, run):
+            pass
+
+    monkeypatch.setattr(sim, "Ledger", Forgetful)
+    trace = [make_job(1, 1, 0, 1, {"core": 1}, 10), make_job(2, 2, 2, 1, {"core": 1}, 10)]
+    # At t=2 the ledger offers job 1's core to job 2, which both place there.
+    with pytest.raises(SimulationError, match="double-booking"):
+        run_simulation(trace, one_core(), sim_config(dispatcher=dispatcher))
+
+
 def _twice(t):
     return [
         JobDecision(1, t, (AllocationEntry(0, "core", 1, 1),)),
@@ -239,7 +259,7 @@ def test_snapshot_sorts_by_job_id():
         5: support.queued(5, 0, 1, {"core": 1}, 3),
         2: support.queued(2, 0, 1, {"core": 1}, 3),
     }
-    snap = snapshot_instance(4, queue, {}, system)
+    snap = snapshot_instance(4, queue, {}, system, Ledger(system))
     assert [e.job_id for e in snap.queued] == [2, 5]
 
 
@@ -412,3 +432,121 @@ def test_golden_artifacts(scenario, dispatcher, tmp_path):
     assert (decisions.hexdigest()[:16], stats.hexdigest()[:16]) == GOLDEN_DIGESTS[
         (scenario, dispatcher)
     ]
+
+
+# -- the simulator's ledger ---------------------------------------------------------------
+
+
+def ledger_state(ledger, t):
+    """Everything a dispatcher can read of a ledger at t, as plain values."""
+    return (
+        {r: bytes(mask) for r, mask in ledger.free.items()},
+        set(ledger.busy),
+        dict(ledger.used),
+        {r: ledger.releases(r, t) for r in ledger.held},
+    )
+
+
+def rebuilt_state(instance):
+    """``ledger_state`` rebuilt from the running allocations, without a Ledger."""
+    system, t = instance.system, instance.t
+    free = {r: bytearray(b"\1") * system.total_capacity[r] for r in system.resources}
+    busy = set()
+    used = dict.fromkeys(system.resources, 0)
+    held = {r: [] for r in system.resources}
+    for run in instance.running:
+        for a in run.allocation:
+            free[a.resource][a.position - 1 : a.position - 1 + a.extent] = bytes(a.extent)
+            busy.add(system.owner[a.resource][a.position - 1])
+            used[a.resource] += a.extent
+            held[a.resource].append((a.position, a.position + a.extent - 1, t + residual(run, t)))
+    return {r: bytes(m) for r, m in free.items()}, busy, used, {r: sorted(h) for r, h in held.items()}
+
+
+def watch(monkeypatch, dispatcher, check):
+    """Call ``check(instance, decide)`` at each invocation; decide() runs the dispatcher."""
+    inner = DISPATCHERS[dispatcher]
+
+    def watched(instance, config):
+        return check(instance, lambda: inner(instance, config))
+
+    monkeypatch.setitem(DISPATCHERS, dispatcher, watched)
+
+
+_LEDGER_RUNS = [
+    *((d, "oracle", False) for d in sorted(DISPATCHERS)),
+    *((d, "last2", False) for d in sorted(DISPATCHERS)),
+    ("pcp20", "last2", True),
+]
+
+
+@pytest.mark.parametrize("dispatcher, predictor, strict_kill", _LEDGER_RUNS)
+def test_snapshot_ledger_equals_a_rebuild(dispatcher, predictor, strict_kill, monkeypatch):
+    seen = {"invocations": 0, "overdue": 0}
+
+    def check(instance, decide):
+        assert ledger_state(instance.ledger, instance.t) == rebuilt_state(instance)
+        seen["invocations"] += 1
+        t = instance.t
+        seen["overdue"] += any(run.start + run.d_expected <= t for run in instance.running)
+        return decide()
+
+    watch(monkeypatch, dispatcher, check)
+    spec, system, dispatch = GOLDEN_SCENARIOS["C"]
+    config = SimConfig(dispatcher, predictor, dispatch, strict_kill=strict_kill)
+    result = run_simulation(generate_trace(spec()), system(), config)
+    assert not result.dnf and seen["invocations"] == len(result.invocations) > 100
+    # Only a job running past its prediction takes the t + 1 release floor;
+    # a strict kill ends every job by then.
+    assert (seen["overdue"] > 0) == (predictor == "last2" and not strict_kill)
+
+
+def test_dispatchers_leave_the_ledger_untouched(monkeypatch):
+    def check(instance, decide):
+        before = ledger_state(instance.ledger, instance.t)
+        decision = decide()
+        assert ledger_state(instance.ledger, instance.t) == before
+        return decision
+
+    for dispatcher in DISPATCHERS:
+        watch(monkeypatch, dispatcher, check)
+    stats = {}
+    for scenario in "AC":
+        spec, system, dispatch = GOLDEN_SCENARIOS[scenario]
+        for dispatcher in sorted(DISPATCHERS):
+            config = SimConfig(dispatcher=dispatcher, dispatch=dispatch)
+            result = run_simulation(generate_trace(spec()), system(), config)
+            stats[scenario, dispatcher] = result.invocations
+    # The runs take every path that copies the ledger into a FreeRuns.
+    assert sum(s.realloc_iterations for s in stats["C", "hcp19"]) > 0
+    assert sum(s.deferred for s in stats["A", "pcp19"]) > 0
+    for dispatcher in ("pcp19", "pcp20"):  # the first-fit rescue
+        assert any(s.fallback and s.dispatched for s in stats["C", dispatcher])
+
+
+@pytest.mark.parametrize("dispatcher", sorted(DISPATCHERS))
+def test_dumped_snapshots_decide_as_in_the_run(dispatcher, monkeypatch, tmp_path):
+    """Loaded snapshots build their own ledger, and decide as the run did."""
+    decided = []
+
+    def check(instance, decide):
+        decision = decide()
+        decided.append(decision)
+        return decision
+
+    watch(monkeypatch, dispatcher, check)
+    spec, system, dispatch = GOLDEN_SCENARIOS["C"]
+    config = SimConfig(dispatcher=dispatcher, dispatch=dispatch, dump_dir=tmp_path)
+    run_simulation(generate_trace(spec()), system(), config)
+    monkeypatch.undo()
+    dumps = sorted(tmp_path.glob("instance_*.json"))
+    assert len(dumps) == len(decided) > 100
+
+    def untimed(decision):
+        row = decision.stats.as_row()
+        del row["wall_ms"]
+        return decision.jobs, row
+
+    for path, in_run in zip(dumps, decided):
+        offline = DISPATCHERS[dispatcher](DispatchInstance.load(path), dispatch)
+        assert untimed(offline) == untimed(in_run), path.name
