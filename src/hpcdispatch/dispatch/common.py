@@ -24,7 +24,6 @@ from hpcdispatch.dispatch.instance import (
     JobDecision,
     Ledger,
     QueuedJob,
-    RunningJob,
     dominant_resource,
     fits_system,  # noqa: F401 -- a bench/run.py:install_spans hook
     unit_demands,
@@ -103,17 +102,16 @@ def select_window(instance: DispatchInstance, config: DispatchConfig) -> list[Qu
     return ranked[: config.window]
 
 
-def residual(run: RunningJob, t: int) -> int:
-    """Remaining expected occupancy; never below one time unit."""
-    return max(1, run.start + run.d_expected - t)
+def horizon(t: int, window: Sequence[QueuedJob], ledger: Ledger) -> int:
+    """Worst-case makespan: everything visible runs back to back.
 
-
-def horizon(t: int, window: Sequence[QueuedJob], running: Sequence[RunningJob]) -> int:
-    """Worst-case makespan: everything visible runs back to back."""
+    A running job takes what is left of its expected duration, never less
+    than one time unit (the ledger's t + 1 release floor).
+    """
     return (
         t
         + sum(entry.d_expected for entry in window)
-        + sum(residual(run, t) for run in running)
+        + sum(max(1, end - t) for end in ledger.ends.values())
     )
 
 

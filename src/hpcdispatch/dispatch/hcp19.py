@@ -20,7 +20,6 @@ from hpcdispatch.dispatch.common import (
     horizon,
     objective_terms,
     place_job,
-    residual,
     select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
 )
 from hpcdispatch.dispatch.instance import (
@@ -58,16 +57,16 @@ def _build_schedule_model(
     """The pooled schedule; jobs in ``held`` failed placement and start after t."""
     system = instance.system
     t = instance.t
-    eoh = horizon(t, window, instance.running)
+    ledger = instance.ledger
+    eoh = horizon(t, window, ledger)
     solver = Solver()
     handle = Hcp19Handle(solver=solver)
     for entry in window:
         lo = t + 1 if entry.job_id in held else t
         handle.jobs.append(_JobVars(entry=entry, start=solver.new_var(lo, eoh, f"s{entry.job_id}")))
-    # Running jobs are constant (residual, extent) parts on [t, t + residual);
-    # all start at t, so the pooled peak is the ledger's used count.  Their
+    # Each range the ledger holds is a constant part on [t, release); all
+    # start at t, so the pooled peak is the ledger's used count.  Their
     # tasks are built only for a cumulative that is posted.
-    used = instance.ledger.used
     for resource in system.resources:
         tasks = []
         for jv in handle.jobs:
@@ -75,12 +74,10 @@ def _build_schedule_model(
             if total > 0:
                 tasks.append(Task(jv.start, jv.entry.d_expected, total))
         capacity = system.total_capacity[resource]
-        if Cumulative.can_prune(tasks, used[resource], capacity):
+        if Cumulative.can_prune(tasks, ledger.used[resource], capacity):
             tasks += [
-                Task(t, residual(run, t), alloc.extent)
-                for run in instance.running
-                for alloc in run.allocation
-                if alloc.resource == resource
+                Task(t, release - t, last - first + 1)
+                for first, last, release in ledger.releases(resource, t)
             ]
             solver.add(Cumulative(tasks, capacity))
     weights, constant = objective_terms(window)

@@ -7,8 +7,8 @@ stable JSON form so dispatchers can be compared offline on the identical
 problems a simulation produced.  The demand helpers here say what a
 queued job asks of a system: its per-unit demands, how many of its units
 each node could hold, and whether it fits the empty system at all.  The
-``Ledger`` records what the running jobs hold, per resource, for the
-dispatchers to read.
+``Ledger`` records what the running jobs hold and until when: the only
+view of them the dispatchers read.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from hpcdispatch.system import (
     preset,
     validate_allocation,
 )
-from hpcdispatch.workload import JobRecord
+from hpcdispatch.workload import JobRecord, checked_int
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,16 @@ def fits_system(system: SystemModel, entry: QueuedJob) -> bool:
 
 
 class Ledger:
-    """What the running jobs hold: one occupancy record per resource.
+    """What the running jobs hold, and until when: all a model reads of them.
 
     ``free[r][p - 1]`` is 1 while position p of r's flattened space is
     free; ``used[r]`` counts the held positions; ``held[r]`` lists the held
-    ``(first, last, expected_end)`` ranges in position order, where
-    expected_end is the job's start + d_expected.  A job may run past it,
-    so a reader at time t takes ``max(expected_end, t + 1)`` as the release
-    (``releases``), which is t + ``common.residual``.  ``busy`` maps each
-    node with a held cell to its number of held ranges.
+    ``(first, last, expected_end)`` ranges in position order; ``ends`` maps
+    each running job's id to its expected_end, start + d_expected.  A job
+    may run past it, so a reader at time t takes ``max(expected_end, t + 1)``
+    as its release: ``releases`` gives that per held range, and
+    ``common.horizon`` per job.  ``busy`` maps each node with a held cell
+    to its number of held ranges.
 
     ``occupy`` and ``release`` cost O(the job's allocation entries), so the
     simulator keeps one ledger per run and updates it at each start and
@@ -147,6 +148,7 @@ class Ledger:
         self.used = dict.fromkeys(system.resources, 0)
         self.held: dict[str, list[tuple[int, int, int]]] = {r: [] for r in system.resources}
         self.busy: dict[int, int] = {}
+        self.ends: dict[int, int] = {}
 
     @classmethod
     def of(cls, system: SystemModel, running: Iterable[RunningJob]) -> "Ledger":
@@ -156,7 +158,7 @@ class Ledger:
         return ledger
 
     def occupy(self, run: RunningJob) -> None:
-        end = run.start + run.d_expected
+        end = self.ends[run.job_id] = run.start + run.d_expected
         owner, busy = self.system.owner, self.busy
         for entry in run.allocation:
             resource, lo, extent = entry.resource, entry.position - 1, entry.extent
@@ -167,6 +169,7 @@ class Ledger:
             busy[node] = busy.get(node, 0) + 1
 
     def release(self, run: RunningJob) -> None:
+        del self.ends[run.job_id]
         owner, busy = self.system.owner, self.busy
         for entry in run.allocation:
             resource, lo, extent = entry.resource, entry.position - 1, entry.extent
@@ -206,6 +209,7 @@ class DispatchInstance:
     def ledger(self) -> Ledger:
         """What ``running`` holds, built on first use; never serialized.
 
+        The models read the running jobs only here, next to the window.
         The simulator assigns the ledger it keeps instead, which describes
         the running jobs only at this snapshot's instant: the run updates
         it once the decision is applied.  Checks read ``running``, never
@@ -293,7 +297,7 @@ class DispatchInstance:
         if not isinstance(data, dict):
             raise ValueError("snapshot: not a JSON object")
         with _payload_part("snapshot"):
-            t = _integer("t", data["t"])
+            t = checked_int("t", data["t"])
             system_payload = data["system"]
             if isinstance(system_payload, str):
                 system = preset(system_payload)
@@ -304,30 +308,30 @@ class DispatchInstance:
         queued = []
         for number, entry in enumerate(queued_payload, 1):
             with _payload_part(_entry_label("queued", number, entry)):
-                rn = _integer("rn", entry["rn"])
-                req = {str(r): _integer(f"req {r!r}", v) for r, v in entry["req"].items()}
+                rn = checked_int("rn", entry["rn"])
+                req = {str(r): checked_int(f"req {r!r}", v) for r, v in entry["req"].items()}
                 for r, total in req.items():
                     if rn < 1 or total % rn:
                         raise ValueError(f"demand {total} for {r!r} not divisible by rn={rn}")
                 job = JobRecord(
-                    job_id=_integer("id", entry["id"]),
-                    user_id=_integer("user", entry.get("user", 0)),
-                    submit=_integer("q", entry["q"]),
+                    job_id=checked_int("id", entry["id"]),
+                    user_id=checked_int("user", entry.get("user", 0)),
+                    submit=checked_int("q", entry["q"]),
                     node_count=rn,
                     demand=req,
-                    runtime=_integer("d_real", entry["d_real"]),
+                    runtime=checked_int("d_real", entry["d_real"]),
                 )
-                d_expected = _integer("d_expected", entry["d_expected"])
+                d_expected = checked_int("d_expected", entry["d_expected"])
                 queued.append(QueuedJob(job=job, d_expected=d_expected))
         running = []
         for number, entry in enumerate(running_payload, 1):
             with _payload_part(_entry_label("running", number, entry)):
                 allocation = tuple(
                     AllocationEntry(
-                        unit=_integer("unit", a["unit"]),
+                        unit=checked_int("unit", a["unit"]),
                         resource=str(a["r"]),
-                        position=_integer("y", a["y"]),
-                        extent=_integer("q", a["q"]),
+                        position=checked_int("y", a["y"]),
+                        extent=checked_int("q", a["q"]),
                     )
                     for a in entry.get("allocation", [])
                 )
@@ -338,20 +342,20 @@ class DispatchInstance:
                     units.add(a.unit)
                 # The saved form drops the running job's owner and arrival time;
                 # neither influences any dispatcher decision.
-                start = _integer("s", entry["s"])
+                start = checked_int("s", entry["s"])
                 job = JobRecord(
-                    job_id=_integer("id", entry["id"]),
+                    job_id=checked_int("id", entry["id"]),
                     user_id=0,
                     submit=start,
                     node_count=max(1, len(units)),
                     demand=demand,
-                    runtime=_integer("d_real", entry["d_real"]),
+                    runtime=checked_int("d_real", entry["d_real"]),
                 )
                 running.append(
                     RunningJob(
                         job=job,
                         start=start,
-                        d_expected=_integer("d_expected", entry["d_expected"]),
+                        d_expected=checked_int("d_expected", entry["d_expected"]),
                         allocation=allocation,
                     )
                 )
@@ -380,14 +384,6 @@ def _payload_part(where: str) -> Iterator[None]:
         raise ValueError(f"{where}: missing {exc}") from None
     except (TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
-
-
-def _integer(what: str, value: object) -> int:
-    """``value`` if it is an int; checked, not coerced, as int() would load
-    2.5 as 2 and accept "4" or true."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, not {value!r}")
-    return value
 
 
 def _entry_label(kind: str, number: int, entry: object) -> str:

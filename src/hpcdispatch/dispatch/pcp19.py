@@ -6,7 +6,9 @@ constraints, each posted only when it can prune (``Cumulative.can_prune``).
 Model size therefore grows with the node count, which is exactly the
 scaling weakness the position-space dispatcher removes; large systems can
 exhaust the budget before the model even finishes building, and that
-failure is reported as a timeout fallback rather than an error.
+failure is reported as a timeout fallback rather than an error.  Like the
+other models it reads only the window and the snapshot's ledger: the
+running jobs' per-node constants come from the ledger's held ranges.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from hpcdispatch.dispatch.common import (
     horizon,
     objective_terms,
     place_units_on_nodes,
-    residual,
     select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
 )
 from hpcdispatch.dispatch.instance import (
@@ -75,11 +76,11 @@ def build_pcp19(
     """Construct the replicated model; raises BuildTimeout past the deadline."""
     system = instance.system
     t = instance.t
-    eoh = horizon(t, window, instance.running)
+    ledger = instance.ledger
+    eoh = horizon(t, window, ledger)
     solver = Solver()
     handle = Pcp19Handle(solver=solver)
 
-    ledger = instance.ledger
     # Queued tasks feeding each per-(node, resource) capacity constraint.
     node_tasks: dict[tuple[int, str], list[Task]] = {}
 
@@ -109,23 +110,23 @@ def build_pcp19(
         solver.add(BoolSumEq([x for _, _, x in presences], entry.rn))
         handle.jobs.append(_JobVars(entry=entry, start=svar, presences=presences))
 
-    # Running jobs are constant (residual, extent) parts per (node, resource);
-    # all start at t, so a node's peak is the sum of their extents.
+    # Each range the ledger holds is a constant part on [t, release) of its
+    # owner's (node, resource); all start at t, so a node's peak is what it
+    # holds.  A key with no queued task could never prune in a valid
+    # snapshot, so only keys with one are walked.
     running_parts: dict[tuple[int, str], list[tuple[int, int]]] = {}
-    peak: dict[tuple[int, str], int] = {}
-    for run in instance.running:
-        dur = residual(run, t)
-        for alloc in run.allocation:
-            key = (system.position_to_node(alloc.resource, alloc.position), alloc.resource)
-            running_parts.setdefault(key, []).append((dur, alloc.extent))
-            peak[key] = peak.get(key, 0) + alloc.extent
+    for resource in system.resources:
+        owner = system.owner[resource]
+        for first, last, release in ledger.releases(resource, t):
+            key = (owner[first - 1], resource)
+            running_parts.setdefault(key, []).append((release - t, last - first + 1))
 
-    for batch, key in enumerate(sorted(node_tasks.keys() | running_parts.keys())):
+    for batch, key in enumerate(sorted(node_tasks)):
         if deadline is not None and batch % 64 == 0 and time.perf_counter() > deadline:
             raise BuildTimeout
-        tasks = node_tasks.get(key, [])
+        tasks = node_tasks[key]
         capacity = system.cap(*key)
-        if Cumulative.can_prune(tasks, peak.get(key, 0), capacity):
+        if Cumulative.can_prune(tasks, capacity - ledger.total_free(*key), capacity):
             tasks += [Task(t, dur, extent) for dur, extent in running_parts.get(key, ())]
             solver.add(Cumulative(tasks, capacity))
 

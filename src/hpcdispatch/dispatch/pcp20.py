@@ -8,8 +8,8 @@ windows object per (resource, width), so neither the variable count nor
 the size of a variable depends on the node count, only on the visible
 queue.  Non-overlap of the queued jobs' (time x position) boxes (posted
 where a resource has two or more, since a lone box has no pair to keep
-apart), plus one release constraint per position variable against the
-running allocations' release intervals, carries allocation feasibility;
+apart), plus one release constraint per position variable against the ranges
+the ledger holds for the running jobs, carries allocation feasibility;
 one same-node constraint per unit and pair of resources, over the
 positions' start windows, keeps a unit on one node; pooled and
 position-axis cumulatives provide relaxation pruning, and are posted only
@@ -78,7 +78,8 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
     """Construct the joint model for the visible window."""
     system = instance.system
     t = instance.t
-    eoh = horizon(t, window, instance.running)
+    ledger = instance.ledger
+    eoh = horizon(t, window, ledger)
     solver = Solver()
     handle = ModelHandle(solver=solver)
 
@@ -109,9 +110,8 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
             )
         )
 
-    # Running jobs are given data: their positions are held until
-    # t + residual, which the ledger keeps per resource in position order.
-    ledger = instance.ledger
+    # Running jobs are given data: the ledger's held ranges, per resource in
+    # position order, each with its release time.
     for resource in system.resources:
         boxes: list[Box] = []
         pooled: list[Task] = []
@@ -139,7 +139,7 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
                 solver.add(Released(box.x, box.y, box.y_len, held))
         # Every running job starts at t, so the pooled peak is the used
         # count; the held ranges are disjoint, so the axis peak is the
-        # longest residual.
+        # latest release less t.
         capacity = system.total_capacity[resource]
         if Cumulative.can_prune(pooled, ledger.used[resource], capacity):
             pooled += [Task(t, release - t, last - first + 1) for first, last, release in held]

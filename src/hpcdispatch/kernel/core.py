@@ -186,22 +186,33 @@ class Propagator:
 
 
 class _ObjectiveBound(Propagator):
-    """sum(w_i * v_i) <= solver's current bound; weights strictly positive."""
+    """constant + sum(w_i * v_i) <= ``bound`` (None until the first incumbent),
+    weights strictly positive; ``floor`` is the root propagation's lower bound."""
 
-    def __init__(self, variables: list[IntVar], weights: list[int]):
+    def __init__(self, variables: list[IntVar], weights: list[int], constant: int):
         super().__init__()
         self.vars = variables
         self.weights = weights
+        self.constant = constant
+        self.bound: int | None = None
+        self.floor: int | None = None
+
+    def value(self) -> int:
+        """The objective of fixed variables; ``var.value()`` raises on an unfixed one."""
+        total = self.constant
+        for var, weight in zip(self.vars, self.weights):
+            total += weight * var.value()
+        return total
 
     def post(self, solver: Solver) -> None:
         for var in self.vars:
             solver.watch(var, self)
 
     def propagate(self, solver: Solver) -> bool:
-        bound = solver._objective_bound
+        bound = self.bound
         if bound is None:
             return True
-        floor = 0
+        floor = self.constant
         for var, weight in zip(self.vars, self.weights):
             floor += weight * var.lo
         if floor > bound:
@@ -225,11 +236,7 @@ class Solver:
         self.props: list[Propagator] = []
         self._trail: list[tuple[int, IntVar, int]] = []
         self._queue: deque = deque()
-        self._objective_vars: list[IntVar] = []
-        self._objective_weights: list[int] = []
-        self._objective_const = 0
-        self._objective_prop: _ObjectiveBound | None = None
-        self._objective_bound: int | None = None
+        self.objective: _ObjectiveBound | None = None
         self.stats = SearchStats()
 
     # -- model construction -------------------------------------------------
@@ -260,17 +267,8 @@ class Solver:
             raise ValueError("objective variables and weights differ in length")
         if any(w <= 0 for w in weights):
             raise ValueError("objective weights must be strictly positive")
-        self._objective_vars = list(variables)
-        self._objective_weights = list(weights)
-        self._objective_const = constant
-        self._objective_prop = _ObjectiveBound(self._objective_vars, self._objective_weights)
-        self.add(self._objective_prop)
-
-    def objective_value(self) -> int:
-        total = self._objective_const
-        for var, weight in zip(self._objective_vars, self._objective_weights):
-            total += weight * var.value()
-        return total
+        self.objective = _ObjectiveBound(list(variables), list(weights), constant)
+        self.add(self.objective)
 
     # -- propagation & trail -------------------------------------------------
 
@@ -343,7 +341,9 @@ class Solver:
         """
         stats = self.stats = SearchStats()
         deadline = time.perf_counter() + budget_ms / 1000.0 if budget_ms is not None else None
-        self._objective_bound = None
+        objective = self.objective
+        if objective is not None:
+            objective.bound = objective.floor = None
         best: dict[IntVar, int] | None = None
         best_obj: int | None = None
         frames: list[tuple[int, IntVar, int]] = []
@@ -352,10 +352,9 @@ class Solver:
         if not self.propagate_all():
             stats.status = STATUS_INFEASIBLE
             return SolveResult(STATUS_INFEASIBLE, None, None, stats)
-        floor = None
-        if self._objective_prop is not None:
-            terms = zip(self._objective_vars, self._objective_weights)
-            floor = self._objective_const + sum(weight * var.lo for var, weight in terms)
+        if objective is not None:
+            terms = zip(objective.vars, objective.weights)
+            objective.floor = objective.constant + sum(weight * var.lo for var, weight in terms)
 
         while True:
             if deadline is not None and time.perf_counter() >= deadline:
@@ -364,12 +363,13 @@ class Solver:
                 break
             decision = branch()
             if decision is None:
-                best_obj = self.objective_value()
                 best = {var: var.lo for var in self.vars}
-                if best_obj == floor:
-                    exhausted = True
-                    break
-                self._objective_bound = best_obj - 1 - self._objective_const
+                best_obj = 0 if objective is None else objective.value()
+                if objective is not None:
+                    if best_obj == objective.floor:
+                        exhausted = True
+                        break
+                    objective.bound = best_obj - 1
                 if not self._recover(frames):
                     exhausted = True
                     break
@@ -406,8 +406,8 @@ class Solver:
             self._clear_queue()
             self.undo_to(mark)
             if var.remove(value):
-                if self._objective_prop is not None and self._objective_bound is not None:
-                    self.enqueue(self._objective_prop)
+                if self.objective is not None and self.objective.bound is not None:
+                    self.enqueue(self.objective)
                 if self.propagate():
                     return True
             else:

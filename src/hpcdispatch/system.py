@@ -100,12 +100,6 @@ class SystemModel:
             )
         return windows
 
-    def position_to_node(self, resource: str, position: int) -> int:
-        owner = self.owner.get(resource)
-        if not owner or not 1 <= position <= len(owner):
-            raise ValueError(f"position {position} out of range for {resource!r}")
-        return owner[position - 1]
-
     def to_config(self) -> dict:
         """Inline config equivalent to this system (consecutive equal nodes merged)."""
         groups: list[dict] = []

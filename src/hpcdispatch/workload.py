@@ -10,6 +10,7 @@ ceiling of the raw share).
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from collections import deque
@@ -43,9 +44,6 @@ class JobRecord:
 
     def unit_demand(self, resource: str) -> int:
         return self.demand.get(resource, 0) // self.node_count
-
-    def resources(self) -> list[str]:
-        return [r for r, amount in self.demand.items() if amount > 0]
 
 
 def make_job(
@@ -181,6 +179,24 @@ _JSONL_FIELDS = (
 )
 
 
+def checked_int(what: str, value: object, least: int | None = None) -> int:
+    """``value`` if it is an integer >= ``least``, else a ValueError naming ``what``.
+
+    Checked, not coerced, as int() would load 2.5 as 2 and accept "4" or
+    true: a bool is not an integer here.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, not {value}")
+    return value
+
+
+def _check_number(what: str, value: object) -> None:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
+
+
 def jobs_from_jsonl(text: str) -> list[JobRecord]:
     """Parse JSON-lines records; a malformed line is a ValueError naming it.
 
@@ -213,10 +229,10 @@ def jobs_from_jsonl(text: str) -> list[JobRecord]:
             checks.append(("'requested'", requested, 1))
         checks += [(f"req {resource!r}", amount, 0) for resource, amount in req.items()]
         for what, value, least in checks:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"trace line {number}: {what} must be an integer, not {value!r}")
-            if value < least:
-                raise ValueError(f"trace line {number}: {what} must be >= {least}, not {value}")
+            try:
+                checked_int(what, value, least)
+            except ValueError as exc:
+                raise ValueError(f"trace line {number}: {exc}") from None
         job_id, user, submit, nodes, runtime = values
         jobs.append(make_job(job_id, user, submit, nodes, req, runtime, requested))
     return jobs
@@ -283,6 +299,8 @@ class TraceSpec:
 
     ``node_counts`` is a tuple of (unit count, weight) pairs; runtimes are
     drawn uniformly from the short or long range; demands are per unit.
+    Every field is checked, not coerced: a mistyped or out-of-range value
+    is a ValueError naming the field.
     """
 
     jobs: int = 1000
@@ -299,22 +317,42 @@ class TraceSpec:
     users: int = 20
 
     def __post_init__(self) -> None:
-        if self.jobs < 0:
-            raise ValueError("jobs must be >= 0")
+        checked_int("jobs", self.jobs, 0)
+        checked_int("seed", self.seed)
+        checked_int("users", self.users, 1)
+        for key in ("mean_interarrival", "short_fraction", "gpu_fraction"):
+            _check_number(key, getattr(self, key))
         if self.mean_interarrival <= 0:
             raise ValueError("mean_interarrival must be positive")
-        if not 0.0 <= self.short_fraction <= 1.0:
-            raise ValueError("short_fraction must lie in [0, 1]")
-        if not 0.0 <= self.gpu_fraction <= 1.0:
-            raise ValueError("gpu_fraction must lie in [0, 1]")
-        if self.users < 1:
-            raise ValueError("users must be >= 1")
+        for key in ("short_fraction", "gpu_fraction"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must lie in [0, 1]")
+        for key in ("short_runtime", "long_runtime", "unit_cores", "unit_mem", "unit_gpus"):
+            pair = getattr(self, key)
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ValueError(f"{key} must be a [low, high] pair, not {pair!r}")
+            for bound in pair:
+                checked_int(key, bound, 1)
+            if pair[0] > pair[1]:
+                raise ValueError(f"{key} must have low <= high, not {list(pair)}")
+        if not isinstance(self.node_counts, tuple) or not self.node_counts:
+            raise ValueError(f"node_counts must list [units, weight] pairs, not {self.node_counts!r}")
+        for pair in self.node_counts:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ValueError(f"node_counts entry must be a [units, weight] pair, not {pair!r}")
+            checked_int("node_counts units", pair[0], 1)
+            _check_number("node_counts weight", pair[1])
+            if pair[1] < 0:
+                raise ValueError(f"node_counts weight must be >= 0, not {pair[1]}")
+        if sum(weight for _, weight in self.node_counts) <= 0:
+            raise ValueError("node_counts weights must not all be 0")
 
 
 def spec_from_dict(config: object, base: dict | None = None) -> TraceSpec:
     """Build a TraceSpec from parsed config text laid over ``base``.
 
-    The config must be a JSON object; unknown keys are an error.
+    The config must be a JSON object; unknown keys are an error.  JSON
+    lists become the tuples ``TraceSpec`` checks.
     """
     if not isinstance(config, dict):
         raise ValueError("trace config must be a JSON object")
@@ -323,11 +361,9 @@ def spec_from_dict(config: object, base: dict | None = None) -> TraceSpec:
     if unknown:
         raise ValueError(f"unknown trace config keys: {', '.join(unknown)}")
     kwargs = {**(base or {}), **config}
-    for key in ("short_runtime", "long_runtime", "unit_cores", "unit_mem", "unit_gpus"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    if "node_counts" in kwargs:
-        kwargs["node_counts"] = tuple((int(n), float(w)) for n, w in kwargs["node_counts"])
+    for key, value in kwargs.items():
+        if isinstance(value, list):
+            kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
     return TraceSpec(**kwargs)
 
 

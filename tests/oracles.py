@@ -44,7 +44,7 @@ def plan_cost(instance, starts: dict, scale: int = OBJECTIVE_SCALE) -> int:
 
 
 def unit_request(entry) -> dict:
-    return {r: entry.job.unit_demand(r) for r in entry.job.resources()}
+    return {r: entry.job.unit_demand(r) for r, amount in entry.job.demand.items() if amount > 0}
 
 
 def node_unit_capacity(system, rn: int, unit_req: dict) -> list:

@@ -243,7 +243,7 @@ def full_pcp20(instance: DispatchInstance, budget_ms: float = 120_000.0):
         for resource, unit, yvar, _extent in jv.positions:
             pos = result.values[yvar]
             per_unit.setdefault(unit, []).append((resource, pos))
-            unit_nodes[unit] = system.position_to_node(resource, pos)
+            unit_nodes[unit] = system.owner[resource][pos - 1]
         placements = tuple(
             (unit_nodes[unit], tuple(sorted(per_unit[unit]))) for unit in sorted(per_unit)
         )

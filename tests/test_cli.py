@@ -63,6 +63,15 @@ BAD_TRACE_CONFIGS = {
     "custom-unknown-key": ("custom", '{"bogus": 1}'),
     "not-an-object": ("eurora", "[1]"),
     "deep-nesting": ("eurora", "[" * 100_000),
+    "jobs-string": ("eurora", '{"jobs": "x"}'),
+    "jobs-float": ("eurora", '{"jobs": 2.5}'),
+    "short-runtime-scalar": ("eurora", '{"short_runtime": 5}'),
+    "short-runtime-reversed": ("eurora", '{"short_runtime": [10, 5]}'),
+    "node-counts-scalar": ("eurora", '{"node_counts": 5}'),
+    "interarrival-string": ("eurora", '{"mean_interarrival": "a"}'),
+    "gpu-fraction-null": ("gpu-scarce", '{"gpu_fraction": null}'),
+    "unit-gpus-string": ("custom", '{"unit_gpus": [1, "2"]}'),
+    "users-float": ("eurora", '{"users": 1.5}'),
 }
 
 
@@ -78,6 +87,9 @@ def test_gen_trace_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, case
     assert err.startswith("error:") and "Traceback" not in err
     if case == "deep-nesting":
         assert err.startswith(f"error: trace config {cfg}: ") and "recursion" in err
+    elif text.startswith("{"):
+        (key,) = json.loads(text)
+        assert key in err  # the message names the bad key
     assert not out.exists()
 
 

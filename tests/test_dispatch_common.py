@@ -18,7 +18,6 @@ from hpcdispatch.dispatch.common import (
     place_job,
     place_units_on_nodes,
     priority,
-    residual,
     select_window,
     slowdown_weight,
 )
@@ -146,14 +145,6 @@ def test_select_window_caps_visible_jobs():
 # -- horizon ---------------------------------------------------------------------------
 
 
-def test_residual_never_drops_below_one():
-    system = support.system_of((1, {"core": 4}))
-    run = support.running(system, 1, start=0, d_expected=10, placements=[(1, 1, "core", 1, 1)])
-    assert residual(run, 5) == 5
-    assert residual(run, 10) == 1  # overdue under last2 predictions
-    assert residual(run, 99) == 1
-
-
 def test_horizon_sums_window_and_residuals():
     system = support.system_of((1, {"core": 4}))
     window = [
@@ -161,7 +152,11 @@ def test_horizon_sums_window_and_residuals():
         support.queued(2, submit=0, rn=1, unit_req={"core": 1}, d_expected=5),
     ]
     runs = [support.running(system, 3, start=8, d_expected=6, placements=[(1, 1, "core", 1, 1)])]
-    assert horizon(10, window, runs) == 10 + 12 + 4
+    ledger = Ledger.of(system, runs)
+    assert horizon(10, window, ledger) == 10 + 12 + 4
+    # A job past its expected end (under last2 predictions) still counts one unit.
+    assert horizon(14, window, ledger) == 14 + 12 + 1
+    assert horizon(99, window, ledger) == 99 + 12 + 1
 
 
 # -- free positions ---------------------------------------------------------------------
@@ -462,7 +457,7 @@ def test_node_choice_matches_a_full_scan(monkeypatch):
                 assert (free.free, free.busy) == before
             else:
                 placed += 1
-                nodes = {system.position_to_node(a.resource, a.position) for a in allocation}
+                nodes = {system.owner[a.resource][a.position - 1] for a in allocation}
                 assert free.busy == before[1] | nodes
     # the draw covers both rules and both outcomes, many times over
     assert min(checked.values()) > 1000 and min(placed, failed) > 200
@@ -491,7 +486,7 @@ def test_node_choice_work_does_not_grow_with_the_machine():
     assert first_fit_node(system, free, {"core": 4}) == 2
 
     allocation = place_job(system, free, rn=3, unit_req={"core": 4})
-    assert sorted(system.position_to_node("core", a.position) for a in allocation) == [2, 3, 4]
+    assert sorted(system.owner["core"][a.position - 1] for a in allocation) == [2, 3, 4]
     assert free.candidates() == [1, 2, 3, 4, 5, 10_001, 10_002, 15_000]
     assert len(free.candidates()) <= len(free.busy) + 2
 
@@ -507,7 +502,7 @@ def test_place_job_is_all_or_nothing():
 
     allocation = place_job(system, free, rn=2, unit_req={"core": 3})
     assert allocation is not None
-    nodes = {system.position_to_node(a.resource, a.position) for a in allocation}
+    nodes = {system.owner[a.resource][a.position - 1] for a in allocation}
     assert nodes == {1, 2}  # one unit per node; neither node fits two
 
 

@@ -9,7 +9,6 @@ import support
 from hpcdispatch import sim
 from hpcdispatch.dispatch import DISPATCHERS, DispatchConfig
 from hpcdispatch.dispatch import instance as instance_module
-from hpcdispatch.dispatch.common import residual
 from hpcdispatch.dispatch.instance import (
     AllocationEntry,
     DispatchDecision,
@@ -401,6 +400,10 @@ GOLDEN_SCENARIOS = {
         DispatchConfig(budget_ms=600_000, node_limit=1500),
     ),
 }
+# E is C under the last2 predictor, which leaves jobs running past their
+# expected end: it pins the t + 1 release floor of every model.
+GOLDEN_SCENARIOS["E"] = GOLDEN_SCENARIOS["C"]
+GOLDEN_PREDICTORS = {"E": "last2"}
 # sha256 prefixes of (jobs.csv + events.log, invocations.csv without wall_ms)
 GOLDEN_DIGESTS = {
     ("A", "pcp20"): ("a2a537b562427c83", "be59e6e1a398791e"),
@@ -413,15 +416,18 @@ GOLDEN_DIGESTS = {
     ("C", "pcp19"): ("98efbb75715a0672", "cae8f2d6be553928"),
     ("C", "hcp19"): ("baba7ee83795b97c", "5826f06aa93fd1aa"),
     ("D", "hcp19"): ("a2814ee2c0bc1320", "9b0cb95c18a192ff"),
+    ("E", "pcp20"): ("588725449a1df030", "91cb7e8dac6c36b1"),
+    ("E", "pcp19"): ("2306de6245a99593", "6e28eab12436d34f"),
+    ("E", "hcp19"): ("515ddbbc5c217934", "57aea6077a07e87b"),
 }
 
 
 @pytest.mark.parametrize("scenario, dispatcher", sorted(GOLDEN_DIGESTS))
 def test_golden_artifacts(scenario, dispatcher, tmp_path):
     spec, system, dispatch = GOLDEN_SCENARIOS[scenario]
-    result = run_simulation(
-        generate_trace(spec()), system(), SimConfig(dispatcher=dispatcher, dispatch=dispatch)
-    )
+    predictor = GOLDEN_PREDICTORS.get(scenario, "oracle")
+    config = SimConfig(dispatcher=dispatcher, predictor=predictor, dispatch=dispatch)
+    result = run_simulation(generate_trace(spec()), system(), config)
     paths = write_artifacts(result, tmp_path)
     decisions = hashlib.sha256(paths["jobs"].read_bytes() + paths["events"].read_bytes())
     with paths["invocations"].open(newline="") as fh:
@@ -444,6 +450,7 @@ def ledger_state(ledger, t):
         set(ledger.busy),
         dict(ledger.used),
         {r: ledger.releases(r, t) for r in ledger.held},
+        dict(ledger.ends),
     )
 
 
@@ -454,13 +461,16 @@ def rebuilt_state(instance):
     busy = set()
     used = dict.fromkeys(system.resources, 0)
     held = {r: [] for r in system.resources}
+    ends = {}
     for run in instance.running:
+        end = ends[run.job_id] = run.start + run.d_expected
         for a in run.allocation:
             free[a.resource][a.position - 1 : a.position - 1 + a.extent] = bytes(a.extent)
             busy.add(system.owner[a.resource][a.position - 1])
             used[a.resource] += a.extent
-            held[a.resource].append((a.position, a.position + a.extent - 1, t + residual(run, t)))
-    return {r: bytes(m) for r, m in free.items()}, busy, used, {r: sorted(h) for r, h in held.items()}
+            held[a.resource].append((a.position, a.position + a.extent - 1, max(end, t + 1)))
+    sorted_held = {r: sorted(h) for r, h in held.items()}
+    return {r: bytes(m) for r, m in free.items()}, busy, used, sorted_held, ends
 
 
 def watch(monkeypatch, dispatcher, check):

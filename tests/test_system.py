@@ -109,18 +109,6 @@ def test_span_filter_is_memoized():
     assert set(system._start_windows) == {("core", 2), ("gpu", 2)}
 
 
-def test_position_lookups():
-    system = SystemModel([{"core": 2}, {"core": 3}])
-    assert system.position_to_node("core", 2) == 1
-    assert system.position_to_node("core", 3) == 2
-    with pytest.raises(ValueError):
-        system.position_to_node("core", 0)
-    with pytest.raises(ValueError):
-        system.position_to_node("core", 6)
-    with pytest.raises(ValueError):
-        system.position_to_node("gpu", 1)
-
-
 def test_to_config_round_trip_merges_equal_nodes():
     system = preset("eurora")
     config = system.to_config()
@@ -160,7 +148,7 @@ def test_kit_preset_geometry():
     assert system.total_capacity["core"] == 24048
     assert system.total_capacity["gpu"] == 84
     # accelerators live on the 21 fat nodes at the end
-    assert system.position_to_node("gpu", 1) == 1153
+    assert system.owner["gpu"][0] == 1153
     assert system.node_classes == (tuple(range(1, 1153)), tuple(range(1153, 1174)))
 
 

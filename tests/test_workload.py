@@ -40,7 +40,6 @@ def test_make_job_rounds_demand_up_to_unit_multiple():
     assert job.demand == {"core": 12}  # ceil(10/4) = 3 per unit
     assert job.unit_demand("core") == 3
     assert job.unit_demand("mem") == 0
-    assert job.resources() == ["core"]
 
 
 def test_make_job_clamps_degenerate_fields():
