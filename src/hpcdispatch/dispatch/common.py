@@ -11,6 +11,7 @@ fallback).
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
@@ -106,13 +107,15 @@ def horizon(t: int, window: Sequence[QueuedJob], ledger: Ledger) -> int:
     """Worst-case makespan: everything visible runs back to back.
 
     A running job takes what is left of its expected duration, never less
-    than one time unit (the ledger's t + 1 release floor).
+    than one time unit (the ledger's t + 1 release floor).  The ledger's
+    ends are sorted, so the jobs due by t are a prefix found by bisection:
+    the sum of max(1, end - t) over all R jobs is their count plus the
+    rest's total less t per job, in O(log R + jobs due).
     """
-    return (
-        t
-        + sum(entry.d_expected for entry in window)
-        + sum(max(1, end - t) for end in ledger.ends.values())
-    )
+    ends = ledger.ends
+    due = bisect_right(ends, t)
+    rest = ledger.ends_total - sum(ends[:due]) - t * (len(ends) - due)
+    return t + sum(entry.d_expected for entry in window) + rest + due
 
 
 class FreeRuns:

@@ -124,22 +124,41 @@ def fits_system(system: SystemModel, entry: QueuedJob) -> bool:
     return slots >= entry.rn
 
 
+def node_of(system: SystemModel, entry: AllocationEntry) -> int | None:
+    """The node owning the entry's first position, or None if it has none."""
+    owner = system.owner.get(entry.resource)
+    if owner is None or not 1 <= entry.position <= len(owner):
+        return None
+    return owner[entry.position - 1]
+
+
+def run_nodes(system: SystemModel, run: RunningJob) -> set[int]:
+    """The nodes where a running job holds a cell; its allocation is valid."""
+    owner = system.owner
+    return {owner[entry.resource][entry.position - 1] for entry in run.allocation}
+
+
 class Ledger:
     """What the running jobs hold, and until when: all a model reads of them.
 
     ``free[r][p - 1]`` is 1 while position p of r's flattened space is
     free; ``used[r]`` counts the held positions; ``held[r]`` lists the held
-    ``(first, last, expected_end)`` ranges in position order; ``ends`` maps
-    each running job's id to its expected_end, start + d_expected.  A job
-    may run past it, so a reader at time t takes ``max(expected_end, t + 1)``
+    ``(first, last, expected_end)`` ranges in position order, and
+    ``held_ends[r]`` their expected ends in ascending order; ``ends`` lists
+    each running job's expected_end, start + d_expected, in ascending
+    order, and ``ends_total`` is their sum.  A job may run past its
+    expected end, so a reader at time t takes ``max(expected_end, t + 1)``
     as its release: ``releases`` gives that per held range, and
-    ``common.horizon`` per job.  ``busy`` maps each node with a held cell
-    to its number of held ranges.
+    ``common.horizon`` sums it per job.  ``busy`` maps each node with a
+    held cell to its number of held ranges.
 
-    ``occupy`` and ``release`` cost O(the job's allocation entries), so the
-    simulator keeps one ledger per run and updates it at each start and
-    END instead of rebuilding it per invocation.  Dispatchers only read
-    it; placement claims cells on a ``FreeRuns`` copy.
+    ``occupy`` and ``release`` cost O(the job's allocation entries, each
+    with a bisection), so the simulator keeps one ledger per run and
+    updates it at each start and END instead of rebuilding it per
+    invocation.  The sorted ends let a reader at t find the overdue jobs
+    and ranges by bisection, so the read-outs cost O(log R) plus what is
+    overdue, not O(R) for R running jobs.  Dispatchers only read it;
+    placement claims cells on a ``FreeRuns`` copy.
     """
 
     def __init__(self, system: SystemModel):
@@ -147,8 +166,10 @@ class Ledger:
         self.free = {r: bytearray(b"\1") * system.total_capacity[r] for r in system.resources}
         self.used = dict.fromkeys(system.resources, 0)
         self.held: dict[str, list[tuple[int, int, int]]] = {r: [] for r in system.resources}
+        self.held_ends: dict[str, list[int]] = {r: [] for r in system.resources}
         self.busy: dict[int, int] = {}
-        self.ends: dict[int, int] = {}
+        self.ends: list[int] = []
+        self.ends_total = 0
 
     @classmethod
     def of(cls, system: SystemModel, running: Iterable[RunningJob]) -> "Ledger":
@@ -158,18 +179,24 @@ class Ledger:
         return ledger
 
     def occupy(self, run: RunningJob) -> None:
-        end = self.ends[run.job_id] = run.start + run.d_expected
+        end = run.start + run.d_expected
+        insort(self.ends, end)
+        self.ends_total += end
         owner, busy = self.system.owner, self.busy
         for entry in run.allocation:
             resource, lo, extent = entry.resource, entry.position - 1, entry.extent
             self.free[resource][lo : lo + extent] = bytes(extent)
             self.used[resource] += extent
             insort(self.held[resource], (entry.position, lo + extent, end))
+            insort(self.held_ends[resource], end)
             node = owner[resource][lo]
             busy[node] = busy.get(node, 0) + 1
 
     def release(self, run: RunningJob) -> None:
-        del self.ends[run.job_id]
+        end = run.start + run.d_expected
+        ends = self.ends
+        del ends[bisect_left(ends, end)]
+        self.ends_total -= end
         owner, busy = self.system.owner, self.busy
         for entry in run.allocation:
             resource, lo, extent = entry.resource, entry.position - 1, entry.extent
@@ -177,6 +204,8 @@ class Ledger:
             self.used[resource] -= extent
             held = self.held[resource]
             del held[bisect_left(held, (entry.position,))]
+            held_ends = self.held_ends[resource]
+            del held_ends[bisect_left(held_ends, end)]
             node = owner[resource][lo]
             if busy[node] == 1:
                 del busy[node]
@@ -184,7 +213,15 @@ class Ledger:
                 busy[node] -= 1
 
     def releases(self, resource: str, t: int) -> list[tuple[int, int, int]]:
-        """The held ``(first, last, release)`` ranges at t, in position order."""
+        """The held ``(first, last, release)`` ranges at t, in position order.
+
+        While no range of ``resource`` is overdue at t, each release is the
+        range's expected end, and this is ``held[resource]`` itself, not a
+        copy: callers read it and never change it.
+        """
+        ends = self.held_ends[resource]
+        if not ends or ends[0] > t:
+            return self.held[resource]
         floor = t + 1
         return [
             (first, last, end if end > floor else floor)
@@ -212,10 +249,26 @@ class DispatchInstance:
         The models read the running jobs only here, next to the window.
         The simulator assigns the ledger it keeps instead, which describes
         the running jobs only at this snapshot's instant: the run updates
-        it once the decision is applied.  Checks read ``running``, never
-        the ledger, so a ledger fault cannot hide a double booking.
+        it once the decision is applied.  Checks read ``running`` (the
+        decision check through ``node_jobs``), never the ledger, so a
+        ledger fault cannot hide a double booking.
         """
         return Ledger.of(self.system, self.running)
+
+    @cached_property
+    def node_jobs(self) -> dict[int, dict[int, RunningJob]]:
+        """Per node where running jobs hold a cell, those jobs by id.
+
+        Built from ``running`` on first use, never serialized; the
+        simulator assigns the index it keeps beside its running jobs
+        instead.  Only the decision check reads it, to find the running
+        jobs a claim could meet.
+        """
+        index: dict[int, dict[int, RunningJob]] = {}
+        for run in self.running:
+            for node in run_nodes(self.system, run):
+                index.setdefault(node, {})[run.job_id] = run
+        return index
 
     def validate(self) -> list[Violation]:
         """Check snapshot invariants: every job id appears once, every queued
@@ -457,6 +510,13 @@ class DispatchDecision:
         then holds its allocation at t, so disjoint occupancy at that
         instant is exactly what a valid decision needs, whatever the real
         durations turn out to be.
+
+        Only the running jobs on the claimed nodes (``node_jobs``) are
+        passed on as held, so the check costs what the claims touch, not
+        what the machine runs.  Nothing is lost: a double booking shares a
+        cell, which lies on one node, and a valid held range lies on one
+        node too, so its job is indexed there.  An invalid claim is
+        reported before any held range is read.
         """
         queued = {entry.job_id for entry in instance.queued}
         seen: set[int] = set()
@@ -481,5 +541,10 @@ class DispatchDecision:
             dispatched.append((job_id, decision.allocation))
         if problems:
             return problems
-        running = [(run.job_id, run.allocation) for run in instance.running]
-        return validate_allocation(instance.system, running, dispatched)
+        system, node_jobs = instance.system, instance.node_jobs
+        nodes = {node_of(system, entry) for _, allocation in dispatched for entry in allocation}
+        near: dict[int, RunningJob] = {}
+        for node in nodes:
+            near.update(node_jobs.get(node, ()))
+        held = [(run.job_id, run.allocation) for run in near.values()]
+        return validate_allocation(system, held, dispatched)

@@ -139,12 +139,13 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
                 solver.add(Released(box.x, box.y, box.y_len, held))
         # Every running job starts at t, so the pooled peak is the used
         # count; the held ranges are disjoint, so the axis peak is the
-        # latest release less t.
+        # latest release less t: the latest expected end, floored at t + 1.
         capacity = system.total_capacity[resource]
         if Cumulative.can_prune(pooled, ledger.used[resource], capacity):
             pooled += [Task(t, release - t, last - first + 1) for first, last, release in held]
             solver.add(Cumulative(pooled, capacity))
-        axis_peak = max((release for _, _, release in held), default=t) - t
+        ends = ledger.held_ends[resource]
+        axis_peak = max(ends[-1] - t, 1) if ends else 0
         if Cumulative.can_prune(axis, axis_peak, eoh - t):
             axis += [Task(first, last - first + 1, release - t) for first, last, release in held]
             solver.add(Cumulative(axis, eoh - t))

@@ -338,12 +338,14 @@ class Solver:
         the weighted lower bounds after root propagation) is optimal at
         once: every refutation left would fail on the objective bound, so
         search stops there with the same incumbent, status and decisions.
+        A solver with no objective (no ``minimize``) is a ValueError.
         """
+        objective = self.objective
+        if objective is None:
+            raise ValueError("solve needs an objective: call minimize first")
         stats = self.stats = SearchStats()
         deadline = time.perf_counter() + budget_ms / 1000.0 if budget_ms is not None else None
-        objective = self.objective
-        if objective is not None:
-            objective.bound = objective.floor = None
+        objective.bound = objective.floor = None
         best: dict[IntVar, int] | None = None
         best_obj: int | None = None
         frames: list[tuple[int, IntVar, int]] = []
@@ -352,9 +354,8 @@ class Solver:
         if not self.propagate_all():
             stats.status = STATUS_INFEASIBLE
             return SolveResult(STATUS_INFEASIBLE, None, None, stats)
-        if objective is not None:
-            terms = zip(objective.vars, objective.weights)
-            objective.floor = objective.constant + sum(weight * var.lo for var, weight in terms)
+        terms = zip(objective.vars, objective.weights)
+        objective.floor = objective.constant + sum(weight * var.lo for var, weight in terms)
 
         while True:
             if deadline is not None and time.perf_counter() >= deadline:
@@ -364,12 +365,11 @@ class Solver:
             decision = branch()
             if decision is None:
                 best = {var: var.lo for var in self.vars}
-                best_obj = 0 if objective is None else objective.value()
-                if objective is not None:
-                    if best_obj == objective.floor:
-                        exhausted = True
-                        break
-                    objective.bound = best_obj - 1
+                best_obj = objective.value()
+                if best_obj == objective.floor:
+                    exhausted = True
+                    break
+                objective.bound = best_obj - 1
                 if not self._recover(frames):
                     exhausted = True
                     break
@@ -406,7 +406,7 @@ class Solver:
             self._clear_queue()
             self.undo_to(mark)
             if var.remove(value):
-                if self.objective is not None and self.objective.bound is not None:
+                if self.objective.bound is not None:
                     self.enqueue(self.objective)
                 if self.propagate():
                     return True

@@ -18,7 +18,11 @@ Every invocation's decision is checked once, here, before it is applied
 dispatched once and start now, and its allocation must be disjoint from
 the running jobs' allocations at that instant.  The check reads the
 running allocations, never the ledger, so a ledger fault shows up as a
-rejected decision instead of being shared by dispatcher and check.  A
+rejected decision instead of being shared by dispatcher and check.  It
+reads only those of the running jobs on the nodes a decision claims: the
+loop keeps a node index beside ``running`` (node to the running jobs
+holding a cell there), updated at each start and END from that job's
+allocation, and gives it to every snapshot as ``node_jobs``.  A
 violation aborts the run, because it can only mean a dispatcher produced
 an unsound decision; no dispatcher replaces such a decision with a
 fallback.
@@ -40,6 +44,7 @@ from hpcdispatch.dispatch.instance import (
     QueuedJob,
     RunningJob,
     fits_system,
+    run_nodes,
 )
 from hpcdispatch.system import (
     SystemModel,
@@ -139,15 +144,21 @@ def snapshot_instance(
     running: dict[int, RunningJob],
     system: SystemModel,
     ledger: Ledger,
+    node_jobs: dict[int, dict[int, RunningJob]],
 ) -> DispatchInstance:
-    """The dispatcher's view at t; ``ledger`` records what ``running`` holds."""
+    """The dispatcher's view at t; ``ledger`` and ``node_jobs`` index ``running``.
+
+    The queue is in job id order; ``running`` keeps its own order, which
+    nothing reads.
+    """
     instance = DispatchInstance(
         t=t,
         queued=sorted(queue.values(), key=lambda e: e.job_id),
-        running=sorted(running.values(), key=lambda r: r.job_id),
+        running=list(running.values()),
         system=system,
     )
     instance.ledger = ledger
+    instance.node_jobs = node_jobs
     return instance
 
 
@@ -183,7 +194,9 @@ def run_simulation(
     heapq.heapify(heap)
     queue: dict[int, QueuedJob] = {}
     running: dict[int, RunningJob] = {}
-    ledger = Ledger(system)  # what ``running`` holds, kept at each start and END
+    # What ``running`` holds, and where, kept at each start and END.
+    ledger = Ledger(system)
+    node_jobs: dict[int, dict[int, RunningJob]] = {}
 
     wall_start = time.perf_counter()
     stall_retries = 0
@@ -217,6 +230,11 @@ def run_simulation(
                 # A job's END event is queued at the time it ends.
                 run = running.pop(jid)
                 ledger.release(run)
+                for node in run_nodes(system, run):
+                    holders = node_jobs[node]
+                    del holders[jid]
+                    if not holders:
+                        del node_jobs[node]
                 outcome = outcomes[jid]
                 outcome.end = t
                 outcome.completed = True
@@ -257,7 +275,7 @@ def run_simulation(
                 retry_pending = True
             continue
 
-        instance = snapshot_instance(t, queue, running, system, ledger)
+        instance = snapshot_instance(t, queue, running, system, ledger, node_jobs)
         seq += 1
         if dump_dir:
             instance.dump(dump_dir / f"instance_{seq:06d}_t{t}.json")
@@ -283,6 +301,8 @@ def run_simulation(
                 allocation=jd.allocation,
             )
             ledger.occupy(run)
+            for node in run_nodes(system, run):
+                node_jobs.setdefault(node, {})[jd.job_id] = run
             outcomes[jd.job_id].start = t
             heapq.heappush(heap, (t + duration, _END, jd.job_id))
             log(f"t={t} start job={jd.job_id} wait={t - entry.job.submit}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from hpcdispatch.kernel.core import NodeBlocks
+from hpcdispatch.workload import checked_int
 
 
 class SystemModel:
@@ -119,11 +120,16 @@ def build_system(config: dict) -> SystemModel:
     """Build a system from a config dict: {"name": ..., "groups": [...]}.
 
     Each group is {"count": n, "cap": {resource: capacity}}; nodes are
-    numbered 1..N in group order.
+    numbered 1..N in group order.  An unknown key, at the top or in a
+    group, is an error, and so is a count or capacity that is not an
+    integer (``workload.checked_int``).
     """
     groups = config.get("groups") if isinstance(config, dict) else None
     if not groups or not isinstance(groups, list):
         raise ValueError("system config needs a non-empty 'groups' list")
+    unknown = sorted(set(config) - {"name", "groups"})
+    if unknown:
+        raise ValueError(f"system config: unknown keys {', '.join(map(str, unknown))}")
     node_caps: list[dict[str, int]] = []
     for number, group in enumerate(groups, 1):
         if not isinstance(group, dict):
@@ -131,17 +137,15 @@ def build_system(config: dict) -> SystemModel:
         unknown = sorted(set(group) - {"count", "cap"})
         if unknown:
             raise ValueError(f"system group {number}: unknown keys {', '.join(map(str, unknown))}")
-        count = group.get("count", 0)
         cap = group.get("cap", {})
         if not isinstance(cap, dict):
             raise ValueError(f"system group {number}: cap must be an object")
-        # Checked, not coerced: int() would turn 2.5 into 2 and accept "2" or true.
-        for what, value in (("count", count), *((f"cap {r!r}", c) for r, c in cap.items())):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"system group {number}: {what} must be an integer, not {value!r}")
-        if count < 1:
-            raise ValueError(f"system group {number}: count must be >= 1")
-        node_caps.extend({str(r): c for r, c in cap.items()} for _ in range(count))
+        try:
+            count = checked_int("count", group.get("count", 0), least=1)
+            caps = {str(r): checked_int(f"cap {r!r}", c) for r, c in cap.items()}
+        except ValueError as exc:
+            raise ValueError(f"system group {number}: {exc}") from None
+        node_caps.extend(dict(caps) for _ in range(count))
     return SystemModel(node_caps, name=str(config.get("name", "custom")))
 
 
@@ -220,7 +224,9 @@ def validate_allocation(
     So one double-booking is reported per claim that meets an earlier
     claim, and one per held range that meets any claim, and a call costs
     O(C log C + H log C) for C claimed and H held ranges, whatever the size
-    of the system.
+    of the system.  The simulator's decision check passes as held only the
+    running jobs on the nodes its claims touch, so H counts their ranges,
+    not every running job's.
     """
     violations: list[Violation] = []
     claimed: dict[str, list[_Claim]] = {}

@@ -192,6 +192,9 @@ MALFORMED = {
         "--system", "sys.json", '{"groups": [{"count": 2, "cap": {"core": true}}]}'
     ),
     "system-cap-list": ("--system", "sys.json", '{"groups": [{"count": 2, "cap": [4]}]}'),
+    "system-misspelled-name": (
+        "--system", "sys.json", '{"groups": [{"count": 2, "cap": {"core": 4}}], "nmae": "x"}'
+    ),
 }
 
 
@@ -203,8 +206,11 @@ def test_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, case):
     assert main(["validate", flag, str(path)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    if case.startswith("system-") and case not in ("system-groups-text", "system-deep-nesting"):
+    top_level = ("system-groups-text", "system-deep-nesting", "system-misspelled-name")
+    if case.startswith("system-") and case not in top_level:
         assert err.startswith("error: system group 1: ")
+    if case == "system-misspelled-name":
+        assert err == "error: system config: unknown keys nmae\n"
     if case.startswith("trace-") and case not in ("trace-cut-json", "trace-duplicate-id"):
         assert err.startswith("error: trace line 1: ")
     if case == "trace-cut-json":

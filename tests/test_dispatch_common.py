@@ -159,6 +159,38 @@ def test_horizon_sums_window_and_residuals():
     assert horizon(99, window, ledger) == 99 + 12 + 1
 
 
+def test_horizon_with_overdue_jobs_sums_each_residual():
+    rng = random.Random(17)
+    system = support.system_of((4, {"core": 8}))
+    for _ in range(200):
+        runs = [
+            support.running(
+                system, job_id, start=rng.randint(0, 40), d_expected=rng.randint(1, 40),
+                placements=[(0, (job_id - 1) // 8 + 1, "core", (job_id - 1) % 8 + 1, 1)],
+            )
+            for job_id in range(1, rng.randint(0, 32) + 1)
+        ]
+        ledger = Ledger.of(system, runs)
+        window = [support.queued(99, 0, 1, {"core": 1}, rng.randint(1, 9))]
+        for t in sorted({0, 90, *(rng.randint(0, 85) for _ in range(4))}):
+            residuals = sum(max(1, run.start + run.d_expected - t) for run in runs)
+            assert horizon(t, window, ledger) == t + window[0].d_expected + residuals
+
+
+def test_releases_are_the_held_list_until_a_range_is_overdue():
+    system = support.system_of((2, {"core": 8, "gpu": 2}))
+    ledger = Ledger.of(system, [
+        support.running(system, 1, start=0, d_expected=50, placements=[(0, 1, "core", 3, 2)]),
+        support.running(system, 2, start=5, d_expected=10, placements=[(0, 2, "core", 1, 4)]),
+    ])
+    assert ledger.held_ends == {"core": [15, 50], "gpu": []}
+    assert ledger.releases("core", 14) is ledger.held["core"]
+    assert ledger.releases("gpu", 99) is ledger.held["gpu"]
+    overdue = ledger.releases("core", 15)
+    assert overdue == [(3, 4, 50), (9, 12, 16)] and overdue is not ledger.held["core"]
+    assert ledger.held["core"] == [(3, 4, 50), (9, 12, 15)]
+
+
 # -- free positions ---------------------------------------------------------------------
 
 

@@ -1,8 +1,12 @@
 """Snapshot serialization, snapshot invariants, and decision checking."""
 
+import random
+from collections import Counter
+
 import pytest
 
 import support
+from hpcdispatch.dispatch import instance as instance_module
 from hpcdispatch.dispatch.instance import (
     AllocationEntry,
     DispatchDecision,
@@ -10,8 +14,9 @@ from hpcdispatch.dispatch.instance import (
     InvocationStats,
     JobDecision,
     QueuedJob,
+    RunningJob,
 )
-from hpcdispatch.system import preset
+from hpcdispatch.system import preset, validate_allocation
 from hpcdispatch.workload import make_job
 
 
@@ -218,6 +223,118 @@ def test_decision_violations_reject_unknown_and_repeated_jobs():
     )
     kinds = [v.kind for v in decision.violations(instance)]
     assert kinds == ["unknown-job", "repeated-job"]
+
+
+def random_entry(rng, system, unit, node=None):
+    """A claim of one unit on one node; now and then an invalid one."""
+    node = node or rng.randint(1, system.node_count)
+    resource = rng.choice([r for r in system.resources if (node, r) in system.node_span])
+    first, last = system.node_span[(node, resource)]
+    position = rng.randint(first, last)
+    extent = rng.randint(1, last - position + 1)
+    roll = rng.random()
+    if roll < 0.03:
+        resource = "nic"  # unknown
+    elif roll < 0.06:
+        extent = 0
+    elif roll < 0.09:
+        position = rng.choice([0, system.total_capacity[resource] + 1])
+    elif roll < 0.15:
+        extent += rng.randint(1, 3)  # may cross into the next node, or leave the space
+    return AllocationEntry(unit, resource, position, extent)
+
+
+def random_snapshot(rng):
+    """Disjoint multi-unit running jobs and random, often overlapping claims."""
+    system = support.system_of(
+        (rng.randint(1, 4), {"core": rng.randint(2, 8), "mem": rng.randint(1, 6)}),
+        (rng.randint(1, 4), {"core": rng.randint(2, 8), "gpu": rng.randint(1, 4)}),
+    )
+    taken = {r: set() for r in system.resources}
+    running = []
+    for job_id in range(1, rng.randint(0, 10) + 1):
+        entries = []
+        for unit in range(rng.randint(1, 3)):
+            entry = random_entry(rng, system, unit)
+            cells = set(range(entry.position, entry.position + entry.extent))
+            owner = system.owner.get(entry.resource)
+            valid = owner and entry.extent >= 1 and cells <= set(range(1, len(owner) + 1))
+            if not valid or len({owner[p - 1] for p in cells}) > 1 or cells & taken[entry.resource]:
+                continue
+            taken[entry.resource] |= cells
+            entries.append(entry)
+        if entries:
+            job = make_job(job_id, 0, 0, 1, {"core": 1}, 10)
+            running.append(RunningJob(job, 0, 10, tuple(entries)))
+    queued, claims = [], []
+    for job_id in range(100, 100 + rng.randint(1, 3)):
+        queued.append(support.queued(job_id, submit=0, rn=1, unit_req={"core": 1}, d_expected=5))
+        units = rng.randint(1, 2)
+        node = rng.randint(1, system.node_count)
+        claims.append((job_id, tuple(
+            # Mostly one node per unit; sometimes a unit split over two.
+            random_entry(rng, system, unit, node if rng.random() < 0.8 else None)
+            for unit in range(units) for _ in range(rng.randint(1, 2))
+        )))
+    return DispatchInstance(t=3, queued=queued, running=running, system=system), claims
+
+
+def test_decision_check_finds_what_a_check_against_every_running_job_finds():
+    rng = random.Random(18)
+    kinds = Counter()
+    for _ in range(600):
+        instance, claims = random_snapshot(rng)
+        decision = DispatchDecision(jobs=[JobDecision(j, instance.t, a) for j, a in claims])
+        every = [(run.job_id, run.allocation) for run in instance.running]
+        expected = Counter(map(str, validate_allocation(instance.system, every, claims)))
+        assert Counter(map(str, decision.violations(instance))) == expected
+        kinds.update(message.split(":")[0] for message in expected)
+        kinds["clean"] += not expected
+    assert set(kinds) == {
+        "clean", "double-booking", "unknown-resource", "bad-extent", "out-of-range",
+        "node-span", "unit-split",
+    }
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_decision_check_reads_only_the_running_jobs_on_claimed_nodes(monkeypatch):
+    system = support.system_of((300, {"core": 4, "gpu": 1}))
+    running = [
+        support.running(system, node, 0, 10, [(0, node, "core", 1, 2)])
+        for node in range(1, 301)
+    ]
+    # One job spreads over nodes 3 and 250: claiming either reads all of it.
+    running[2] = support.running(
+        system, 3, 0, 10, [(0, 3, "core", 1, 2), (1, 250, "gpu", 1, 1)]
+    )
+    queued = [support.queued(j, 0, 1, {"core": 2}, 5) for j in (1001, 1002)]
+    instance = DispatchInstance(t=0, queued=queued, running=running, system=system)
+    seen = []
+
+    def counted(system, held, claims):
+        held = list(held)
+        seen.append(sorted(job_id for job_id, _ in held))
+        return validate_allocation(system, held, claims)
+
+    monkeypatch.setattr(instance_module, "validate_allocation", counted)
+    core = system.node_span[(7, "core")][0]
+    gpu = system.node_span[(250, "gpu")][0]
+    fits = DispatchDecision(jobs=[
+        JobDecision(1001, 0, (AllocationEntry(0, "core", core + 2, 2),)),
+        JobDecision(1002, 0, (AllocationEntry(0, "gpu", gpu, 1),)),  # job 3 holds it
+    ])
+    assert [v.kind for v in fits.violations(instance)] == ["double-booking"]
+    assert seen == [[3, 7, 250]]
+    # An invalid claim is reported before any held range is read.
+    off = DispatchDecision(jobs=[JobDecision(1001, 0, (AllocationEntry(0, "core", 4, 2),))])
+    assert [v.kind for v in off.violations(instance)] == ["node-span"]
+    assert seen[1] == [1]
+
+
+def test_loaded_snapshot_indexes_its_running_jobs_by_node():
+    instance = DispatchInstance.loads(sample_instance().dumps())
+    (run,) = instance.running
+    assert instance.node_jobs == {1: {1: run}}
 
 
 # -- invocation stats ------------------------------------------------------------------

@@ -219,6 +219,14 @@ def test_minimize_validates_inputs():
         solver.minimize([x], [0])
 
 
+def test_solve_requires_an_objective():
+    solver = Solver()
+    x = solver.new_var(0, 1)
+    with pytest.raises(ValueError, match="objective"):
+        solver.solve(first_unfixed_min([x]))
+    assert (x.lo, x.hi) == (0, 1)  # nothing was propagated or searched
+
+
 def test_solve_trivial_minimum():
     solver = Solver()
     x = solver.new_var(2, 7, "x")

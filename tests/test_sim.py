@@ -258,7 +258,7 @@ def test_snapshot_sorts_by_job_id():
         5: support.queued(5, 0, 1, {"core": 1}, 3),
         2: support.queued(2, 0, 1, {"core": 1}, 3),
     }
-    snap = snapshot_instance(4, queue, {}, system, Ledger(system))
+    snap = snapshot_instance(4, queue, {}, system, Ledger(system), {})
     assert [e.job_id for e in snap.queued] == [2, 5]
 
 
@@ -444,13 +444,18 @@ def test_golden_artifacts(scenario, dispatcher, tmp_path):
 
 
 def ledger_state(ledger, t):
-    """Everything a dispatcher can read of a ledger at t, as plain values."""
+    """Everything a dispatcher can read of a ledger at t, as plain values.
+
+    Copied, since ``releases`` may hand out the ledger's own lists.
+    """
     return (
         {r: bytes(mask) for r, mask in ledger.free.items()},
         set(ledger.busy),
         dict(ledger.used),
-        {r: ledger.releases(r, t) for r in ledger.held},
-        dict(ledger.ends),
+        {r: list(ledger.releases(r, t)) for r in ledger.held},
+        list(ledger.ends),
+        ledger.ends_total,
+        {r: list(ends) for r, ends in ledger.held_ends.items()},
     )
 
 
@@ -461,16 +466,21 @@ def rebuilt_state(instance):
     busy = set()
     used = dict.fromkeys(system.resources, 0)
     held = {r: [] for r in system.resources}
-    ends = {}
+    held_ends = {r: [] for r in system.resources}
+    ends = []
     for run in instance.running:
-        end = ends[run.job_id] = run.start + run.d_expected
+        end = run.start + run.d_expected
+        ends.append(end)
         for a in run.allocation:
             free[a.resource][a.position - 1 : a.position - 1 + a.extent] = bytes(a.extent)
             busy.add(system.owner[a.resource][a.position - 1])
             used[a.resource] += a.extent
             held[a.resource].append((a.position, a.position + a.extent - 1, max(end, t + 1)))
+            held_ends[a.resource].append(end)
     sorted_held = {r: sorted(h) for r, h in held.items()}
-    return {r: bytes(m) for r, m in free.items()}, busy, used, sorted_held, ends
+    sorted_held_ends = {r: sorted(e) for r, e in held_ends.items()}
+    masks = {r: bytes(m) for r, m in free.items()}
+    return masks, busy, used, sorted_held, sorted(ends), sum(ends), sorted_held_ends
 
 
 def watch(monkeypatch, dispatcher, check):
@@ -509,6 +519,30 @@ def test_snapshot_ledger_equals_a_rebuild(dispatcher, predictor, strict_kill, mo
     # Only a job running past its prediction takes the t + 1 release floor;
     # a strict kill ends every job by then.
     assert (seen["overdue"] > 0) == (predictor == "last2" and not strict_kill)
+
+
+@pytest.mark.parametrize("dispatcher", sorted(DISPATCHERS))
+def test_snapshot_node_index_equals_a_rebuild(dispatcher, monkeypatch):
+    seen = []
+
+    def check(instance, decide):
+        # The simulator hands over the index it keeps; it is not built here.
+        assert "node_jobs" in vars(instance)
+        system, rebuilt = instance.system, {}
+        for run in instance.running:
+            for a in run.allocation:
+                node = system.owner[a.resource][a.position - 1]
+                rebuilt.setdefault(node, {})[run.job_id] = run
+        assert instance.node_jobs == rebuilt
+        seen.append(len(rebuilt))
+        return decide()
+
+    watch(monkeypatch, dispatcher, check)
+    spec, system, dispatch = GOLDEN_SCENARIOS["C"]
+    config = SimConfig(dispatcher=dispatcher, dispatch=dispatch)
+    result = run_simulation(generate_trace(spec()), system(), config)
+    assert not result.dnf and len(seen) == len(result.invocations) > 100
+    assert max(seen) > 1
 
 
 def test_dispatchers_leave_the_ledger_untouched(monkeypatch):

@@ -45,6 +45,15 @@ def test_build_system_names_unknown_group_keys():
         build_system({"groups": [{"count": 1, "cap": {"core": 1}}, {"count": 1, "extra": 0}]})
 
 
+def test_build_system_names_unknown_top_level_keys():
+    groups = [{"count": 1, "cap": {"core": 1}}]
+    with pytest.raises(ValueError, match=r"^system config: unknown keys nmae$"):
+        build_system({"groups": groups, "nmae": "x"})
+    with pytest.raises(ValueError, match=r"^system config: unknown keys extra, nodes$"):
+        build_system({"name": "x", "groups": groups, "nodes": 2, "extra": None})
+    assert build_system({"name": "x", "groups": groups}).name == "x"
+
+
 def test_build_system_rejects_non_integer_counts_and_capacities():
     def group(**fields):
         return {"groups": [{"count": 1, "cap": {"core": 1}}, fields]}
@@ -58,6 +67,9 @@ def test_build_system_rejects_non_integer_counts_and_capacities():
         ({"count": 2, "cap": {"core": False}}, "cap 'core' must be an integer, not False"),
         ({"count": 2, "cap": [4]}, "cap must be an object"),
         ({"count": 2, "cap": None}, "cap must be an object"),
+        ({"count": 0, "cap": {"core": 4}}, "count must be >= 1, not 0"),
+        ({"cap": {"core": 4}}, "count must be >= 1, not 0"),
+        ({"count": -3, "cap": {"core": 4}}, "count must be >= 1, not -3"),
     ):
         with pytest.raises(ValueError) as info:
             build_system(group(**fields))
