@@ -2,10 +2,11 @@
 
 Covers the dispatch settings, the driver that runs one invocation of any
 dispatcher model, job priorities, the visible queue window, horizon
-arithmetic, the integer objective encoding, and heuristic placement on a
-copy of the snapshot ledger's free-position masks (used by the two-stage
-dispatcher, by presence materialization, and by the optional emergency
-fallback).
+arithmetic, the integer objective encoding, heuristic placement on a copy
+of the snapshot ledger's free-position masks (used by the two-stage
+dispatcher, by presence materialization, by the serial schedule and by the
+optional emergency fallback), and the serial schedule that gives the joint
+model its first incumbent.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class DispatchConfig:
     ``budget_ms`` bounds the wall time of the whole invocation and
     ``node_limit`` the search decisions of each solve; ``window`` caps the
     queued jobs one model sees, and ``emergency_first_fit`` turns on the
-    greedy rescue of a fallback.
+    greedy rescue of a fallback, which only a model with no first
+    incumbent (pcp19, hcp19) can reach.
     """
 
     budget_ms: float = 2000.0
@@ -124,22 +126,27 @@ class FreeRuns:
     It copies the ledger's masks (``free[r][p - 1]`` is 1 while position p
     of r's flattened space is free) and busy nodes, so claims change the
     copy, never the ledger, and a new copy costs one ``bytearray`` per
-    resource whatever the running jobs hold.  Like the ledger, it is valid
-    only at the instant of the snapshot it came from.  Per-node queries
-    read only the node's block ``system.node_span[(node, r)]``, so a claim
-    takes the lowest q consecutive free positions of the block.  ``busy``
-    holds the nodes with any taken cell: the ledger's busy nodes, and every
-    node a claim took cells from.
+    resource whatever the running jobs hold.  Another ``FreeRuns`` can be
+    copied the same way.  Like the ledger, it is valid only at the instant
+    of the snapshot it came from, unless its owner frees cells itself, as
+    the serial schedule does for later instants.  Per-node queries read
+    only the node's block ``system.node_span[(node, r)]``, so a claim takes
+    the lowest q consecutive free positions of the block.  ``busy`` holds
+    every node with a taken cell: the ledger's busy nodes, and every node a
+    claim or ``hold`` took cells from.  It may also hold a node whose cells
+    were all freed again.
 
     A node outside ``busy`` is wholly free, so all such nodes of one
     ``system.node_classes`` class fit the same units with the same slack.
     Whether the rule is best fit or first fit, only the lowest of them can
     win, and ``candidates`` offers just that one per class next to the
     busy nodes: node choice costs what the running jobs occupy, not what
-    the machine holds.
+    the machine holds.  A wholly free node left in ``busy`` is one more
+    candidate, never another pick: it ties with its class's lowest free
+    node, and the lower of the two wins either way.
     """
 
-    def __init__(self, ledger: Ledger):
+    def __init__(self, ledger: Ledger | FreeRuns):
         self.system = ledger.system
         self.free = {r: bytearray(mask) for r, mask in ledger.free.items()}
         self.busy: set[int] = set(ledger.busy)
@@ -157,6 +164,14 @@ class FreeRuns:
             self.free[resource][position - 1 : position - 1 + q] = bytes(q)
             self.busy.add(node)
         return position
+
+    def hold(self, allocation: Allocation) -> None:
+        """Take an allocation's cells, whether or not they were free."""
+        owner = self.system.owner
+        for entry in allocation:
+            lo = entry.position - 1
+            self.free[entry.resource][lo : lo + entry.extent] = bytes(entry.extent)
+            self.busy.add(owner[entry.resource][lo])
 
     def candidates(self) -> list[int]:
         """Busy nodes plus the lowest wholly free node of each class, ascending."""
@@ -272,6 +287,67 @@ def place_units_on_nodes(
     return tuple(entries)
 
 
+def serial_schedule(
+    instance: DispatchInstance, window: Sequence[QueuedJob]
+) -> list[tuple[int, Allocation]]:
+    """A start and a best-fit allocation for each window job, in window order.
+
+    A serial schedule (Kolisch, EJOR 1996) that is conservative backfilling
+    (Mu'alem & Feitelson, IEEE TPDS 2001) on the flattened positions.  Each
+    job, in window order, starts at the earliest event time tau at which
+    ``place_job`` finds room; an event time is t, the release of a held
+    range, or the end of a job already scheduled.  Room at tau is every
+    position not held past tau and not claimed by a scheduled job whose run
+    overlaps [tau, tau + d).  At the last event every held range is
+    released and every scheduled job has ended, and each job of a valid
+    instance fits the empty system, so every job gets a start.
+
+    ``base`` is a ``FreeRuns`` of what the running jobs hold at tau: the
+    sweep frees each held range as tau passes its release, and tries each
+    tau on a copy of it that holds the overlapping scheduled claims, where
+    ``place_job`` runs only if each requested resource has enough free
+    cells in all.  A job that fits at t costs one copy and one placement;
+    the held ranges are sorted by release only once some job does not.
+    """
+    system, t, ledger = instance.system, instance.t, instance.ledger
+    by_release: list[tuple[int, str, int, int]] | None = None
+    plan: list[tuple[int, int, Allocation]] = []  # (start, end, allocation)
+    for entry in window:
+        unit_req = unit_demands(system, entry)
+        need = [(resource, entry.rn * q) for resource, q in unit_req.items()]
+        d = entry.d_expected
+        base = FreeRuns(ledger)
+
+        def room(tau: int) -> Allocation | None:
+            free = FreeRuns(base) if plan else base  # a failed placement leaves base as it was
+            for begin, end, claim in plan:
+                if begin < tau + d and tau < end:
+                    free.hold(claim)
+            if any(free.free[resource].count(1) < total for resource, total in need):
+                return None  # too few free cells in all: no placement could succeed
+            return place_job(system, free, entry.rn, unit_req, best=True)
+
+        start, allocation = t, room(t)
+        if allocation is None:
+            if by_release is None:
+                by_release = sorted(
+                    (release, resource, first, last)
+                    for resource in system.resources
+                    for first, last, release in ledger.releases(resource, t)
+                )
+            released = 0
+            for start in sorted({item[0] for item in by_release} | {end for _, end, _ in plan}):
+                while released < len(by_release) and by_release[released][0] <= start:
+                    _, resource, first, last = by_release[released]
+                    base.free[resource][first - 1 : last] = b"\1" * (last - first + 1)
+                    released += 1
+                allocation = room(start)
+                if allocation is not None:
+                    break
+        plan.append((start, start + d, allocation))
+    return [(start, allocation) for start, _, allocation in plan]
+
+
 def emergency_dispatch(
     instance: DispatchInstance, window: Sequence[QueuedJob]
 ) -> list[JobDecision]:
@@ -303,6 +379,7 @@ def drive(
     branch: Callable[[Any], Branching],
     decode: Callable[[Any, DispatchInstance, dict[IntVar, int]], list[JobDecision]],
     attempts: int = 1,
+    incumbent: Callable[[Any, DispatchInstance], dict[IntVar, int]] | None = None,
 ) -> DispatchDecision:
     """One dispatcher invocation; the model supplies only its own steps.
 
@@ -318,11 +395,17 @@ def drive(
     incumbent into one JobDecision per window job; a job it would start at
     t but cannot place comes back with start t and no allocation.  Such
     jobs are held and the model rebuilt, up to ``attempts`` builds in all,
-    after which they are deferred to t+1.
+    after which they are deferred to t+1.  ``incumbent``, if given, maps a
+    built handle to a first solution of its model (every variable's value),
+    which ``Solver.solve`` takes as its first incumbent under a strict
+    bound; search then only looks for an improvement.
 
     The driver owns the rest: window selection, the budget, statistics,
-    and the fallback when no decoded decision comes out (timeout,
-    infeasible build, or no incumbent), with the optional first-fit rescue.
+    and the fallback with the optional first-fit rescue.  A fallback needs
+    both no first incumbent and no search result: a timeout before or
+    during search, an infeasible build, or a search that found nothing.
+    With a first incumbent, solve returns it or an improvement, even once
+    the build has spent the budget, so the invocation never falls back.
     It does not check decisions: the simulator checks each one
     (``DispatchDecision.violations``) where it applies it.
     """
@@ -359,18 +442,20 @@ def drive(
         if handle is None:
             stats.status = STATUS_INFEASIBLE
             break
+        first = None if incumbent is None else incumbent(handle, instance)
         remaining = (deadline - time.perf_counter()) * 1000.0
-        if remaining <= 0.0:
+        if remaining <= 0.0 and first is None:
             stats.status = STATUS_TIMEOUT
             break
         result = handle.solver.solve(
-            branch(handle), budget_ms=remaining, node_limit=config.node_limit
+            branch(handle), budget_ms=remaining, node_limit=config.node_limit, incumbent=first
         )
         stats.status = result.status
         stats.objective = result.objective
         stats.decisions += result.stats.decisions
         stats.fails += result.stats.fails
         stats.propagations += result.stats.propagations
+        stats.improvements += result.stats.improvements
         if result.values is None:
             break
         decoded = decode(handle, instance, result.values)

@@ -450,7 +450,9 @@ class InvocationStats:
 
     Each field is one invocations.csv column, in field order
     (``CSV_FIELDS``); ``as_row`` formats ``objective``, ``wall_ms`` and
-    ``fallback`` and passes the rest through.
+    ``fallback`` and passes the rest through.  ``improvements`` counts the
+    incumbents search found; after a first incumbent (pcp20's serial
+    schedule), 0 means that incumbent is the decision.
     """
 
     t: int
@@ -465,6 +467,7 @@ class InvocationStats:
     decisions: int = 0
     fails: int = 0
     propagations: int = 0
+    improvements: int = 0
     wall_ms: float = 0.0
     dispatched: int = 0
     deferred: int = 0

@@ -11,10 +11,20 @@ where a resource has two or more, since a lone box has no pair to keep
 apart), plus one release constraint per position variable against the ranges
 the ledger holds for the running jobs, carries allocation feasibility;
 one same-node constraint per unit and pair of resources, over the
-positions' start windows, keeps a unit on one node; pooled and
-position-axis cumulatives provide relaxation pruning, and are posted only
-when they can prune (``Cumulative.can_prune``), so a resource no window
-job requests gets no propagator at all.
+positions' start windows, keeps a unit on one node.  The units of one job
+share its start, so non-overlap alone keeps them on distinct positions.
+Pooled and position-axis cumulatives provide relaxation pruning, and are
+posted only when they can prune (``Cumulative.can_prune``), so a resource
+no window job requests gets no propagator at all.
+
+Every invocation has an incumbent before search: the serial schedule
+(``common.serial_schedule``), conservative backfilling with best-fit
+placement over the same positions, mapped onto the start and position
+variables.  Search only looks for a better schedule.  When the schedule
+meets the objective's root bound, as it does whenever every window job
+fits at t and root propagation leaves every start at t, it is optimal and
+search makes no decision.  So pcp20 always returns a decision, and it never
+falls back.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from hpcdispatch.dispatch.common import (
     objective_terms,
     priority,
     select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
+    serial_schedule,
 )
 from hpcdispatch.dispatch.instance import (
     AllocationEntry,
@@ -41,7 +52,6 @@ from hpcdispatch.dispatch.instance import (
     unit_demands,
 )
 from hpcdispatch.kernel import (
-    AllDifferent,
     Box,
     Cumulative,
     Diffn,
@@ -158,9 +168,6 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
         for unit in range(jv.entry.rn):
             for r1, r2 in zip(resources, resources[1:]):
                 solver.add(ElementEqual(by_res[r1][unit], by_res[r2][unit]))
-        if jv.entry.rn > 1:
-            for r in resources:
-                solver.add(AllDifferent(by_res[r]))
 
     weights, constant = objective_terms(window)
     solver.minimize([jv.start for jv in handle.jobs], weights, constant)
@@ -219,6 +226,19 @@ def _decode(
     return out
 
 
+def schedule_values(handle: ModelHandle, instance: DispatchInstance) -> dict[IntVar, int]:
+    """The serial schedule as values of the model's variables: each job's
+    start, and each unit's position on each resource it requests."""
+    window = [jv.entry for jv in handle.jobs]
+    values: dict[IntVar, int] = {}
+    for jv, (start, allocation) in zip(handle.jobs, serial_schedule(instance, window)):
+        values[jv.start] = start
+        position = {(a.resource, a.unit): a.position for a in allocation}
+        for res, unit, yvar, _q in jv.positions:
+            values[yvar] = position[res, unit]
+    return values
+
+
 def _build(instance, window, held, deadline) -> ModelHandle:
     # Decoding never leaves a job unplaced, so held stays empty; the build
     # does not watch the deadline.
@@ -231,4 +251,5 @@ def solve_pcp20(
     return drive(
         "pcp20", instance, config,
         size=count_position_vars, build=_build, branch=make_branch, decode=_decode,
+        incumbent=schedule_values,
     )

@@ -7,12 +7,14 @@ exactly, and domains are all it restores.  Branching picks a bound, so its
 refutation moves that bound too.  Propagators sit in a FIFO queue and are
 woken by the variables they watch; a wake only enqueues, so the solver
 tells a propagator nothing except to run, and one that wants to know what
-changed compares the domains with what it saw last.  Search is depth-first
-branch-and-bound with a pluggable branching callback, a strict improvement
-bound on a positive-weight linear objective, and a wall-clock budget
-checked between propagation fixpoints.  Search stops as soon as an
-incumbent meets the objective's root bound (the constant plus the weighted
-lower bounds after root propagation): nothing can beat it, so it is optimal.
+changed compares the domains with what it saw last.  A propagator returns
+at its own fixpoint, so its own moves do not wake it.  Search is
+depth-first branch-and-bound with a pluggable branching callback, an
+optional first incumbent from the caller, a strict improvement bound on a
+positive-weight linear objective, and a wall-clock budget checked between
+propagation fixpoints.  Search stops as soon as an incumbent meets the
+objective's root bound (the constant plus the weighted lower bounds after
+root propagation): nothing can beat it, so it is optimal.
 """
 
 from __future__ import annotations
@@ -153,9 +155,13 @@ class IntVar:
 
 @dataclass
 class SearchStats:
+    """Counts of one solve; ``improvements`` counts the incumbents search
+    found, each better than the one before it (the caller's, if given)."""
+
     decisions: int = 0
     fails: int = 0
     propagations: int = 0
+    improvements: int = 0
     status: str = STATUS_TIMEOUT
 
 
@@ -171,8 +177,11 @@ class Propagator:
     """A constraint the solver runs whenever a variable it watches changes.
 
     ``post`` registers the watches with ``Solver.watch``; ``propagate``
-    narrows domains and returns False on failure.  ``in_queue`` is the
-    solver's bookkeeping: set while the propagator waits in the queue.
+    narrows domains and returns False on failure.  A ``propagate`` that
+    returns True returns at its own fixpoint: a second call at once would
+    move no bound.  The solver relies on it and does not wake a propagator
+    for the moves it makes itself.  ``in_queue`` is the solver's
+    bookkeeping: set while the propagator waits in the queue or runs.
     """
 
     def __init__(self) -> None:
@@ -292,10 +301,13 @@ class Solver:
         queue = self._queue
         stats = self.stats
         while queue:
+            # ``in_queue`` stays set while the propagator runs, so ``_wake``
+            # skips it for its own moves: it returns at its own fixpoint.
             prop = queue.popleft()
-            prop.in_queue = False
             stats.propagations += 1
-            if not prop.propagate(self):
+            ok = prop.propagate(self)
+            prop.in_queue = False
+            if not ok:
                 self._clear_queue()
                 return False
         return True
@@ -325,6 +337,7 @@ class Solver:
         branch: Branching,
         budget_ms: float | None = None,
         node_limit: int | None = None,
+        incumbent: dict[IntVar, int] | None = None,
     ) -> SolveResult:
         """Depth-first branch-and-bound driven by ``branch``.
 
@@ -339,6 +352,19 @@ class Solver:
         once: every refutation left would fail on the objective bound, so
         search stops there with the same incumbent, status and decisions.
         A solver with no objective (no ``minimize``) is a ValueError.
+
+        ``incumbent`` is a first solution from the caller: a value for
+        every variable, and the caller vouches that together they satisfy
+        every constraint.  Each value must lie in its variable's domain
+        after root propagation, or ``solve`` raises ValueError.  If it
+        meets the root bound it is returned as optimal with no decision.
+        Otherwise its objective less one becomes the strict bound, and
+        search looks only for an improvement: an exhausted tree proves the
+        last incumbent optimal, and a node limit or budget that runs out
+        first returns it as feasible.  So with an incumbent the status is
+        optimal or feasible, never timeout, and ``stats.improvements``
+        counts the solutions search found that beat it.  A root
+        propagation that fails is infeasible whatever the incumbent.
         """
         objective = self.objective
         if objective is None:
@@ -357,13 +383,31 @@ class Solver:
         terms = zip(objective.vars, objective.weights)
         objective.floor = objective.constant + sum(weight * var.lo for var, weight in terms)
 
-        while True:
+        if incumbent is not None:
+            for var in self.vars:
+                value = incumbent[var]
+                if not var.lo <= value <= var.hi or var.next_value(value) != value:
+                    raise ValueError(
+                        f"incumbent gives {var.name or var.index} the value {value}, "
+                        f"outside its root domain [{var.lo},{var.hi}]"
+                    )
+            best = incumbent
+            terms = zip(objective.vars, objective.weights)
+            best_obj = objective.constant + sum(weight * best[var] for var, weight in terms)
+            exhausted = best_obj == objective.floor
+            if not exhausted:
+                objective.bound = best_obj - 1
+                self.enqueue(objective)
+                exhausted = not self.propagate()
+
+        while not exhausted:
             if deadline is not None and time.perf_counter() >= deadline:
                 break
             if node_limit is not None and stats.decisions >= node_limit:
                 break
             decision = branch()
             if decision is None:
+                stats.improvements += 1
                 best = {var: var.lo for var in self.vars}
                 best_obj = objective.value()
                 if best_obj == objective.floor:

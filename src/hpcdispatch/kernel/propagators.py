@@ -1,11 +1,13 @@
 """Propagators for the solver core.
 
-The set is exactly what the dispatch models need: timetable-filtering
-cumulative (with an optional 0/1 presence variable per task), pairwise
-diffn over variable rectangles, "a claim starts only after the held
-intervals it meets are released", "two positions lie on the same node" over
-each position's start windows, forward-checking alldifferent, and a boolean
-cardinality sum.  Domains are bounds over windows (see ``IntVar``), so
+The set is what the dispatch models need: timetable-filtering cumulative
+(with an optional 0/1 presence variable per task), pairwise diffn over
+variable rectangles, "a claim starts only after the held intervals it
+meets are released", "two positions lie on the same node" over each
+position's start windows, and a boolean cardinality sum; and
+forward-checking alldifferent, which no model posts (a job's units share
+a start, so diffn keeps them apart).  Each propagator returns
+at its own fixpoint.  Domains are bounds over windows (see ``IntVar``), so
 every propagator moves only bounds, and the release and same-node checks
 are exact on them.  Constants, such as running jobs, are never watched or
 pushed: a cumulative task placed at a plain int is folded into a base
@@ -475,7 +477,9 @@ class AllDifferent(Propagator):
     """Forward checking: a fixed value is removed from every other domain.
 
     ``IntVar.remove`` moves only bounds, so a fixed value prunes another
-    variable only where it is one of that variable's bounds.
+    variable only where it is one of that variable's bounds.  A removal can
+    bring another fixed value to a bound, so a pass repeats while any bound
+    moved: the call returns at its own fixpoint.
     """
 
     def __init__(self, variables: Sequence[IntVar]):
@@ -488,7 +492,7 @@ class AllDifferent(Propagator):
 
     def propagate(self, solver: Solver) -> bool:
         while True:
-            fixed = False
+            moved = False
             seen: dict[int, IntVar] = {}
             for var in self.vars:
                 if var.lo == var.hi:
@@ -497,11 +501,12 @@ class AllDifferent(Propagator):
                     seen[var.lo] = var
             for var in self.vars:
                 if var.lo != var.hi:
+                    bounds = (var.lo, var.hi)
                     for value in seen:
                         if not var.remove(value):
                             return False
-                    fixed = fixed or var.lo == var.hi
-            if not fixed:
+                    moved = moved or bounds != (var.lo, var.hi)
+            if not moved:
                 return True
 
 

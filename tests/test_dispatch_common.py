@@ -19,6 +19,7 @@ from hpcdispatch.dispatch.common import (
     place_units_on_nodes,
     priority,
     select_window,
+    serial_schedule,
     slowdown_weight,
 )
 from hpcdispatch.dispatch.instance import (
@@ -576,6 +577,29 @@ def test_emergency_dispatch_takes_what_fits():
     assert all(d.start == 5 for d in decisions)
     claims = [(d.job_id, d.allocation) for d in decisions]
     assert validate_allocation(system, [], claims) == []
+
+
+def test_serial_schedule_backfills_behind_reservations():
+    # Cores 1-2 are held until 10.  Job 1 wants all four cores, so it waits
+    # for the release; job 2's run from 0 or 10 would meet job 1's, so it
+    # waits for job 1's end; job 3 ends before job 1 starts, so it takes
+    # the free cores now.
+    system = support.system_of((1, {"core": 4}))
+    jobs = [
+        support.queued(1, submit=0, rn=1, unit_req={"core": 4}, d_expected=5),
+        support.queued(2, submit=0, rn=1, unit_req={"core": 2}, d_expected=20),
+        support.queued(3, submit=0, rn=1, unit_req={"core": 2}, d_expected=5),
+    ]
+    running = [support.running(system, 9, start=0, d_expected=10, placements=[(0, 1, "core", 1, 2)])]
+    instance = support.instance_on(system, t=0, queued_jobs=jobs, running_jobs=running)
+    masks = masks_of(FreeRuns(instance.ledger))
+    schedule = serial_schedule(instance, jobs)
+    assert [(start, [(a.position, a.extent) for a in alloc]) for start, alloc in schedule] == [
+        (10, [(1, 4)]),
+        (15, [(1, 2)]),
+        (0, [(3, 2)]),
+    ]
+    assert masks_of(FreeRuns(instance.ledger)) == masks
 
 
 # -- the driver ------------------------------------------------------------------------------

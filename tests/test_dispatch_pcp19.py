@@ -165,3 +165,26 @@ def test_build_deadline_on_a_big_system_reports_timeout():
     assert decision.stats.fallback
     assert decision.stats.n_vars > 40_000  # the count is known without building
     assert decision.jobs == []
+
+
+def test_node_limit_exhaustion_reports_timeout_fallback():
+    system = preset("eurora")
+    rng = random.Random(5)
+    jobs = support.eurora_style_queue(rng, 20)
+    instance = support.instance_on(system, t=1000, queued_jobs=jobs)
+    decision = build_and_solve_pcp19(instance, DispatchConfig(budget_ms=10_000, node_limit=0))
+    assert decision.stats.status == "timeout"
+    assert decision.stats.fallback
+    assert decision.jobs == []
+
+
+def test_emergency_first_fit_rescues_fallback():
+    system = preset("eurora")
+    rng = random.Random(5)
+    jobs = support.eurora_style_queue(rng, 20)
+    instance = support.instance_on(system, t=1000, queued_jobs=jobs)
+    config = DispatchConfig(budget_ms=10_000, node_limit=0, emergency_first_fit=True)
+    decision = build_and_solve_pcp19(instance, config)
+    assert decision.stats.fallback
+    assert decision.dispatched()
+    assert decision.violations(instance) == []

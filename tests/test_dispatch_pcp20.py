@@ -5,7 +5,7 @@ import random
 import oracles
 import prop_harness
 import support
-from hpcdispatch.dispatch.common import DispatchConfig
+from hpcdispatch.dispatch.common import DispatchConfig, serial_schedule
 from hpcdispatch.dispatch.pcp20 import build_pcp20, count_position_vars, make_branch, solve_pcp20
 from hpcdispatch.kernel import Cumulative
 from hpcdispatch.system import preset
@@ -133,7 +133,7 @@ def test_search_cost_ignores_node_count():
         result = handle.solver.solve(make_branch(handle), node_limit=1500)
         stats = result.stats
         outcomes.append((result.status, result.objective, stats.decisions, stats.propagations))
-    assert outcomes[0] == outcomes[1] == ("optimal", 138190, 34, 235)
+    assert outcomes[0] == outcomes[1] == ("optimal", 138190, 34, 161)
 
 
 def test_branch_ranks_positions_by_bounds_not_holes():
@@ -160,7 +160,7 @@ def test_branch_ranks_positions_by_bounds_not_holes():
     assert picks == [("core", 7), ("mem", 7)]
 
 
-# -- decode and fallback ---------------------------------------------------------------
+# -- decode and the first incumbent -----------------------------------------------------
 
 
 def test_decisions_validate_and_split_on_start():
@@ -243,27 +243,31 @@ def test_cumulatives_are_posted_only_when_they_can_prune():
     assert [type(prop).__name__ for prop in handle.solver.props].count("Diffn") == 1
 
 
-def test_node_limit_exhaustion_reports_timeout_fallback():
-    system = preset("eurora")
-    rng = random.Random(5)
-    jobs = support.eurora_style_queue(rng, 20)
-    instance = support.instance_on(system, t=1000, queued_jobs=jobs)
-    decision = solve_pcp20(instance, DispatchConfig(budget_ms=10_000, node_limit=0))
-    assert decision.stats.status == "timeout"
-    assert decision.stats.fallback
-    assert decision.jobs == []
-
-
-def test_emergency_first_fit_rescues_fallback():
-    system = preset("eurora")
-    rng = random.Random(5)
-    jobs = support.eurora_style_queue(rng, 20)
-    instance = support.instance_on(system, t=1000, queued_jobs=jobs)
-    config = DispatchConfig(budget_ms=10_000, node_limit=0, emergency_first_fit=True)
-    decision = solve_pcp20(instance, config)
-    assert decision.stats.fallback
-    assert decision.dispatched()
-    assert decision.violations(instance) == []
+def test_node_limit_zero_returns_the_serial_schedule():
+    # Two nodes of 4 cores and four 3-core jobs: two wait, so the schedule
+    # lies above the root bound, and at node limit 0 search cannot start.
+    # The schedule is still the decision, not a fallback.
+    system = support.system_of((2, {"core": 4}))
+    jobs = [
+        support.queued(job_id, submit=0, rn=1, unit_req={"core": 3}, d_expected=10 * job_id)
+        for job_id in range(1, 5)
+    ]
+    instance = support.instance_on(system, t=5, queued_jobs=jobs)
+    window = support.window_of(instance)
+    schedule = dict(zip((e.job_id for e in window), serial_schedule(instance, window)))
+    for rescue in (False, True):
+        config = DispatchConfig(budget_ms=10_000, node_limit=0, emergency_first_fit=rescue)
+        decision = solve_pcp20(instance, config)
+        stats = decision.stats
+        assert (stats.status, stats.fallback, stats.decisions, stats.improvements) == (
+            "feasible", False, 0, 0,
+        )
+        assert decision.violations(instance) == []
+        assert {d.job_id: d.start for d in decision.jobs} == {
+            job_id: start for job_id, (start, _) in schedule.items()
+        } == {1: 5, 2: 5, 3: 15, 4: 25}
+        for d in decision.dispatched():
+            assert d.allocation == schedule[d.job_id][1]
 
 
 # -- optimality against brute force ------------------------------------------------------

@@ -661,3 +661,40 @@ def test_randomized_soundness(kind):
     tally = prop_harness.run_many(kind, cases=600, seed=20_000)
     assert sum(tally.values()) == 600
     assert tally.get("fail-ok", 0) > 0  # the generator does hit infeasible cases
+
+
+def _objective_case(rng: random.Random) -> Solver:
+    """A weighted sum over random intervals, under a random bound near its floor."""
+    solver = Solver()
+    variables = [prop_harness._random_var(solver, rng) for _ in range(rng.randint(1, 4))]
+    solver.minimize(variables, [rng.randint(1, 4) for _ in variables], rng.randint(-5, 5))
+    objective = solver.objective
+    floor = objective.constant + sum(w * v.lo for v, w in zip(variables, objective.weights))
+    objective.bound = floor + rng.randint(-2, 12)
+    return solver
+
+
+@pytest.mark.parametrize("kind", [*prop_harness.KINDS, "objective"])
+def test_propagate_returns_at_its_own_fixpoint(kind):
+    # The solver does not wake a propagator for its own moves, so a call
+    # that succeeds must leave nothing for a second call to move.
+    rng = random.Random(777)
+    moved = 0
+    for _ in range(2000):
+        if kind == "objective":
+            solver = _objective_case(rng)
+        else:
+            solver, _variables, _ok = prop_harness.build_case(kind, rng)
+        (prop,) = solver.props
+        before = _bounds(solver)
+        if not prop.propagate(solver):
+            continue
+        after = _bounds(solver)
+        moved += after != before
+        assert prop.propagate(solver)
+        assert _bounds(solver) == after
+    assert moved  # some first calls did prune
+
+
+def _bounds(solver: Solver) -> list[tuple[int, int]]:
+    return [(var.lo, var.hi) for var in solver.vars]

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import statistics
 
 import pytest
 
@@ -9,6 +10,7 @@ import support
 from hpcdispatch import sim
 from hpcdispatch.dispatch import DISPATCHERS, DispatchConfig
 from hpcdispatch.dispatch import instance as instance_module
+from hpcdispatch.dispatch.common import select_window
 from hpcdispatch.dispatch.instance import (
     AllocationEntry,
     DispatchDecision,
@@ -17,6 +19,8 @@ from hpcdispatch.dispatch.instance import (
     JobDecision,
     Ledger,
 )
+from hpcdispatch.dispatch.pcp20 import build_pcp20, schedule_values
+from hpcdispatch.kernel import STATUS_FEASIBLE, STATUS_OPTIMAL
 from hpcdispatch.sim import (
     REPLAY_FIELDS,
     SimConfig,
@@ -367,7 +371,8 @@ def test_replay_compares_model_sizes(tmp_path):
 # never binds, so every digest depends on the node limit alone.  A runs the
 # default search; B (a burst of wide jobs) and C (GPU-scarce) cap it at 20
 # nodes with a 10-job window and the first-fit rescue, which exercises pcp19
-# timeout fallbacks, hcp19 re-iterations and pcp20 budget-cut incumbents.
+# timeout fallbacks, hcp19 re-iterations and pcp20 searches that the node
+# limit cuts short of improving on the serial schedule.
 # D is a burst of wide jobs on the 1173-node preset, where hcp19's best-fit
 # placement fails often enough to re-plan (13 times) and roll back claims.
 _TIGHT = DispatchConfig(budget_ms=600_000, node_limit=20, window=10, emergency_first_fit=True)
@@ -406,19 +411,19 @@ GOLDEN_SCENARIOS["E"] = GOLDEN_SCENARIOS["C"]
 GOLDEN_PREDICTORS = {"E": "last2"}
 # sha256 prefixes of (jobs.csv + events.log, invocations.csv without wall_ms)
 GOLDEN_DIGESTS = {
-    ("A", "pcp20"): ("a2a537b562427c83", "be59e6e1a398791e"),
-    ("A", "pcp19"): ("a370a73da0c6a5c4", "c7a60d29bed3e71b"),
-    ("A", "hcp19"): ("a2a537b562427c83", "31264b2fa1938b6f"),
-    ("B", "pcp20"): ("a357b607e5c097a6", "35f756f763c1b1c0"),
-    ("B", "pcp19"): ("1287b1bf946cbb4e", "ca81a418b74543b0"),
-    ("B", "hcp19"): ("f857cd799fad88a0", "aaa7146ddcc1768f"),
-    ("C", "pcp20"): ("580af369af92941d", "22d7a6791ba634eb"),
-    ("C", "pcp19"): ("98efbb75715a0672", "cae8f2d6be553928"),
-    ("C", "hcp19"): ("baba7ee83795b97c", "5826f06aa93fd1aa"),
-    ("D", "hcp19"): ("a2814ee2c0bc1320", "9b0cb95c18a192ff"),
-    ("E", "pcp20"): ("588725449a1df030", "91cb7e8dac6c36b1"),
-    ("E", "pcp19"): ("2306de6245a99593", "6e28eab12436d34f"),
-    ("E", "hcp19"): ("515ddbbc5c217934", "57aea6077a07e87b"),
+    ("A", "pcp20"): ("a2a537b562427c83", "a2d766290de21aa9"),
+    ("A", "pcp19"): ("a370a73da0c6a5c4", "e7e3696199c00cfa"),
+    ("A", "hcp19"): ("a2a537b562427c83", "f2a6ee4fbf29e9f8"),
+    ("B", "pcp20"): ("f857cd799fad88a0", "e744c777c05da7e5"),
+    ("B", "pcp19"): ("1287b1bf946cbb4e", "8207d664d9020e56"),
+    ("B", "hcp19"): ("f857cd799fad88a0", "aef9d1c9d81ba63e"),
+    ("C", "pcp20"): ("2408a6209f18f42d", "aa786cb5a4a33572"),
+    ("C", "pcp19"): ("98efbb75715a0672", "05aa923ef0033564"),
+    ("C", "hcp19"): ("baba7ee83795b97c", "330dc4ca146e0f62"),
+    ("D", "hcp19"): ("a2814ee2c0bc1320", "6afa7d0bedc35d50"),
+    ("E", "pcp20"): ("d96cef9ec875f03c", "6619b0d23513640a"),
+    ("E", "pcp19"): ("2306de6245a99593", "80bde0c7a4e026af"),
+    ("E", "hcp19"): ("515ddbbc5c217934", "5a65798be930935d"),
 }
 
 
@@ -561,11 +566,13 @@ def test_dispatchers_leave_the_ledger_untouched(monkeypatch):
             config = SimConfig(dispatcher=dispatcher, dispatch=dispatch)
             result = run_simulation(generate_trace(spec()), system(), config)
             stats[scenario, dispatcher] = result.invocations
-    # The runs take every path that copies the ledger into a FreeRuns.
+    # The runs take every path that copies the ledger into a FreeRuns:
+    # pcp20's serial schedule in every invocation, and in C it holds jobs
+    # back past t, so its sweep frees held ranges on its copy.
     assert sum(s.realloc_iterations for s in stats["C", "hcp19"]) > 0
     assert sum(s.deferred for s in stats["A", "pcp19"]) > 0
-    for dispatcher in ("pcp19", "pcp20"):  # the first-fit rescue
-        assert any(s.fallback and s.dispatched for s in stats["C", dispatcher])
+    assert any(s.fallback and s.dispatched for s in stats["C", "pcp19"])  # the first-fit rescue
+    assert any(s.dispatched < s.window_size for s in stats["C", "pcp20"])
 
 
 @pytest.mark.parametrize("dispatcher", sorted(DISPATCHERS))
@@ -594,3 +601,69 @@ def test_dumped_snapshots_decide_as_in_the_run(dispatcher, monkeypatch, tmp_path
     for path, in_run in zip(dumps, decided):
         offline = DISPATCHERS[dispatcher](DispatchInstance.load(path), dispatch)
         assert untimed(offline) == untimed(in_run), path.name
+
+
+# -- pcp20's first incumbent ----------------------------------------------------------
+
+# Gate check 5's oversubscribed burst, at a node limit and with no wall budget,
+# so that every decision depends on the node limit alone.
+BURST = (
+    lambda: eurora_mix(
+        jobs=160, seed=11, mean_interarrival=1.0, node_counts=((1, 0.55), (2, 0.30), (4, 0.15))
+    ),
+    lambda: preset("eurora"),
+    DispatchConfig(budget_ms=600_000, node_limit=300, window=25),
+)
+
+
+def schedule_checked_run(scenario, predictor, monkeypatch):
+    """Run pcp20; at every invocation, assign the serial schedule to a fresh
+    model and propagate at the root.  Returns the result and the times t at
+    which that failed."""
+    spec, system, dispatch = scenario
+    failed = []
+
+    def check(instance, decide):
+        handle = build_pcp20(instance, select_window(instance, dispatch))
+        values = schedule_values(handle, instance)
+        solver = handle.solver
+        if not (all(var.assign(values[var]) for var in solver.vars) and solver.propagate_all()):
+            failed.append(instance.t)
+        return decide()
+
+    watch(monkeypatch, "pcp20", check)
+    config = SimConfig(dispatcher="pcp20", predictor=predictor, dispatch=dispatch)
+    return run_simulation(generate_trace(spec()), system(), config), failed
+
+
+@pytest.fixture(scope="module")
+def burst_run():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return schedule_checked_run(BURST, "oracle", monkeypatch)
+
+
+@pytest.mark.parametrize("scenario", ["A", "B", "C", "E"])
+def test_serial_schedule_solves_the_pcp20_model(scenario, monkeypatch):
+    """So an ``optimal`` that stops at the schedule rests on a model solution."""
+    predictor = GOLDEN_PREDICTORS.get(scenario, "oracle")
+    result, failed = schedule_checked_run(GOLDEN_SCENARIOS[scenario], predictor, monkeypatch)
+    assert not result.dnf and len(result.invocations) > 10
+    assert failed == []
+
+
+def test_serial_schedule_solves_the_pcp20_model_on_the_burst(burst_run):
+    result, failed = burst_run
+    assert not result.dnf and len(result.invocations) > 100
+    assert failed == []
+
+
+def test_pcp20_decides_every_burst_invocation(burst_run):
+    # Without the schedule, 36.5 % of these invocations found no incumbent
+    # within the node limit and fell back.
+    result, _ = burst_run
+    stats = result.invocations
+    assert all(s.status in (STATUS_OPTIMAL, STATUS_FEASIBLE) for s in stats)
+    assert not any(s.fallback for s in stats)
+    assert all(outcome.completed for outcome in result.outcomes)
+    # The bound the serial schedule alone reaches on this burst.
+    assert round(statistics.fmean(o.slowdown for o in result.completed()), 3) <= 1.082
