@@ -4,9 +4,10 @@ Covers the dispatch settings, the driver that runs one invocation of any
 dispatcher model, job priorities, the visible queue window, horizon
 arithmetic, the integer objective encoding, heuristic placement on a copy
 of the snapshot ledger's free-position masks (used by the two-stage
-dispatcher, by presence materialization, by the serial schedule and by the
-optional emergency fallback), and the serial schedule that gives the joint
-model its first incumbent.
+dispatcher, by presence materialization, by the serial schedule, by the
+joint model's placement of a window that fits now, and by the optional
+emergency fallback), and the serial schedule that stands in for the joint
+model's search where it finds nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from hpcdispatch.dispatch.instance import (
     unit_demands,
 )
 from hpcdispatch.kernel import (
+    STATUS_FEASIBLE,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_TIMEOUT,
@@ -47,8 +49,8 @@ class DispatchConfig:
     ``budget_ms`` bounds the wall time of the whole invocation and
     ``node_limit`` the search decisions of each solve; ``window`` caps the
     queued jobs one model sees, and ``emergency_first_fit`` turns on the
-    greedy rescue of a fallback, which only a model with no first
-    incumbent (pcp19, hcp19) can reach.
+    greedy rescue of a fallback, which only pcp19 and hcp19 can reach:
+    pcp20's serial schedule stands in where its search finds nothing.
     """
 
     budget_ms: float = 2000.0
@@ -131,19 +133,20 @@ class FreeRuns:
     of the snapshot it came from, unless its owner frees cells itself, as
     the serial schedule does for later instants.  Per-node queries read
     only the node's block ``system.node_span[(node, r)]``, so a claim takes
-    the lowest q consecutive free positions of the block.  ``busy`` holds
-    every node with a taken cell: the ledger's busy nodes, and every node a
-    claim or ``hold`` took cells from.  It may also hold a node whose cells
-    were all freed again.
+    the lowest q consecutive free positions of the block, or with ``top``
+    the highest.  ``busy`` holds every node with a taken cell: the ledger's
+    busy nodes, and every node a claim or ``hold`` took cells from.  It may
+    also hold a node whose cells were all freed again.
 
     A node outside ``busy`` is wholly free, so all such nodes of one
     ``system.node_classes`` class fit the same units with the same slack.
     Whether the rule is best fit or first fit, only the lowest of them can
-    win, and ``candidates`` offers just that one per class next to the
-    busy nodes: node choice costs what the running jobs occupy, not what
-    the machine holds.  A wholly free node left in ``busy`` is one more
-    candidate, never another pick: it ties with its class's lowest free
-    node, and the lower of the two wins either way.
+    win (for last fit, the highest), and ``candidates`` offers just that
+    one per class next to the busy nodes: node choice costs what the
+    running jobs occupy, not what the machine holds.  A wholly free node
+    left in ``busy`` is one more candidate, never another pick: it ties
+    with its class's offered node, and either rule picks the same node
+    among them as it would among all nodes.
     """
 
     def __init__(self, ledger: Ledger | FreeRuns):
@@ -151,15 +154,19 @@ class FreeRuns:
         self.free = {r: bytearray(mask) for r, mask in ledger.free.items()}
         self.busy: set[int] = set(ledger.busy)
 
-    def find(self, node: int, resource: str, q: int) -> int | None:
-        """Start of the node's lowest q consecutive free positions, or None."""
+    def find(self, node: int, resource: str, q: int, top: bool = False) -> int | None:
+        """Start of the node's lowest (``top``: highest) q consecutive free
+        positions, or None."""
         span = self.system.node_span.get((node, resource))
-        at = -1 if span is None else self.free[resource].find(b"\1" * q, span[0] - 1, span[1])
+        if span is None:
+            return None
+        mask = self.free[resource]
+        at = (mask.rfind if top else mask.find)(b"\1" * q, span[0] - 1, span[1])
         return None if at < 0 else at + 1
 
-    def claim(self, node: int, resource: str, q: int) -> int | None:
+    def claim(self, node: int, resource: str, q: int, top: bool = False) -> int | None:
         """Take what ``find`` returns, if anything; returns its first position."""
-        position = self.find(node, resource, q)
+        position = self.find(node, resource, q, top)
         if position is not None:
             self.free[resource][position - 1 : position - 1 + q] = bytes(q)
             self.busy.add(node)
@@ -173,12 +180,13 @@ class FreeRuns:
             self.free[entry.resource][lo : lo + entry.extent] = bytes(entry.extent)
             self.busy.add(owner[entry.resource][lo])
 
-    def candidates(self) -> list[int]:
-        """Busy nodes plus the lowest wholly free node of each class, ascending."""
+    def candidates(self, top: bool = False) -> list[int]:
+        """Busy nodes plus the lowest (``top``: highest) wholly free node of
+        each class, ascending."""
         busy = self.busy
         nodes = set(busy)
         for members in self.system.node_classes:
-            for node in members:
+            for node in reversed(members) if top else members:
                 if node not in busy:
                     nodes.add(node)
                     break
@@ -239,6 +247,16 @@ def first_fit_node(
     return None
 
 
+def last_fit_node(
+    system: SystemModel, free: FreeRuns, unit_req: dict[str, int]
+) -> int | None:
+    """The highest node the unit fits."""
+    for node in reversed(free.candidates(top=True)):
+        if _unit_fits(free, node, unit_req):
+            return node
+    return None
+
+
 def place_job(
     system: SystemModel,
     free: FreeRuns,
@@ -260,8 +278,10 @@ def place_units_on_nodes(
     free: FreeRuns,
     node_of_unit: Iterable[int | None],
     unit_req: dict[str, int],
+    top: bool = False,
 ) -> Allocation | None:
-    """Claim positions for units on given nodes, lowest free cells first.
+    """Claim positions for units on given nodes, lowest free cells first
+    (``top``: highest first).
 
     Nodes are drawn one unit at a time, so a lazy ``node_of_unit`` sees
     the earlier units' claims.  Fails (returning None, state untouched) on
@@ -276,7 +296,7 @@ def place_units_on_nodes(
         if node is not None and node not in busy:
             fresh.append(node)
         for resource, q in unit_req.items():
-            position = None if node is None else free.claim(node, resource, q)
+            position = None if node is None else free.claim(node, resource, q, top)
             if position is None:
                 for entry in entries:
                     lo = entry.position - 1
@@ -304,17 +324,15 @@ def serial_schedule(
 
     ``base`` is a ``FreeRuns`` of what the running jobs hold at tau: the
     sweep frees each held range as tau passes its release, and tries each
-    tau on a copy of it that holds the overlapping scheduled claims, where
-    ``place_job`` runs only if each requested resource has enough free
-    cells in all.  A job that fits at t costs one copy and one placement;
-    the held ranges are sorted by release only once some job does not.
+    tau on a copy of it that holds the overlapping scheduled claims.  A job
+    that fits at t costs one copy and one placement; the held ranges are
+    sorted by release only once some job does not.
     """
     system, t, ledger = instance.system, instance.t, instance.ledger
     by_release: list[tuple[int, str, int, int]] | None = None
     plan: list[tuple[int, int, Allocation]] = []  # (start, end, allocation)
     for entry in window:
         unit_req = unit_demands(system, entry)
-        need = [(resource, entry.rn * q) for resource, q in unit_req.items()]
         d = entry.d_expected
         base = FreeRuns(ledger)
 
@@ -323,8 +341,6 @@ def serial_schedule(
             for begin, end, claim in plan:
                 if begin < tau + d and tau < end:
                     free.hold(claim)
-            if any(free.free[resource].count(1) < total for resource, total in need):
-                return None  # too few free cells in all: no placement could succeed
             return place_job(system, free, entry.rn, unit_req, best=True)
 
         start, allocation = t, room(t)
@@ -379,7 +395,8 @@ def drive(
     branch: Callable[[Any], Branching],
     decode: Callable[[Any, DispatchInstance, dict[IntVar, int]], list[JobDecision]],
     attempts: int = 1,
-    incumbent: Callable[[Any, DispatchInstance], dict[IntVar, int]] | None = None,
+    incumbent: Callable[[Any, DispatchInstance], dict[IntVar, int] | None] | None = None,
+    schedule: Callable[[Any, DispatchInstance], dict[IntVar, int]] | None = None,
 ) -> DispatchDecision:
     """One dispatcher invocation; the model supplies only its own steps.
 
@@ -395,17 +412,18 @@ def drive(
     incumbent into one JobDecision per window job; a job it would start at
     t but cannot place comes back with start t and no allocation.  Such
     jobs are held and the model rebuilt, up to ``attempts`` builds in all,
-    after which they are deferred to t+1.  ``incumbent``, if given, maps a
-    built handle to a first solution of its model (every variable's value),
-    which ``Solver.solve`` takes as its first incumbent under a strict
-    bound; search then only looks for an improvement.
+    after which they are deferred to t+1.  Both optional steps map a built
+    handle to a solution of its model (every variable's value).
+    ``incumbent`` gives one at the root bound, or None: ``Solver.solve``
+    then returns it without a search decision, even once the build has
+    spent the budget.  ``schedule`` gives one that stands in where search
+    has none (a timeout before or during search, or a node limit reached
+    first), decoded like an incumbent with status feasible.
 
     The driver owns the rest: window selection, the budget, statistics,
     and the fallback with the optional first-fit rescue.  A fallback needs
-    both no first incumbent and no search result: a timeout before or
-    during search, an infeasible build, or a search that found nothing.
-    With a first incumbent, solve returns it or an improvement, even once
-    the build has spent the budget, so the invocation never falls back.
+    no decoded decision: an infeasible build or root, or, without a
+    ``schedule``, a search that found nothing.
     It does not check decisions: the simulator checks each one
     (``DispatchDecision.violations``) where it applies it.
     """
@@ -444,21 +462,27 @@ def drive(
             break
         first = None if incumbent is None else incumbent(handle, instance)
         remaining = (deadline - time.perf_counter()) * 1000.0
+        values = None
         if remaining <= 0.0 and first is None:
             stats.status = STATUS_TIMEOUT
+        else:
+            result = handle.solver.solve(
+                branch(handle), budget_ms=remaining, node_limit=config.node_limit, incumbent=first
+            )
+            stats.status = result.status
+            stats.objective = result.objective
+            stats.decisions += result.stats.decisions
+            stats.fails += result.stats.fails
+            stats.propagations += result.stats.propagations
+            stats.improvements += result.stats.improvements
+            values = result.values
+        if values is None and schedule is not None and stats.status == STATUS_TIMEOUT:
+            values = schedule(handle, instance)
+            stats.status = STATUS_FEASIBLE
+            stats.objective = handle.solver.objective.of(values)
+        if values is None:
             break
-        result = handle.solver.solve(
-            branch(handle), budget_ms=remaining, node_limit=config.node_limit, incumbent=first
-        )
-        stats.status = result.status
-        stats.objective = result.objective
-        stats.decisions += result.stats.decisions
-        stats.fails += result.stats.fails
-        stats.propagations += result.stats.propagations
-        stats.improvements += result.stats.improvements
-        if result.values is None:
-            break
-        decoded = decode(handle, instance, result.values)
+        decoded = decode(handle, instance, values)
         unplaced = {d.job_id for d in decoded if d.start == t and d.allocation is None}
         if unplaced and stats.realloc_iterations + 1 < attempts:
             held |= unplaced

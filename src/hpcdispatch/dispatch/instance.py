@@ -451,8 +451,9 @@ class InvocationStats:
     Each field is one invocations.csv column, in field order
     (``CSV_FIELDS``); ``as_row`` formats ``objective``, ``wall_ms`` and
     ``fallback`` and passes the rest through.  ``improvements`` counts the
-    incumbents search found; after a first incumbent (pcp20's serial
-    schedule), 0 means that incumbent is the decision.
+    incumbents search found; 0 in a decision that did not fall back means
+    it came without search (pcp20's placement of a window that fits now,
+    or its serial schedule).
     """
 
     t: int

@@ -17,14 +17,15 @@ Pooled and position-axis cumulatives provide relaxation pruning, and are
 posted only when they can prune (``Cumulative.can_prune``), so a resource
 no window job requests gets no propagator at all.
 
-Every invocation has an incumbent before search: the serial schedule
-(``common.serial_schedule``), conservative backfilling with best-fit
-placement over the same positions, mapped onto the start and position
-variables.  Search only looks for a better schedule.  When the schedule
-meets the objective's root bound, as it does whenever every window job
-fits at t and root propagation leaves every start at t, it is optimal and
-search makes no decision.  So pcp20 always returns a decision, and it never
-falls back.
+When every window job fits at t, ``now_values`` places each where the
+branching's first dive would (the highest node it fits, the highest free
+cells there) and hands that to the solver: every start is t, so it meets
+the root bound and search makes no decision, and the decision is the one
+search would have reached.  Otherwise search runs as it is, and where it
+finds no solution within the node limit or budget, the serial schedule
+(``common.serial_schedule``: conservative backfilling with best-fit
+placement over the same positions) stands in.  So pcp20 always returns a
+decision, and it never falls back.
 """
 
 from __future__ import annotations
@@ -34,15 +35,19 @@ from fractions import Fraction
 
 from hpcdispatch.dispatch.common import (
     DispatchConfig,
+    FreeRuns,
     drive,
     emergency_dispatch,  # noqa: F401 -- a bench/run.py:install_spans hook
     horizon,
+    last_fit_node,
     objective_terms,
+    place_units_on_nodes,
     priority,
     select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
     serial_schedule,
 )
 from hpcdispatch.dispatch.instance import (
+    Allocation,
     AllocationEntry,
     DispatchDecision,
     DispatchInstance,
@@ -177,7 +182,7 @@ def build_pcp20(instance: DispatchInstance, window: list[QueuedJob]) -> ModelHan
 def make_branch(handle: ModelHandle):
     """Earliest-startable job first; fix its start low, then its position
     variable with the narrowest bounds (least hi - lo, first in list order
-    on a tie) high (best fit).  Job ties: priority, then job id.  The pick
+    on a tie) high.  Job ties: priority, then job id.  The pick
     reads bounds only, and every value it returns is a bound."""
     jobs = handle.jobs
 
@@ -226,17 +231,47 @@ def _decode(
     return out
 
 
-def schedule_values(handle: ModelHandle, instance: DispatchInstance) -> dict[IntVar, int]:
-    """The serial schedule as values of the model's variables: each job's
-    start, and each unit's position on each resource it requests."""
-    window = [jv.entry for jv in handle.jobs]
+def _values(
+    handle: ModelHandle, plan: list[tuple[int, Allocation]]
+) -> dict[IntVar, int]:
+    """A start and an allocation per window job as values of the model's
+    variables: each job's start, and each unit's position on each resource."""
     values: dict[IntVar, int] = {}
-    for jv, (start, allocation) in zip(handle.jobs, serial_schedule(instance, window)):
+    for jv, (start, allocation) in zip(handle.jobs, plan):
         values[jv.start] = start
         position = {(a.resource, a.unit): a.position for a in allocation}
         for res, unit, yvar, _q in jv.positions:
             values[yvar] = position[res, unit]
     return values
+
+
+def now_values(handle: ModelHandle, instance: DispatchInstance) -> dict[IntVar, int] | None:
+    """Every window job started at t where ``make_branch``'s first dive puts
+    it, or None when some job does not fit now.
+
+    Jobs go in window order, which is the dive's order once every start is
+    t, and each unit takes the highest node it fits and there the highest
+    free cells of each resource: the bounds ``make_branch`` fixes positions
+    to, after the refutations of every higher place that cannot hold the
+    unit.  Every start is t, so this meets the root bound, and the stop
+    there changes what an invocation costs, not what it decides.
+    """
+    system, t = instance.system, instance.t
+    free = FreeRuns(instance.ledger)
+    plan: list[tuple[int, Allocation]] = []
+    for jv in handle.jobs:
+        unit_req = unit_demands(system, jv.entry)
+        nodes = (last_fit_node(system, free, unit_req) for _ in range(jv.entry.rn))
+        allocation = place_units_on_nodes(system, free, nodes, unit_req, top=True)
+        if allocation is None:
+            return None
+        plan.append((t, allocation))
+    return _values(handle, plan)
+
+
+def schedule_values(handle: ModelHandle, instance: DispatchInstance) -> dict[IntVar, int]:
+    """The serial schedule as values of the model's variables."""
+    return _values(handle, serial_schedule(instance, [jv.entry for jv in handle.jobs]))
 
 
 def _build(instance, window, held, deadline) -> ModelHandle:
@@ -251,5 +286,5 @@ def solve_pcp20(
     return drive(
         "pcp20", instance, config,
         size=count_position_vars, build=_build, branch=make_branch, decode=_decode,
-        incumbent=schedule_values,
+        incumbent=now_values, schedule=schedule_values,
     )

@@ -9,12 +9,13 @@ woken by the variables they watch; a wake only enqueues, so the solver
 tells a propagator nothing except to run, and one that wants to know what
 changed compares the domains with what it saw last.  A propagator returns
 at its own fixpoint, so its own moves do not wake it.  Search is
-depth-first branch-and-bound with a pluggable branching callback, an
-optional first incumbent from the caller, a strict improvement bound on a
-positive-weight linear objective, and a wall-clock budget checked between
-propagation fixpoints.  Search stops as soon as an incumbent meets the
-objective's root bound (the constant plus the weighted lower bounds after
-root propagation): nothing can beat it, so it is optimal.
+depth-first branch-and-bound with a pluggable branching callback, a strict
+improvement bound on a positive-weight linear objective, and a wall-clock
+budget checked between propagation fixpoints.  Search stops as soon as an
+incumbent meets the objective's root bound (the constant plus the weighted
+lower bounds after root propagation): nothing can beat it, so it is
+optimal.  A caller that already holds such an incumbent hands it over, and
+search makes no decision.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class IntVar:
 @dataclass
 class SearchStats:
     """Counts of one solve; ``improvements`` counts the incumbents search
-    found, each better than the one before it (the caller's, if given)."""
+    found, each better than the one before it."""
 
     decisions: int = 0
     fails: int = 0
@@ -212,6 +213,10 @@ class _ObjectiveBound(Propagator):
         for var, weight in zip(self.vars, self.weights):
             total += weight * var.value()
         return total
+
+    def of(self, values: dict[IntVar, int]) -> int:
+        """The objective of an assignment that gives every variable a value."""
+        return self.constant + sum(w * values[var] for var, w in zip(self.vars, self.weights))
 
     def post(self, solver: Solver) -> None:
         for var in self.vars:
@@ -353,17 +358,13 @@ class Solver:
         search stops there with the same incumbent, status and decisions.
         A solver with no objective (no ``minimize``) is a ValueError.
 
-        ``incumbent`` is a first solution from the caller: a value for
-        every variable, and the caller vouches that together they satisfy
-        every constraint.  Each value must lie in its variable's domain
-        after root propagation, or ``solve`` raises ValueError.  If it
-        meets the root bound it is returned as optimal with no decision.
-        Otherwise its objective less one becomes the strict bound, and
-        search looks only for an improvement: an exhausted tree proves the
-        last incumbent optimal, and a node limit or budget that runs out
-        first returns it as feasible.  So with an incumbent the status is
-        optimal or feasible, never timeout, and ``stats.improvements``
-        counts the solutions search found that beat it.  A root
+        ``incumbent`` is a solution from the caller at the root bound: a
+        value for every variable, and the caller vouches that together they
+        satisfy every constraint.  It is returned as optimal with no
+        decision, so a caller that can name an optimum cheaply skips the
+        search, not the root propagation.  Each value must lie in its
+        variable's domain after root propagation, and the objective must
+        meet the root bound, or ``solve`` raises ValueError.  A root
         propagation that fails is infeasible whatever the incumbent.
         """
         objective = self.objective
@@ -391,14 +392,12 @@ class Solver:
                         f"incumbent gives {var.name or var.index} the value {value}, "
                         f"outside its root domain [{var.lo},{var.hi}]"
                     )
-            best = incumbent
-            terms = zip(objective.vars, objective.weights)
-            best_obj = objective.constant + sum(weight * best[var] for var, weight in terms)
-            exhausted = best_obj == objective.floor
-            if not exhausted:
-                objective.bound = best_obj - 1
-                self.enqueue(objective)
-                exhausted = not self.propagate()
+            best_obj = objective.of(incumbent)
+            if best_obj != objective.floor:
+                raise ValueError(
+                    f"incumbent objective {best_obj} misses the root bound {objective.floor}"
+                )
+            best, exhausted = incumbent, True
 
         while not exhausted:
             if deadline is not None and time.perf_counter() >= deadline:

@@ -14,6 +14,7 @@ from hpcdispatch.dispatch.common import (
     emergency_dispatch,
     first_fit_node,
     horizon,
+    last_fit_node,
     objective_terms,
     place_job,
     place_units_on_nodes,
@@ -494,6 +495,40 @@ def test_node_choice_matches_a_full_scan(monkeypatch):
                 assert free.busy == before[1] | nodes
     # the draw covers both rules and both outcomes, many times over
     assert min(checked.values()) > 1000 and min(placed, failed) > 200
+
+
+def test_last_fit_and_top_claims_match_a_full_scan():
+    # The highest node the unit fits, and there the highest q free cells of
+    # each resource, as pcp20's branching fixes them when it starts a job now.
+    rng = random.Random(4711)
+    placed = failed = 0
+    for _ in range(300):
+        system = random_interleaved_system(rng)
+        free = free_runs(system, random_running(rng, system, rng.randint(0, 6))[0])
+        for _ in range(6):
+            resources = rng.sample(system.resources, rng.randint(1, len(system.resources)))
+            unit_req = {r: rng.randint(1, 3) for r in system.resources if r in resources}
+            fits = [
+                node for node in range(1, system.node_count + 1)
+                if all(free.find(node, r, q) is not None for r, q in unit_req.items())
+            ]
+            node = last_fit_node(system, free, unit_req)
+            assert node == (max(fits) if fits else None)
+            if node is None:
+                failed += 1
+                continue
+            highest = {}
+            for r, q in unit_req.items():
+                first, last = system.node_span[(node, r)]
+                mask = free.free[r]
+                runs = [p for p in range(first, last - q + 2) if all(mask[p - 1 : p - 1 + q])]
+                highest[r] = max(runs)
+                assert free.find(node, r, q, top=True) == highest[r]
+            allocation = place_units_on_nodes(system, free, [node], unit_req, top=True)
+            assert {a.resource: a.position for a in allocation} == highest
+            assert free.busy == taken_nodes(system, free)
+            placed += 1
+    assert min(placed, failed) > 100
 
 
 def test_node_choice_work_does_not_grow_with_the_machine():

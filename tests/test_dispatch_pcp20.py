@@ -6,6 +6,7 @@ import oracles
 import prop_harness
 import support
 from hpcdispatch.dispatch.common import DispatchConfig, serial_schedule
+from hpcdispatch.dispatch import pcp20
 from hpcdispatch.dispatch.pcp20 import build_pcp20, count_position_vars, make_branch, solve_pcp20
 from hpcdispatch.kernel import Cumulative
 from hpcdispatch.system import preset
@@ -160,7 +161,7 @@ def test_branch_ranks_positions_by_bounds_not_holes():
     assert picks == [("core", 7), ("mem", 7)]
 
 
-# -- decode and the first incumbent -----------------------------------------------------
+# -- decode, and what stands in for search -----------------------------------------------------
 
 
 def test_decisions_validate_and_split_on_start():
@@ -243,10 +244,31 @@ def test_cumulatives_are_posted_only_when_they_can_prune():
     assert [type(prop).__name__ for prop in handle.solver.props].count("Diffn") == 1
 
 
+def test_a_window_that_fits_now_is_decided_without_search_as_search_would():
+    system = preset("eurora")
+    rng = random.Random(5)
+    jobs = support.eurora_style_queue(rng, 6)
+    instance = support.instance_on(system, t=1000, queued_jobs=jobs)
+    handle = build_pcp20(instance, support.window_of(instance))
+    searched = handle.solver.solve(make_branch(handle), node_limit=1500)
+    assert searched.status == "optimal" and searched.stats.decisions > 0
+    decision = solve_pcp20(instance, DispatchConfig(budget_ms=10_000, node_limit=1500))
+    stats = decision.stats
+    assert (stats.status, stats.decisions, stats.improvements, stats.fallback) == (
+        "optimal", 0, 0, False,
+    )
+    assert stats.objective == searched.objective
+    assert len(decision.dispatched()) == 6
+    assert decision.jobs == pcp20._decode(handle, instance, searched.values)
+    # Each unit sits on the highest node it fits, in the highest free cells.
+    tops = [a.position == system.total_capacity[a.resource] for d in decision.jobs for a in d.allocation]
+    assert any(tops)
+
+
 def test_node_limit_zero_returns_the_serial_schedule():
-    # Two nodes of 4 cores and four 3-core jobs: two wait, so the schedule
-    # lies above the root bound, and at node limit 0 search cannot start.
-    # The schedule is still the decision, not a fallback.
+    # Two nodes of 4 cores and four 3-core jobs: two wait, so not every job
+    # fits now, and at node limit 0 search cannot start.  The serial
+    # schedule stands in: the decision, not a fallback.
     system = support.system_of((2, {"core": 4}))
     jobs = [
         support.queued(job_id, submit=0, rn=1, unit_req={"core": 3}, d_expected=10 * job_id)

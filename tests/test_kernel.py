@@ -306,45 +306,27 @@ def test_node_limit_after_incumbent_yields_feasible():
     assert result.objective == 5
 
 
-def _incumbent_model():
-    """x + y over [0, 5]^2 with x != y: the root bound 0 is never met."""
-    solver = Solver()
-    x = solver.new_var(0, 5, "x")
-    y = solver.new_var(0, 5, "y")
-    solver.add(AllDifferent([x, y]))
-    solver.minimize([x, y], [1, 1])
-    return solver, x, y
-
-
 def test_incumbent_at_the_root_bound_is_optimal_with_no_decision():
     solver = Solver()
     x = solver.new_var(2, 7, "x")
     y = solver.new_var(1, 3, "y")
     solver.minimize([x, y], [3, 4], constant=10)
-    result = solver.solve(first_unfixed_min([x, y]), incumbent={x: 2, y: 1})
+    result = solver.solve(first_unfixed_min([x, y]), node_limit=0, incumbent={x: 2, y: 1})
     assert (result.status, result.objective, result.values) == (STATUS_OPTIMAL, 20, {x: 2, y: 1})
     stats = result.stats
     assert (stats.decisions, stats.fails, stats.improvements) == (0, 0, 0)
 
 
-def test_search_only_improves_on_the_incumbent():
-    solver, x, y = _incumbent_model()
-    result = solver.solve(first_unfixed_min([x, y]), incumbent={x: 4, y: 3})
-    assert (result.status, result.objective) == (STATUS_OPTIMAL, 1)
-    assert result.stats.improvements == 1
-    # An incumbent at the optimum leaves nothing to find: the strict bound
-    # makes the tree empty, and the incumbent is proved optimal.
-    solver, x, y = _incumbent_model()
-    result = solver.solve(first_unfixed_min([x, y]), incumbent={x: 1, y: 0})
-    assert (result.status, result.objective, result.values) == (STATUS_OPTIMAL, 1, {x: 1, y: 0})
-    assert result.stats.improvements == 0
-
-
-def test_incumbent_is_returned_when_the_node_limit_runs_out():
-    solver, x, y = _incumbent_model()
-    result = solver.solve(first_unfixed_min([x, y]), node_limit=0, incumbent={x: 5, y: 4})
-    assert (result.status, result.objective, result.values) == (STATUS_FEASIBLE, 9, {x: 5, y: 4})
-    assert (result.stats.decisions, result.stats.improvements) == (0, 0)
+def test_incumbent_off_the_root_bound_is_refused():
+    # x != y over [0, 5]^2: root propagation leaves both at [0, 5], so the
+    # root bound 0 is below every solution, the optimum 1 included.
+    solver = Solver()
+    x = solver.new_var(0, 5, "x")
+    y = solver.new_var(0, 5, "y")
+    solver.add(AllDifferent([x, y]))
+    solver.minimize([x, y], [1, 1])
+    with pytest.raises(ValueError, match="misses the root bound 0"):
+        solver.solve(first_unfixed_min([x, y]), incumbent={x: 1, y: 0})
 
 
 def test_incumbent_outside_the_root_domains_is_refused():

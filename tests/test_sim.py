@@ -19,7 +19,7 @@ from hpcdispatch.dispatch.instance import (
     JobDecision,
     Ledger,
 )
-from hpcdispatch.dispatch.pcp20 import build_pcp20, schedule_values
+from hpcdispatch.dispatch.pcp20 import build_pcp20, make_branch, now_values, schedule_values
 from hpcdispatch.kernel import STATUS_FEASIBLE, STATUS_OPTIMAL
 from hpcdispatch.sim import (
     REPLAY_FIELDS,
@@ -372,7 +372,7 @@ def test_replay_compares_model_sizes(tmp_path):
 # default search; B (a burst of wide jobs) and C (GPU-scarce) cap it at 20
 # nodes with a 10-job window and the first-fit rescue, which exercises pcp19
 # timeout fallbacks, hcp19 re-iterations and pcp20 searches that the node
-# limit cuts short of improving on the serial schedule.
+# limit stops before their first solution, where the serial schedule stands in.
 # D is a burst of wide jobs on the 1173-node preset, where hcp19's best-fit
 # placement fails often enough to re-plan (13 times) and roll back claims.
 _TIGHT = DispatchConfig(budget_ms=600_000, node_limit=20, window=10, emergency_first_fit=True)
@@ -414,14 +414,14 @@ GOLDEN_DIGESTS = {
     ("A", "pcp20"): ("a2a537b562427c83", "a2d766290de21aa9"),
     ("A", "pcp19"): ("a370a73da0c6a5c4", "e7e3696199c00cfa"),
     ("A", "hcp19"): ("a2a537b562427c83", "f2a6ee4fbf29e9f8"),
-    ("B", "pcp20"): ("f857cd799fad88a0", "e744c777c05da7e5"),
+    ("B", "pcp20"): ("a357b607e5c097a6", "c38e36561f234712"),
     ("B", "pcp19"): ("1287b1bf946cbb4e", "8207d664d9020e56"),
     ("B", "hcp19"): ("f857cd799fad88a0", "aef9d1c9d81ba63e"),
-    ("C", "pcp20"): ("2408a6209f18f42d", "aa786cb5a4a33572"),
+    ("C", "pcp20"): ("d83d09c55c887268", "0a23714ce4bfd1a4"),
     ("C", "pcp19"): ("98efbb75715a0672", "05aa923ef0033564"),
     ("C", "hcp19"): ("baba7ee83795b97c", "330dc4ca146e0f62"),
     ("D", "hcp19"): ("a2814ee2c0bc1320", "6afa7d0bedc35d50"),
-    ("E", "pcp20"): ("d96cef9ec875f03c", "6619b0d23513640a"),
+    ("E", "pcp20"): ("043ecafe89371262", "4892d32bab2f5f60"),
     ("E", "pcp19"): ("2306de6245a99593", "80bde0c7a4e026af"),
     ("E", "hcp19"): ("515ddbbc5c217934", "5a65798be930935d"),
 }
@@ -567,12 +567,15 @@ def test_dispatchers_leave_the_ledger_untouched(monkeypatch):
             result = run_simulation(generate_trace(spec()), system(), config)
             stats[scenario, dispatcher] = result.invocations
     # The runs take every path that copies the ledger into a FreeRuns:
-    # pcp20's serial schedule in every invocation, and in C it holds jobs
-    # back past t, so its sweep frees held ranges on its copy.
+    # pcp20 places jobs that all fit now, and in C its serial schedule
+    # stands in for search and holds jobs back past t, so its sweep frees
+    # held ranges on its copy.
     assert sum(s.realloc_iterations for s in stats["C", "hcp19"]) > 0
     assert sum(s.deferred for s in stats["A", "pcp19"]) > 0
     assert any(s.fallback and s.dispatched for s in stats["C", "pcp19"])  # the first-fit rescue
-    assert any(s.dispatched < s.window_size for s in stats["C", "pcp20"])
+    assert any(s.status == "optimal" and s.decisions == 0 for s in stats["A", "pcp20"])
+    stood_in = [s for s in stats["C", "pcp20"] if s.status == "feasible" and s.improvements == 0]
+    assert any(s.dispatched < s.window_size for s in stood_in)
 
 
 @pytest.mark.parametrize("dispatcher", sorted(DISPATCHERS))
@@ -616,54 +619,86 @@ BURST = (
 )
 
 
-def schedule_checked_run(scenario, predictor, monkeypatch):
-    """Run pcp20; at every invocation, assign the serial schedule to a fresh
-    model and propagate at the root.  Returns the result and the times t at
-    which that failed."""
+def checked_pcp20_run(scenario, predictor, monkeypatch):
+    """Run pcp20 and check, at every invocation, what stands in for search.
+
+    The serial schedule, assigned to a fresh model, must survive root
+    propagation, so a decision it stands in for is a model solution.  Where
+    every window job fits now, ``now_values`` must equal what search alone
+    reaches on a fresh model, so skipping search changes no decision.
+    Returns the result and the counts and times t of what was seen."""
     spec, system, dispatch = scenario
-    failed = []
+    seen = {"failed": [], "differs": [], "now": 0, "waited": 0}
 
     def check(instance, decide):
-        handle = build_pcp20(instance, select_window(instance, dispatch))
+        window = select_window(instance, dispatch)
+        handle = build_pcp20(instance, window)
         values = schedule_values(handle, instance)
+        seen["waited"] += any(values[jv.start] > instance.t for jv in handle.jobs)
         solver = handle.solver
         if not (all(var.assign(values[var]) for var in solver.vars) and solver.propagate_all()):
-            failed.append(instance.t)
+            seen["failed"].append(instance.t)
+        handle = build_pcp20(instance, window)
+        now = now_values(handle, instance)
+        if now is not None:
+            seen["now"] += 1
+            result = handle.solver.solve(make_branch(handle), node_limit=dispatch.node_limit)
+            if (result.status, result.values) != (STATUS_OPTIMAL, now):
+                seen["differs"].append(instance.t)
         return decide()
 
     watch(monkeypatch, "pcp20", check)
     config = SimConfig(dispatcher="pcp20", predictor=predictor, dispatch=dispatch)
-    return run_simulation(generate_trace(spec()), system(), config), failed
+    return run_simulation(generate_trace(spec()), system(), config), seen
+
+
+# A cut of gate check 6's trace: half the jobs want gpus, which a quarter of
+# the nodes hold, so the schedule places units on two node classes.
+GPU_SCARCE = (
+    lambda: gpu_scarce_mix(jobs=120, seed=7, mean_interarrival=45.0),
+    lambda: support.system_of(
+        (48, {"core": 16, "mem": 16}), (16, {"core": 16, "mem": 16, "gpu": 2})
+    ),
+    DispatchConfig(budget_ms=600_000, node_limit=500, window=40, emergency_first_fit=True),
+)
 
 
 @pytest.fixture(scope="module")
 def burst_run():
     with pytest.MonkeyPatch.context() as monkeypatch:
-        return schedule_checked_run(BURST, "oracle", monkeypatch)
+        return checked_pcp20_run(BURST, "oracle", monkeypatch)
 
 
 @pytest.mark.parametrize("scenario", ["A", "B", "C", "E"])
-def test_serial_schedule_solves_the_pcp20_model(scenario, monkeypatch):
-    """So an ``optimal`` that stops at the schedule rests on a model solution."""
+def test_what_stands_in_for_pcp20_search_solves_the_model(scenario, monkeypatch):
+    """So an ``optimal`` without search rests on a model solution."""
     predictor = GOLDEN_PREDICTORS.get(scenario, "oracle")
-    result, failed = schedule_checked_run(GOLDEN_SCENARIOS[scenario], predictor, monkeypatch)
-    assert not result.dnf and len(result.invocations) > 10
-    assert failed == []
+    result, seen = checked_pcp20_run(GOLDEN_SCENARIOS[scenario], predictor, monkeypatch)
+    assert not result.dnf and len(result.invocations) > 10 and seen["now"] > 5
+    assert (seen["failed"], seen["differs"]) == ([], [])
 
 
-def test_serial_schedule_solves_the_pcp20_model_on_the_burst(burst_run):
-    result, failed = burst_run
-    assert not result.dnf and len(result.invocations) > 100
-    assert failed == []
+def test_what_stands_in_for_pcp20_search_solves_the_model_on_the_burst(burst_run):
+    result, seen = burst_run
+    assert not result.dnf and len(result.invocations) > 100 and seen["now"] > 10
+    assert (seen["failed"], seen["differs"]) == ([], [])
+
+
+def test_what_stands_in_for_pcp20_search_solves_the_model_on_gpu_scarce_nodes(monkeypatch):
+    result, seen = checked_pcp20_run(GPU_SCARCE, "oracle", monkeypatch)
+    assert not result.dnf and len(result.invocations) > 100 and seen["now"] > 10
+    assert seen["waited"] > 10  # schedules that reserve cells for a later start
+    assert (seen["failed"], seen["differs"]) == ([], [])
 
 
 def test_pcp20_decides_every_burst_invocation(burst_run):
-    # Without the schedule, 36.5 % of these invocations found no incumbent
-    # within the node limit and fell back.
+    # Without the serial schedule, 36.5 % of these invocations found no
+    # incumbent within the node limit and fell back.
     result, _ = burst_run
     stats = result.invocations
     assert all(s.status in (STATUS_OPTIMAL, STATUS_FEASIBLE) for s in stats)
     assert not any(s.fallback for s in stats)
+    assert any(s.status == STATUS_FEASIBLE and s.improvements == 0 for s in stats)  # the schedule
     assert all(outcome.completed for outcome in result.outcomes)
     # The bound the serial schedule alone reaches on this burst.
     assert round(statistics.fmean(o.slowdown for o in result.completed()), 3) <= 1.082
