@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_replay)
 
     p_gen = sub.add_parser("gen-trace", help="generate a synthetic workload")
-    p_gen.add_argument("--jobs", type=int, default=1000)
+    p_gen.add_argument("--jobs", type=_checked(int, lambda v: v >= 0, ">= 0"), default=1000)
     p_gen.add_argument("--seed", type=int, default=1)
     p_gen.add_argument("--mix", choices=list(MIXES), default="eurora")
     p_gen.add_argument("--config", default=None, help="JSON overrides for the mix")

@@ -5,7 +5,7 @@ dispatcher model, job priorities, the visible queue window, horizon
 arithmetic, the integer objective encoding, heuristic placement on a copy
 of the snapshot ledger's free-position masks (used by the two-stage
 dispatcher, by presence materialization, by the serial schedule, by the
-joint model's placement of a window that fits now, and by the optional
+joint model's plan for a window that fits now, and by the optional
 emergency fallback), and the serial schedule that stands in for the joint
 model's search where it finds nothing.
 """
@@ -262,15 +262,17 @@ def place_job(
     free: FreeRuns,
     rn: int,
     unit_req: dict[str, int],
-    best: bool = True,
+    pick: Callable[[SystemModel, FreeRuns, dict[str, int]], int | None],
+    top: bool = False,
 ) -> Allocation | None:
     """Heuristically allocate all rn units, or nothing at all.
 
-    Each unit's node is chosen only after the units before it are claimed.
+    ``pick`` (``best_fit_node``, ``first_fit_node`` or ``last_fit_node``)
+    chooses each unit's node only after the units before it are claimed;
+    there a unit takes the lowest free cells (``top``: the highest).
     """
-    pick = best_fit_node if best else first_fit_node
     nodes = (pick(system, free, unit_req) for _ in range(rn))
-    return place_units_on_nodes(system, free, nodes, unit_req)
+    return place_units_on_nodes(system, free, nodes, unit_req, top)
 
 
 def place_units_on_nodes(
@@ -307,9 +309,11 @@ def place_units_on_nodes(
     return tuple(entries)
 
 
-def serial_schedule(
-    instance: DispatchInstance, window: Sequence[QueuedJob]
-) -> list[tuple[int, Allocation]]:
+# A start and an allocation per window job, in window order.
+Plan = list[tuple[int, Allocation]]
+
+
+def serial_schedule(instance: DispatchInstance, window: Sequence[QueuedJob]) -> Plan:
     """A start and a best-fit allocation for each window job, in window order.
 
     A serial schedule (Kolisch, EJOR 1996) that is conservative backfilling
@@ -341,7 +345,7 @@ def serial_schedule(
             for begin, end, claim in plan:
                 if begin < tau + d and tau < end:
                     free.hold(claim)
-            return place_job(system, free, entry.rn, unit_req, best=True)
+            return place_job(system, free, entry.rn, unit_req, best_fit_node)
 
         start, allocation = t, room(t)
         if allocation is None:
@@ -372,7 +376,7 @@ def emergency_dispatch(
     out: list[JobDecision] = []
     for entry in window:
         unit_req = unit_demands(instance.system, entry)
-        allocation = place_job(instance.system, free, entry.rn, unit_req, best=False)
+        allocation = place_job(instance.system, free, entry.rn, unit_req, first_fit_node)
         if allocation is not None:
             out.append(JobDecision(entry.job_id, instance.t, allocation))
     return out
@@ -385,6 +389,19 @@ class BuildTimeout(Exception):
     """Raised by a model build that runs past the invocation deadline."""
 
 
+def plan_decisions(window: Sequence[QueuedJob], t: int, plan: Plan) -> list[JobDecision]:
+    """One JobDecision per window job: a job that starts at t takes its
+    allocation, sorted by (unit, resource), and a later start none yet."""
+    return [
+        JobDecision(
+            entry.job_id,
+            start,
+            tuple(sorted(allocation, key=lambda a: (a.unit, a.resource))) if start == t else None,
+        )
+        for entry, (start, allocation) in zip(window, plan)
+    ]
+
+
 def drive(
     name: str,
     instance: DispatchInstance,
@@ -395,8 +412,8 @@ def drive(
     branch: Callable[[Any], Branching],
     decode: Callable[[Any, DispatchInstance, dict[IntVar, int]], list[JobDecision]],
     attempts: int = 1,
-    incumbent: Callable[[Any, DispatchInstance], dict[IntVar, int] | None] | None = None,
-    schedule: Callable[[Any, DispatchInstance], dict[IntVar, int]] | None = None,
+    now: Callable[[DispatchInstance, list[QueuedJob]], Plan | None] | None = None,
+    schedule: Callable[[DispatchInstance, list[QueuedJob]], Plan] | None = None,
 ) -> DispatchDecision:
     """One dispatcher invocation; the model supplies only its own steps.
 
@@ -408,22 +425,24 @@ def drive(
     ``build`` makes a handle whose ``solver`` holds the model, with the
     jobs in its ``held`` set kept from starting at t; it returns None when
     the model is infeasible as built and may raise BuildTimeout once
-    ``time.perf_counter()`` passes the deadline.  ``decode`` turns an
-    incumbent into one JobDecision per window job; a job it would start at
-    t but cannot place comes back with start t and no allocation.  Such
-    jobs are held and the model rebuilt, up to ``attempts`` builds in all,
-    after which they are deferred to t+1.  Both optional steps map a built
-    handle to a solution of its model (every variable's value).
-    ``incumbent`` gives one at the root bound, or None: ``Solver.solve``
-    then returns it without a search decision, even once the build has
-    spent the budget.  ``schedule`` gives one that stands in where search
-    has none (a timeout before or during search, or a node limit reached
-    first), decoded like an incumbent with status feasible.
+    ``time.perf_counter()`` passes the deadline.  ``now`` runs before any
+    build and gives a plan that starts every window job at t, or None.
+    Every start then takes its least value and every objective weight is
+    positive, so the plan is optimal: once the model is built and its root
+    propagated, the plan is the decision, with no search.  Otherwise the
+    model is searched.  ``decode`` turns an incumbent into one JobDecision
+    per window job; a job it would start at t but cannot place comes back
+    with start t and no allocation.  Such jobs are held and the model
+    rebuilt, up to ``attempts`` builds in all, after which they are
+    deferred to t+1.
+    ``schedule`` gives a plan that stands in where search has none (a
+    timeout before or during search, or a node limit reached first), with
+    status feasible.
 
     The driver owns the rest: window selection, the budget, statistics,
     and the fallback with the optional first-fit rescue.  A fallback needs
-    no decoded decision: an infeasible build or root, or, without a
-    ``schedule``, a search that found nothing.
+    no decision: an infeasible build or root, or, without a ``schedule``, a
+    search that found nothing.
     It does not check decisions: the simulator checks each one
     (``DispatchDecision.violations``) where it applies it.
     """
@@ -449,9 +468,17 @@ def drive(
         return decision
 
     t = instance.t
+
+    def take(plan: Plan, status: str) -> list[JobDecision]:
+        weights, constant = objective_terms(window)
+        stats.status = status
+        stats.objective = constant + sum(w * start for w, (start, _) in zip(weights, plan))
+        return plan_decisions(window, t, plan)
+
+    plan = None if now is None else now(instance, window)
     held: set[int] = set()
     jobs: list[JobDecision] | None = None
-    while True:
+    while jobs is None:
         try:
             handle = build(instance, window, held, deadline)
         except BuildTimeout:
@@ -460,14 +487,23 @@ def drive(
         if handle is None:
             stats.status = STATUS_INFEASIBLE
             break
-        first = None if incumbent is None else incumbent(handle, instance)
+        if plan is not None:
+            solver = handle.solver
+            before = solver.stats.propagations
+            root = solver.propagate_all()
+            stats.propagations += solver.stats.propagations - before
+            if not root:
+                stats.status = STATUS_INFEASIBLE
+                break
+            jobs = take(plan, STATUS_OPTIMAL)
+            break
         remaining = (deadline - time.perf_counter()) * 1000.0
         values = None
-        if remaining <= 0.0 and first is None:
+        if remaining <= 0.0:
             stats.status = STATUS_TIMEOUT
         else:
             result = handle.solver.solve(
-                branch(handle), budget_ms=remaining, node_limit=config.node_limit, incumbent=first
+                branch(handle), budget_ms=remaining, node_limit=config.node_limit
             )
             stats.status = result.status
             stats.objective = result.objective
@@ -476,11 +512,9 @@ def drive(
             stats.propagations += result.stats.propagations
             stats.improvements += result.stats.improvements
             values = result.values
-        if values is None and schedule is not None and stats.status == STATUS_TIMEOUT:
-            values = schedule(handle, instance)
-            stats.status = STATUS_FEASIBLE
-            stats.objective = handle.solver.objective.of(values)
         if values is None:
+            if schedule is not None and stats.status == STATUS_TIMEOUT:
+                jobs = take(schedule(instance, window), STATUS_FEASIBLE)
             break
         decoded = decode(handle, instance, values)
         unplaced = {d.job_id for d in decoded if d.start == t and d.allocation is None}
@@ -490,7 +524,6 @@ def drive(
             continue
         stats.deferred = len(unplaced)
         jobs = [JobDecision(d.job_id, t + 1, None) if d.job_id in unplaced else d for d in decoded]
-        break
 
     stats.fallback = jobs is None
     if jobs is not None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from hpcdispatch.dispatch.common import (
     DispatchConfig,
     FreeRuns,
+    best_fit_node,
     drive,
     emergency_dispatch,  # noqa: F401 -- a bench/run.py:install_spans hook
     horizon,
@@ -109,7 +110,7 @@ def _place(
         allocation = None
         if start == instance.t:
             unit_req = unit_demands(system, jv.entry)
-            allocation = place_job(system, free, jv.entry.rn, unit_req, best=True)
+            allocation = place_job(system, free, jv.entry.rn, unit_req, best_fit_node)
         out.append(JobDecision(jv.entry.job_id, start, allocation))
     return out
 

@@ -17,15 +17,16 @@ Pooled and position-axis cumulatives provide relaxation pruning, and are
 posted only when they can prune (``Cumulative.can_prune``), so a resource
 no window job requests gets no propagator at all.
 
-When every window job fits at t, ``now_values`` places each where the
+When every window job fits at t, ``now_plan`` places each where the
 branching's first dive would (the highest node it fits, the highest free
-cells there) and hands that to the solver: every start is t, so it meets
-the root bound and search makes no decision, and the decision is the one
-search would have reached.  Otherwise search runs as it is, and where it
-finds no solution within the node limit or budget, the serial schedule
+cells there), and once the model is built and its root propagated, that
+plan is the decision, with no search: every start is t, its least value,
+so nothing can beat it, and it is the decision search would have
+reached.  Otherwise the model is searched, and where search finds no
+solution within the node limit or budget, the serial schedule
 (``common.serial_schedule``: conservative backfilling with best-fit
-placement over the same positions) stands in.  So pcp20 always returns a
-decision, and it never falls back.
+placement over the same positions) stands in.
+So pcp20 always returns a decision, and it never falls back.
 """
 
 from __future__ import annotations
@@ -36,18 +37,19 @@ from fractions import Fraction
 from hpcdispatch.dispatch.common import (
     DispatchConfig,
     FreeRuns,
+    Plan,
     drive,
     emergency_dispatch,  # noqa: F401 -- a bench/run.py:install_spans hook
     horizon,
     last_fit_node,
     objective_terms,
-    place_units_on_nodes,
+    place_job,
+    plan_decisions,
     priority,
     select_window,  # noqa: F401 -- a bench/run.py:install_spans hook
     serial_schedule,
 )
 from hpcdispatch.dispatch.instance import (
-    Allocation,
     AllocationEntry,
     DispatchDecision,
     DispatchInstance,
@@ -212,40 +214,16 @@ def make_branch(handle: ModelHandle):
 def _decode(
     handle: ModelHandle, instance: DispatchInstance, values: dict[IntVar, int]
 ) -> list[JobDecision]:
-    out: list[JobDecision] = []
+    plan: Plan = []
     for jv in handle.jobs:
-        start = values[jv.start]
-        if start == instance.t:
-            allocation = tuple(
-                sorted(
-                    (
-                        AllocationEntry(unit, res, values[yvar], q)
-                        for res, unit, yvar, q in jv.positions
-                    ),
-                    key=lambda a: (a.unit, a.resource),
-                )
-            )
-            out.append(JobDecision(jv.entry.job_id, start, allocation))
-        else:
-            out.append(JobDecision(jv.entry.job_id, start, None))
-    return out
+        allocation = tuple(
+            AllocationEntry(unit, res, values[y], q) for res, unit, y, q in jv.positions
+        )
+        plan.append((values[jv.start], allocation))
+    return plan_decisions([jv.entry for jv in handle.jobs], instance.t, plan)
 
 
-def _values(
-    handle: ModelHandle, plan: list[tuple[int, Allocation]]
-) -> dict[IntVar, int]:
-    """A start and an allocation per window job as values of the model's
-    variables: each job's start, and each unit's position on each resource."""
-    values: dict[IntVar, int] = {}
-    for jv, (start, allocation) in zip(handle.jobs, plan):
-        values[jv.start] = start
-        position = {(a.resource, a.unit): a.position for a in allocation}
-        for res, unit, yvar, _q in jv.positions:
-            values[yvar] = position[res, unit]
-    return values
-
-
-def now_values(handle: ModelHandle, instance: DispatchInstance) -> dict[IntVar, int] | None:
+def now_plan(instance: DispatchInstance, window: list[QueuedJob]) -> Plan | None:
     """Every window job started at t where ``make_branch``'s first dive puts
     it, or None when some job does not fit now.
 
@@ -253,25 +231,18 @@ def now_values(handle: ModelHandle, instance: DispatchInstance) -> dict[IntVar, 
     t, and each unit takes the highest node it fits and there the highest
     free cells of each resource: the bounds ``make_branch`` fixes positions
     to, after the refutations of every higher place that cannot hold the
-    unit.  Every start is t, so this meets the root bound, and the stop
-    there changes what an invocation costs, not what it decides.
+    unit.  So the plan is the decision search would reach, without search.
     """
     system, t = instance.system, instance.t
     free = FreeRuns(instance.ledger)
-    plan: list[tuple[int, Allocation]] = []
-    for jv in handle.jobs:
-        unit_req = unit_demands(system, jv.entry)
-        nodes = (last_fit_node(system, free, unit_req) for _ in range(jv.entry.rn))
-        allocation = place_units_on_nodes(system, free, nodes, unit_req, top=True)
+    plan: Plan = []
+    for entry in window:
+        unit_req = unit_demands(system, entry)
+        allocation = place_job(system, free, entry.rn, unit_req, last_fit_node, top=True)
         if allocation is None:
             return None
         plan.append((t, allocation))
-    return _values(handle, plan)
-
-
-def schedule_values(handle: ModelHandle, instance: DispatchInstance) -> dict[IntVar, int]:
-    """The serial schedule as values of the model's variables."""
-    return _values(handle, serial_schedule(instance, [jv.entry for jv in handle.jobs]))
+    return plan
 
 
 def _build(instance, window, held, deadline) -> ModelHandle:
@@ -286,5 +257,5 @@ def solve_pcp20(
     return drive(
         "pcp20", instance, config,
         size=count_position_vars, build=_build, branch=make_branch, decode=_decode,
-        incumbent=now_values, schedule=schedule_values,
+        now=now_plan, schedule=serial_schedule,
     )

@@ -14,8 +14,7 @@ improvement bound on a positive-weight linear objective, and a wall-clock
 budget checked between propagation fixpoints.  Search stops as soon as an
 incumbent meets the objective's root bound (the constant plus the weighted
 lower bounds after root propagation): nothing can beat it, so it is
-optimal.  A caller that already holds such an incumbent hands it over, and
-search makes no decision.
+optimal.
 """
 
 from __future__ import annotations
@@ -163,7 +162,6 @@ class SearchStats:
     fails: int = 0
     propagations: int = 0
     improvements: int = 0
-    status: str = STATUS_TIMEOUT
 
 
 @dataclass
@@ -213,10 +211,6 @@ class _ObjectiveBound(Propagator):
         for var, weight in zip(self.vars, self.weights):
             total += weight * var.value()
         return total
-
-    def of(self, values: dict[IntVar, int]) -> int:
-        """The objective of an assignment that gives every variable a value."""
-        return self.constant + sum(w * values[var] for var, w in zip(self.vars, self.weights))
 
     def post(self, solver: Solver) -> None:
         for var in self.vars:
@@ -342,7 +336,6 @@ class Solver:
         branch: Branching,
         budget_ms: float | None = None,
         node_limit: int | None = None,
-        incumbent: dict[IntVar, int] | None = None,
     ) -> SolveResult:
         """Depth-first branch-and-bound driven by ``branch``.
 
@@ -357,15 +350,6 @@ class Solver:
         once: every refutation left would fail on the objective bound, so
         search stops there with the same incumbent, status and decisions.
         A solver with no objective (no ``minimize``) is a ValueError.
-
-        ``incumbent`` is a solution from the caller at the root bound: a
-        value for every variable, and the caller vouches that together they
-        satisfy every constraint.  It is returned as optimal with no
-        decision, so a caller that can name an optimum cheaply skips the
-        search, not the root propagation.  Each value must lie in its
-        variable's domain after root propagation, and the objective must
-        meet the root bound, or ``solve`` raises ValueError.  A root
-        propagation that fails is infeasible whatever the incumbent.
         """
         objective = self.objective
         if objective is None:
@@ -379,27 +363,11 @@ class Solver:
         exhausted = False
 
         if not self.propagate_all():
-            stats.status = STATUS_INFEASIBLE
             return SolveResult(STATUS_INFEASIBLE, None, None, stats)
         terms = zip(objective.vars, objective.weights)
         objective.floor = objective.constant + sum(weight * var.lo for var, weight in terms)
 
-        if incumbent is not None:
-            for var in self.vars:
-                value = incumbent[var]
-                if not var.lo <= value <= var.hi or var.next_value(value) != value:
-                    raise ValueError(
-                        f"incumbent gives {var.name or var.index} the value {value}, "
-                        f"outside its root domain [{var.lo},{var.hi}]"
-                    )
-            best_obj = objective.of(incumbent)
-            if best_obj != objective.floor:
-                raise ValueError(
-                    f"incumbent objective {best_obj} misses the root bound {objective.floor}"
-                )
-            best, exhausted = incumbent, True
-
-        while not exhausted:
+        while True:
             if deadline is not None and time.perf_counter() >= deadline:
                 break
             if node_limit is not None and stats.decisions >= node_limit:
@@ -437,10 +405,10 @@ class Solver:
             mark, _, _ = frames.pop()
             self.undo_to(mark)
         if exhausted:
-            stats.status = STATUS_OPTIMAL if best is not None else STATUS_INFEASIBLE
+            status = STATUS_OPTIMAL if best is not None else STATUS_INFEASIBLE
         else:
-            stats.status = STATUS_FEASIBLE if best is not None else STATUS_TIMEOUT
-        return SolveResult(stats.status, best_obj, best, stats)
+            status = STATUS_FEASIBLE if best is not None else STATUS_TIMEOUT
+        return SolveResult(status, best_obj, best, stats)
 
     def _recover(self, frames: list[tuple[int, IntVar, int]]) -> bool:
         """Backtrack to the nearest frame whose refutation survives propagation."""

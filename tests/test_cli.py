@@ -395,3 +395,7 @@ def test_usage_errors_exit_2(capsys):
         main(["validate", "--trace", "t.jsonl", "--cores-per-node", "0"])
     assert exc.value.code == 2
     assert "argument --cores-per-node: must be >= 1, got 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-trace", "--jobs", "-3", "--out", "t.jsonl"])
+    assert exc.value.code == 2
+    assert "argument --jobs: must be >= 0, got -3" in capsys.readouterr().err

@@ -461,7 +461,7 @@ def random_interleaved_system(rng):
     return support.system_of(*groups)
 
 
-def test_node_choice_matches_a_full_scan(monkeypatch):
+def test_node_choice_matches_a_full_scan():
     rng = random.Random(5150)
     checked = {"best": 0, "first": 0}
 
@@ -475,8 +475,8 @@ def test_node_choice_matches_a_full_scan(monkeypatch):
 
         return choose
 
-    monkeypatch.setattr(common, "best_fit_node", checking(best_fit_node, scan_best_fit, "best"))
-    monkeypatch.setattr(common, "first_fit_node", checking(first_fit_node, scan_first_fit, "first"))
+    best = checking(best_fit_node, scan_best_fit, "best")
+    first = checking(first_fit_node, scan_first_fit, "first")
     placed = failed = 0
     for _ in range(300):
         system = random_interleaved_system(rng)
@@ -485,7 +485,9 @@ def test_node_choice_matches_a_full_scan(monkeypatch):
             resources = rng.sample(system.resources, rng.randint(1, len(system.resources)))
             unit_req = {r: rng.randint(1, 3) for r in system.resources if r in resources}
             before = ({r: mask[:] for r, mask in free.free.items()}, set(free.busy))
-            allocation = place_job(system, free, rng.randint(1, 4), unit_req, best=rng.random() < 0.5)
+            rn = rng.randint(1, 4)
+            pick = best if rng.random() < 0.5 else first
+            allocation = place_job(system, free, rn, unit_req, pick)
             if allocation is None:
                 failed += 1
                 assert (free.free, free.busy) == before
@@ -524,7 +526,7 @@ def test_last_fit_and_top_claims_match_a_full_scan():
                 runs = [p for p in range(first, last - q + 2) if all(mask[p - 1 : p - 1 + q])]
                 highest[r] = max(runs)
                 assert free.find(node, r, q, top=True) == highest[r]
-            allocation = place_units_on_nodes(system, free, [node], unit_req, top=True)
+            allocation = place_job(system, free, 1, unit_req, last_fit_node, top=True)
             assert {a.resource: a.position for a in allocation} == highest
             assert free.busy == taken_nodes(system, free)
             placed += 1
@@ -553,7 +555,7 @@ def test_node_choice_work_does_not_grow_with_the_machine():
     assert best_fit_node(system, free, {"core": 4, "gpu": 1}) == 10_002
     assert first_fit_node(system, free, {"core": 4}) == 2
 
-    allocation = place_job(system, free, rn=3, unit_req={"core": 4})
+    allocation = place_job(system, free, rn=3, unit_req={"core": 4}, pick=best_fit_node)
     assert sorted(system.owner["core"][a.position - 1] for a in allocation) == [2, 3, 4]
     assert free.candidates() == [1, 2, 3, 4, 5, 10_001, 10_002, 15_000]
     assert len(free.candidates()) <= len(free.busy) + 2
@@ -563,12 +565,12 @@ def test_place_job_is_all_or_nothing():
     system = support.system_of((2, {"core": 4}))
     free = free_runs(system, [])
     masks = masks_of(free)
-    assert place_job(system, free, rn=3, unit_req={"core": 3}) is None
+    assert place_job(system, free, rn=3, unit_req={"core": 3}, pick=best_fit_node) is None
     # failed placement leaves no residue
     assert (total_free(free, 1, "core"), total_free(free, 2, "core")) == (4, 4)
     assert masks_of(free) == masks and free.busy == set()
 
-    allocation = place_job(system, free, rn=2, unit_req={"core": 3})
+    allocation = place_job(system, free, rn=2, unit_req={"core": 3}, pick=best_fit_node)
     assert allocation is not None
     nodes = {system.owner[a.resource][a.position - 1] for a in allocation}
     assert nodes == {1, 2}  # one unit per node; neither node fits two
@@ -577,7 +579,7 @@ def test_place_job_is_all_or_nothing():
 def test_place_job_result_validates():
     system = support.system_of((2, {"core": 8, "gpu": 2}))
     free = free_runs(system, [])
-    allocation = place_job(system, free, rn=2, unit_req={"core": 4, "gpu": 1})
+    allocation = place_job(system, free, rn=2, unit_req={"core": 4, "gpu": 1}, pick=best_fit_node)
     assert validate_allocation(system, [], [(1, allocation)]) == []
 
 
@@ -661,8 +663,10 @@ def test_decode_guard_refuses_an_overlapping_decision(name, rescue, monkeypatch)
         ]
 
     monkeypatch.setattr(module, decoder, overlapping)
+    # Three jobs on two jobs' cores: one waits, so every dispatcher decodes
+    # (pcp20 decides a window that fits now without decoding).
     system = support.system_of((1, {"core": 4}))
-    trace = [make_job(job_id, 0, 0, 1, {"core": 2}, 10) for job_id in (1, 2)]
+    trace = [make_job(job_id, 0, 0, 1, {"core": 2}, 10) for job_id in (1, 2, 3)]
     dispatch = DispatchConfig(budget_ms=10_000, node_limit=None, emergency_first_fit=rescue)
     with pytest.raises(SimulationError, match="double-booking"):
         run_simulation(trace, system, SimConfig(dispatcher=name, dispatch=dispatch))

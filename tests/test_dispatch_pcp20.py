@@ -265,6 +265,26 @@ def test_a_window_that_fits_now_is_decided_without_search_as_search_would():
     assert any(tops)
 
 
+def test_only_a_window_with_a_job_that_waits_is_searched(monkeypatch):
+    built = []
+
+    def counting(instance, window):
+        built.append(instance.t)
+        return build_pcp20(instance, window)
+
+    monkeypatch.setattr(pcp20, "build_pcp20", counting)
+    system = support.system_of((1, {"core": 1}))
+    fits = support.instance_on(
+        system, t=5,
+        queued_jobs=[support.queued(1, submit=0, rn=1, unit_req={"core": 1}, d_expected=10)],
+    )
+    stats = solve_pcp20(fits, unlimited()).stats
+    assert (built, stats.status, stats.objective) == ([5], "optimal", 15_000)
+    assert (stats.decisions, stats.improvements) == (0, 0) and stats.propagations > 0
+    stats = solve_pcp20(one_held_core(), unlimited()).stats
+    assert (built, stats.status, stats.improvements) == ([5, 2], "optimal", 1)
+
+
 def test_node_limit_zero_returns_the_serial_schedule():
     # Two nodes of 4 cores and four 3-core jobs: two wait, so not every job
     # fits now, and at node limit 0 search cannot start.  The serial

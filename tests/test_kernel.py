@@ -306,38 +306,6 @@ def test_node_limit_after_incumbent_yields_feasible():
     assert result.objective == 5
 
 
-def test_incumbent_at_the_root_bound_is_optimal_with_no_decision():
-    solver = Solver()
-    x = solver.new_var(2, 7, "x")
-    y = solver.new_var(1, 3, "y")
-    solver.minimize([x, y], [3, 4], constant=10)
-    result = solver.solve(first_unfixed_min([x, y]), node_limit=0, incumbent={x: 2, y: 1})
-    assert (result.status, result.objective, result.values) == (STATUS_OPTIMAL, 20, {x: 2, y: 1})
-    stats = result.stats
-    assert (stats.decisions, stats.fails, stats.improvements) == (0, 0, 0)
-
-
-def test_incumbent_off_the_root_bound_is_refused():
-    # x != y over [0, 5]^2: root propagation leaves both at [0, 5], so the
-    # root bound 0 is below every solution, the optimum 1 included.
-    solver = Solver()
-    x = solver.new_var(0, 5, "x")
-    y = solver.new_var(0, 5, "y")
-    solver.add(AllDifferent([x, y]))
-    solver.minimize([x, y], [1, 1])
-    with pytest.raises(ValueError, match="misses the root bound 0"):
-        solver.solve(first_unfixed_min([x, y]), incumbent={x: 1, y: 0})
-
-
-def test_incumbent_outside_the_root_domains_is_refused():
-    solver = Solver()
-    x = solver.new_var(0, 12, "x", WINDOWS)
-    solver.minimize([x], [1])
-    for value in (3, 13):  # a hole, and past hi
-        with pytest.raises(ValueError, match="root domain"):
-            solver.solve(first_unfixed_min([x]), incumbent={x: value})
-
-
 class _Forbid(Propagator):
     """Fails once ``var`` is fixed at ``value``."""
 
@@ -436,7 +404,7 @@ def test_search_statistics_are_deterministic():
         solver.minimize(xs, [5, 3, 2, 1])
         result = solver.solve(first_unfixed_min(xs))
         s = result.stats
-        return (result.objective, s.decisions, s.fails, s.propagations, s.status)
+        return (result.status, result.objective, s.decisions, s.fails, s.propagations)
 
     assert run() == run()
 

@@ -10,7 +10,7 @@ import support
 from hpcdispatch import sim
 from hpcdispatch.dispatch import DISPATCHERS, DispatchConfig
 from hpcdispatch.dispatch import instance as instance_module
-from hpcdispatch.dispatch.common import select_window
+from hpcdispatch.dispatch.common import select_window, serial_schedule
 from hpcdispatch.dispatch.instance import (
     AllocationEntry,
     DispatchDecision,
@@ -19,7 +19,7 @@ from hpcdispatch.dispatch.instance import (
     JobDecision,
     Ledger,
 )
-from hpcdispatch.dispatch.pcp20 import build_pcp20, make_branch, now_values, schedule_values
+from hpcdispatch.dispatch.pcp20 import build_pcp20, make_branch, now_plan
 from hpcdispatch.kernel import STATUS_FEASIBLE, STATUS_OPTIMAL
 from hpcdispatch.sim import (
     REPLAY_FIELDS,
@@ -606,7 +606,7 @@ def test_dumped_snapshots_decide_as_in_the_run(dispatcher, monkeypatch, tmp_path
         assert untimed(offline) == untimed(in_run), path.name
 
 
-# -- pcp20's first incumbent ----------------------------------------------------------
+# -- what stands in for pcp20's search -------------------------------------------------
 
 # Gate check 5's oversubscribed burst, at a node limit and with no wall budget,
 # so that every decision depends on the node limit alone.
@@ -619,31 +619,45 @@ BURST = (
 )
 
 
+def plan_values(handle, plan):
+    """A plan as values of the model's variables: each job's start, and each
+    unit's position on each resource."""
+    values = {}
+    for jv, (start, allocation) in zip(handle.jobs, plan):
+        values[jv.start] = start
+        position = {(a.resource, a.unit): a.position for a in allocation}
+        for res, unit, yvar, _q in jv.positions:
+            values[yvar] = position[res, unit]
+    return values
+
+
 def checked_pcp20_run(scenario, predictor, monkeypatch):
     """Run pcp20 and check, at every invocation, what stands in for search.
 
     The serial schedule, assigned to a fresh model, must survive root
     propagation, so a decision it stands in for is a model solution.  Where
-    every window job fits now, ``now_values`` must equal what search alone
-    reaches on a fresh model, so skipping search changes no decision.
-    Returns the result and the counts and times t of what was seen."""
+    every window job fits now, ``now_plan`` must equal what search alone
+    reaches on a fresh model, so deciding without search changes no
+    decision.  Returns the result and the counts and times t of what was
+    seen."""
     spec, system, dispatch = scenario
     seen = {"failed": [], "differs": [], "now": 0, "waited": 0}
 
     def check(instance, decide):
         window = select_window(instance, dispatch)
+        plan = serial_schedule(instance, window)
+        seen["waited"] += any(start > instance.t for start, _ in plan)
         handle = build_pcp20(instance, window)
-        values = schedule_values(handle, instance)
-        seen["waited"] += any(values[jv.start] > instance.t for jv in handle.jobs)
+        values = plan_values(handle, plan)
         solver = handle.solver
         if not (all(var.assign(values[var]) for var in solver.vars) and solver.propagate_all()):
             seen["failed"].append(instance.t)
-        handle = build_pcp20(instance, window)
-        now = now_values(handle, instance)
+        now = now_plan(instance, window)
         if now is not None:
             seen["now"] += 1
+            handle = build_pcp20(instance, window)
             result = handle.solver.solve(make_branch(handle), node_limit=dispatch.node_limit)
-            if (result.status, result.values) != (STATUS_OPTIMAL, now):
+            if (result.status, result.values) != (STATUS_OPTIMAL, plan_values(handle, now)):
                 seen["differs"].append(instance.t)
         return decide()
 
