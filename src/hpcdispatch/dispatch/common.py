@@ -13,7 +13,7 @@ model's search where it finds nothing.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
@@ -23,6 +23,7 @@ from hpcdispatch.dispatch.instance import (
     AllocationEntry,
     DispatchDecision,
     DispatchInstance,
+    FreeCounts,
     InvocationStats,
     JobDecision,
     Ledger,
@@ -138,21 +139,36 @@ class FreeRuns:
     busy nodes, and every node a claim or ``hold`` took cells from.  It may
     also hold a node whose cells were all freed again.
 
+    Every mask write goes through ``claim``, ``hold`` or ``free_range``,
+    and each adds the node it wrote to ``changed``; a copy of a
+    ``FreeRuns`` copies that set, and ``ledger`` is the ledger the first
+    copy came from.  So outside ``changed`` the masks are the ledger's, and
+    best fit reads those nodes' free counts from ``ledger.free_index``
+    instead of the masks, which it never copies.  ``changed`` may also hold
+    a node whose cells are as the ledger has them: it then costs a mask
+    read, never another pick.
+
     A node outside ``busy`` is wholly free, so all such nodes of one
     ``system.node_classes`` class fit the same units with the same slack.
-    Whether the rule is best fit or first fit, only the lowest of them can
-    win (for last fit, the highest), and ``candidates`` offers just that
-    one per class next to the busy nodes: node choice costs what the
-    running jobs occupy, not what the machine holds.  A wholly free node
-    left in ``busy`` is one more candidate, never another pick: it ties
-    with its class's offered node, and either rule picks the same node
-    among them as it would among all nodes.
+    For first fit only the lowest of them can win (for last fit, the
+    highest), and ``candidates`` offers just that one per class next to
+    the busy nodes: node choice costs what the running jobs occupy, not
+    what the machine holds.  A wholly free node left in ``busy`` is one
+    more candidate, never another pick: it ties with its class's offered
+    node, and either rule picks the same node among them as it would
+    among all nodes.
     """
 
     def __init__(self, ledger: Ledger | FreeRuns):
         self.system = ledger.system
         self.free = {r: bytearray(mask) for r, mask in ledger.free.items()}
         self.busy: set[int] = set(ledger.busy)
+        if isinstance(ledger, FreeRuns):
+            self.ledger: Ledger = ledger.ledger
+            self.changed: set[int] = set(ledger.changed)
+        else:
+            self.ledger = ledger
+            self.changed = set()
 
     def find(self, node: int, resource: str, q: int, top: bool = False) -> int | None:
         """Start of the node's lowest (``top``: highest) q consecutive free
@@ -170,6 +186,7 @@ class FreeRuns:
         if position is not None:
             self.free[resource][position - 1 : position - 1 + q] = bytes(q)
             self.busy.add(node)
+            self.changed.add(node)
         return position
 
     def hold(self, allocation: Allocation) -> None:
@@ -178,7 +195,14 @@ class FreeRuns:
         for entry in allocation:
             lo = entry.position - 1
             self.free[entry.resource][lo : lo + entry.extent] = bytes(entry.extent)
-            self.busy.add(owner[entry.resource][lo])
+            node = owner[entry.resource][lo]
+            self.busy.add(node)
+            self.changed.add(node)
+
+    def free_range(self, resource: str, first: int, last: int) -> None:
+        """Free positions first..last of ``resource``, which lie on one node."""
+        self.free[resource][first - 1 : last] = b"\1" * (last - first + 1)
+        self.changed.add(self.system.owner[resource][first - 1])
 
     def candidates(self, top: bool = False) -> list[int]:
         """Busy nodes plus the lowest (``top``: highest) wholly free node of
@@ -197,44 +221,80 @@ def _unit_fits(free: FreeRuns, node: int, unit_req: dict[str, int]) -> bool:
     return all(free.find(node, r, q) is not None for r, q in unit_req.items())
 
 
+# Above every best-fit key: slack lies in [0, 1] and node ids start at 1.
+_NO_FIT = (2.0, 0)
+
+
 def best_fit_node(
     system: SystemModel, free: FreeRuns, unit_req: dict[str, int]
 ) -> int | None:
     """Feasible node leaving the least free share of the unit's top resource.
 
-    A candidate's key is (slack, node), where slack is the share of the
-    dominant resource r* the node would have left free; the lowest key
-    wins.  The key needs one ``count`` on r*'s mask over the node's block,
-    while the fit test needs one ``find`` per resource, so the test runs
-    only for a candidate whose key beats the best so far.  Candidates come
-    in ascending node order, so that means a strictly smaller slack; a node
-    with fewer free r* positions than the unit needs cannot fit and is
-    skipped at once.
+    A node's key is (slack, node), where slack is the share of the dominant
+    resource r* the node would have left free; the lowest key of a node the
+    unit fits wins.  The fit test needs one ``find`` per resource, so it
+    runs only for a node whose key beats the best so far, and a node with
+    fewer free r* positions than the unit needs is never tested.
+
+    The nodes in ``free.changed`` are keyed from the copy's masks, one
+    ``count`` each.  Every other node has the ledger's free count, so the
+    rest come from ``ledger.free_index(r*)``, class by class in key order:
+    a class whose capacity cannot hold the unit is skipped, and in the
+    others the counts from ``need`` upwards are walked, each count's nodes
+    ascending, passing over changed nodes.  The first node that fits is
+    the class's best, and the walk stops at the first key that does not
+    beat the best so far.  So a unit costs the changed nodes and the
+    buckets it walks, not the busy nodes.
 
     Slack is the float (free - need) / cap.  Both numerator and denominator
     lie in [0, cap], so two unequal slacks a/b and c/d differ by at least
     1/(b*d), far above the rounding of a quotient in [0, 1] (2**-53) for
     any capacity below 2**26, and equal ones round to the same float: the
-    float keys order the candidates exactly as the fractions would.
+    float keys order the nodes exactly as the fractions would.
     """
     r_star = dominant_resource(system, unit_req)
     need = unit_req[r_star]
     mask = free.free[r_star]
     node_span = system.node_span
-    best = None
-    best_slack = 0.0
-    for node in free.candidates():
+    changed = free.changed
+    best = _NO_FIT
+    for node in changed:
         span = node_span.get((node, r_star))
         if span is None:
             continue
         first, last = span
         spare = mask.count(1, first - 1, last) - need
-        if spare < 0:
-            continue
-        slack = spare / (last - first + 1)
-        if (best is None or slack < best_slack) and _unit_fits(free, node, unit_req):
-            best = node
-            best_slack = slack
+        if spare >= 0:
+            key = (spare / (last - first + 1), node)
+            if key < best and _unit_fits(free, node, unit_req):
+                best = key
+    for group in free.ledger.free_index(r_star):
+        best = _class_best_fit(free, group, need, unit_req, best)
+    return best[1] or None
+
+
+def _class_best_fit(
+    free: FreeRuns,
+    group: FreeCounts,
+    need: int,
+    unit_req: dict[str, int],
+    best: tuple[float, int],
+) -> tuple[float, int]:
+    """The lower of ``best`` and the key of the class's best node outside
+    ``free.changed``, walked in key order from ``need`` up."""
+    caps = group.caps
+    if any(caps[r] < q for r, q in unit_req.items()):
+        return best
+    changed, cap, nodes, counts = free.changed, group.cap, group.nodes, group.counts
+    for at in range(bisect_left(counts, need), len(counts)):
+        count = counts[at]
+        slack = (count - need) / cap
+        for node in nodes[count]:
+            key = (slack, node)
+            if key >= best:
+                return best
+            if node not in changed and _unit_fits(free, node, unit_req):
+                return key
     return best
 
 
@@ -286,10 +346,12 @@ def place_units_on_nodes(
     (``top``: highest first).
 
     Nodes are drawn one unit at a time, so a lazy ``node_of_unit`` sees
-    the earlier units' claims.  Fails (returning None, state untouched) on
-    a None node or when some node's free cells are too fragmented for a
-    contiguous claim: every cell claimed so far was free before, so undoing
-    the claims frees them again, and the nodes they made busy leave ``busy``.
+    the earlier units' claims.  Fails (returning None, masks and ``busy``
+    untouched) on a None node or when some node's free cells are too
+    fragmented for a contiguous claim: every cell claimed so far was free
+    before, so undoing the claims frees them again, and the nodes they made
+    busy leave ``busy``.  They stay in ``changed``, which costs best fit a
+    mask read each and never changes its pick.
     """
     busy = free.busy
     fresh: list[int] = []
@@ -301,8 +363,8 @@ def place_units_on_nodes(
             position = None if node is None else free.claim(node, resource, q, top)
             if position is None:
                 for entry in entries:
-                    lo = entry.position - 1
-                    free.free[entry.resource][lo : lo + entry.extent] = b"\1" * entry.extent
+                    last = entry.position + entry.extent - 1
+                    free.free_range(entry.resource, entry.position, last)
                 busy.difference_update(fresh)
                 return None
             entries.append(AllocationEntry(unit, resource, position, q))
@@ -359,7 +421,7 @@ def serial_schedule(instance: DispatchInstance, window: Sequence[QueuedJob]) -> 
             for start in sorted({item[0] for item in by_release} | {end for _, end, _ in plan}):
                 while released < len(by_release) and by_release[released][0] <= start:
                     _, resource, first, last = by_release[released]
-                    base.free[resource][first - 1 : last] = b"\1" * (last - first + 1)
+                    base.free_range(resource, first, last)
                     released += 1
                 allocation = room(start)
                 if allocation is not None:

@@ -138,6 +138,44 @@ def run_nodes(system: SystemModel, run: RunningJob) -> set[int]:
     return {owner[entry.resource][entry.position - 1] for entry in run.allocation}
 
 
+class FreeCounts:
+    """One node class's nodes bucketed by their free count of one resource.
+
+    ``nodes[k]`` lists, ascending, the class's nodes with k free positions
+    of the resource, and ``counts`` the k whose list is non-empty,
+    ascending; ``count_of`` maps each node to its k.  ``caps`` is the
+    class's capacity vector and ``cap`` its capacity of the resource.
+    """
+
+    __slots__ = ("caps", "cap", "nodes", "counts", "count_of")
+
+    def __init__(self, caps: dict[str, int], cap: int, members: tuple[int, ...]):
+        self.caps = caps
+        self.cap = cap
+        self.nodes = {cap: list(members)}
+        self.counts = [cap]
+        self.count_of = dict.fromkeys(members, cap)
+
+    def recount(self, node: int, new: int) -> None:
+        """Move ``node`` to the bucket of ``new`` free positions."""
+        old = self.count_of[node]
+        if new == old:
+            return
+        self.count_of[node] = new
+        nodes, counts = self.nodes, self.counts
+        bucket = nodes[old]
+        del bucket[bisect_left(bucket, node)]
+        if not bucket:
+            del nodes[old]
+            del counts[bisect_left(counts, old)]
+        bucket = nodes.get(new)
+        if bucket is None:
+            nodes[new] = [node]
+            insort(counts, new)
+        else:
+            insort(bucket, node)
+
+
 class Ledger:
     """What the running jobs hold, and until when: all a model reads of them.
 
@@ -159,6 +197,16 @@ class Ledger:
     and ranges by bisection, so the read-outs cost O(log R) plus what is
     overdue, not O(R) for R running jobs.  Dispatchers only read it;
     placement claims cells on a ``FreeRuns`` copy.
+
+    ``free_index(r)`` buckets every node, wholly free ones too, by its free
+    count of r, one ``FreeCounts`` per node class that has r, for best-fit
+    placement.  It is a cache of the masks, refreshed lazily: ``occupy``
+    and ``release`` only mark each entry's node stale for its resource,
+    and the next ``free_index(r)`` moves r's stale nodes to their buckets,
+    one ``count`` each against the stored count.  So a run that never
+    places by best fit pays one ``set.add`` per entry.  Like the rest of
+    the ledger it serves placement only: the decision check reads
+    ``running``, never the ledger.
     """
 
     def __init__(self, system: SystemModel):
@@ -170,6 +218,18 @@ class Ledger:
         self.busy: dict[int, int] = {}
         self.ends: list[int] = []
         self.ends_total = 0
+        # The free-count index starts with every node wholly free; per
+        # resource, the classes' buckets and each node's class.
+        self._index: dict[str, list[FreeCounts]] = {r: [] for r in system.resources}
+        self._group: dict[str, dict[int, FreeCounts]] = {r: {} for r in system.resources}
+        self._stale: dict[str, set[int]] = {r: set() for r in system.resources}
+        for members in system.node_classes:
+            caps = system.caps[members[0] - 1]
+            for resource, cap in caps.items():
+                if cap > 0:
+                    group = FreeCounts(caps, cap, members)
+                    self._index[resource].append(group)
+                    self._group[resource].update(dict.fromkeys(members, group))
 
     @classmethod
     def of(cls, system: SystemModel, running: Iterable[RunningJob]) -> "Ledger":
@@ -182,7 +242,7 @@ class Ledger:
         end = run.start + run.d_expected
         insort(self.ends, end)
         self.ends_total += end
-        owner, busy = self.system.owner, self.busy
+        owner, busy, stale = self.system.owner, self.busy, self._stale
         for entry in run.allocation:
             resource, lo, extent = entry.resource, entry.position - 1, entry.extent
             self.free[resource][lo : lo + extent] = bytes(extent)
@@ -191,13 +251,14 @@ class Ledger:
             insort(self.held_ends[resource], end)
             node = owner[resource][lo]
             busy[node] = busy.get(node, 0) + 1
+            stale[resource].add(node)
 
     def release(self, run: RunningJob) -> None:
         end = run.start + run.d_expected
         ends = self.ends
         del ends[bisect_left(ends, end)]
         self.ends_total -= end
-        owner, busy = self.system.owner, self.busy
+        owner, busy, stale = self.system.owner, self.busy, self._stale
         for entry in run.allocation:
             resource, lo, extent = entry.resource, entry.position - 1, entry.extent
             self.free[resource][lo : lo + extent] = b"\1" * extent
@@ -211,6 +272,7 @@ class Ledger:
                 del busy[node]
             else:
                 busy[node] -= 1
+            stale[resource].add(node)
 
     def releases(self, resource: str, t: int) -> list[tuple[int, int, int]]:
         """The held ``(first, last, release)`` ranges at t, in position order.
@@ -227,6 +289,21 @@ class Ledger:
             (first, last, end if end > floor else floor)
             for first, last, end in self.held[resource]
         ]
+
+    def free_index(self, resource: str) -> list[FreeCounts]:
+        """The free-count index of ``resource``, once its stale nodes are
+        moved to their buckets: one ``FreeCounts`` per node class that has
+        the resource, in ``system.node_classes`` order.  Callers read it and
+        never change it."""
+        stale = self._stale[resource]
+        if stale:
+            mask, node_span = self.free[resource], self.system.node_span
+            group = self._group[resource]
+            for node in stale:
+                first, last = node_span[(node, resource)]
+                group[node].recount(node, mask.count(1, first - 1, last))
+            stale.clear()
+        return self._index[resource]
 
     def total_free(self, node: int, resource: str) -> int:
         span = self.system.node_span.get((node, resource))

@@ -289,26 +289,32 @@ def test_failed_placement_frees_only_its_own_claims():
     assert place_units_on_nodes(system, free, [2], {"core": 8, "gpu": 2}) is not None
 
 
+def random_entry(rng, system, unit=0):
+    """A random range of one resource on one node's block."""
+    resource = rng.choice(system.resources)
+    first, last = system.blocks[resource][rng.randrange(len(system.blocks[resource]))][:2]
+    position = rng.randint(first, last)
+    return AllocationEntry(unit, resource, position, rng.randint(1, last - position + 1))
+
+
+def one_entry_job(job_id, entry):
+    return RunningJob(
+        job=make_job(job_id, 0, 0, 1, {entry.resource: entry.extent}, 10),
+        start=0, d_expected=10, allocation=(entry,),
+    )
+
+
 def random_running(rng, system, attempts):
     """Up to ``attempts`` one-entry running jobs, and the cells they take per resource."""
     taken = {r: set() for r in system.resources}
     running = []
     for job_id in range(1, attempts + 1):
-        resource = rng.choice(system.resources)
-        first, last = system.blocks[resource][rng.randrange(len(system.blocks[resource]))][:2]
-        position = rng.randint(first, last)
-        extent = rng.randint(1, last - position + 1)
-        cells = set(range(position, position + extent))
-        if cells & taken[resource]:
+        entry = random_entry(rng, system)
+        cells = set(range(entry.position, entry.position + entry.extent))
+        if cells & taken[entry.resource]:
             continue
-        taken[resource] |= cells
-        running.append(
-            RunningJob(
-                job=make_job(job_id, 0, 0, 1, {resource: extent}, 10),
-                start=0, d_expected=10,
-                allocation=(AllocationEntry(0, resource, position, extent),),
-            )
-        )
+        taken[entry.resource] |= cells
+        running.append(one_entry_job(job_id, entry))
     return running, taken
 
 
@@ -402,13 +408,14 @@ def test_best_fit_tests_fit_only_for_an_improving_key(monkeypatch):
 
     monkeypatch.setattr(FreeRuns, "find", counting_find)
     # (request, the node chosen, the fit tests in order: one find per
-    # resource until one fails).  Node 500 never has enough free cores and
-    # wholly free node 1153 never beats wholly free node 1; a node whose key
-    # ties or loses to the best so far is never tested.
+    # resource until one fails).  Each class is walked by free count from
+    # the need up, and its first node that fits ends its walk, as does a
+    # key that ties or loses to the best so far.  Node 500 never has enough
+    # free cores, and no wholly free node is tested while a tighter one fits.
     cases = [
-        ({"core": 4}, 1160, [1, 3, 40, 1160]),  # slack .8, .7, .3, then 4/48
-        ({"core": 6}, 1160, [1, 3, 40, 1160]),  # node 40 improves but cannot fit
-        ({"core": 9}, 3, [1, 3, 40]),  # node 1160 has 8 cores free
+        ({"core": 4}, 1160, [40, 1160]),  # slack .3 among the thin nodes, then 4/48
+        ({"core": 6}, 1160, [40, 3, 1160]),  # node 40 has 10 free but no 6 in a row
+        ({"core": 9}, 3, [40, 3]),  # node 1160 has 8 cores free, a fat free node 39/48
         ({"core": 2, "mem": 8}, 1, [1, 1]),  # mem leads: node 3 lacks it, the rest tie or lose
     ]
     for unit_req, node, expected in cases:
@@ -461,29 +468,81 @@ def random_interleaved_system(rng):
     return support.system_of(*groups)
 
 
+def check_free_index(system, ledger):
+    """Every refreshed bucket holds, ascending, the nodes of its class whose
+    mask shows its free count, and each class with the resource has one."""
+    for r in system.resources:
+        classes = [members for members in system.node_classes if system.cap(members[0], r)]
+        groups = ledger.free_index(r)
+        assert len(groups) == len(classes)
+        for group, members in zip(groups, classes):
+            assert group.caps == system.caps[members[0] - 1] and group.cap == system.cap(members[0], r)
+            assert group.counts == sorted(group.nodes)
+            assert all(nodes == sorted(nodes) for nodes in group.nodes.values())
+            counts = {node: ledger.total_free(node, r) for node in members}
+            assert {node: k for k, nodes in group.nodes.items() for node in nodes} == counts
+            assert group.count_of == counts
+
+
 def test_node_choice_matches_a_full_scan():
+    # Between placements the ledger starts and ends jobs (a new copy reads
+    # its refreshed index), and copies are copied, hold cells and free
+    # ranges, so best fit meets stale ledger nodes and changed copy nodes.
     rng = random.Random(5150)
     checked = {"best": 0, "first": 0}
+    steps = dict.fromkeys(("occupy", "release", "copy", "hold", "free"), 0)
+    freed = False  # a free_range may leave wholly free nodes in busy
 
     def checking(pick, scan, key):
         def choose(system, free, unit_req):
             node = pick(system, free, unit_req)
             assert node == scan(system, free, unit_req)
-            assert free.busy == taken_nodes(system, free)
+            taken = taken_nodes(system, free)
+            assert taken <= free.busy if freed else taken == free.busy
             checked[key] += 1
             return node
 
         return choose
 
+    def random_unit(system):
+        resources = rng.sample(system.resources, rng.randint(1, len(system.resources)))
+        return {r: rng.randint(1, 3) for r in system.resources if r in resources}
+
     best = checking(best_fit_node, scan_best_fit, "best")
     first = checking(first_fit_node, scan_first_fit, "first")
     placed = failed = 0
+    job_ids = iter(range(1000, 10**9))
     for _ in range(300):
         system = random_interleaved_system(rng)
-        free = free_runs(system, random_running(rng, system, rng.randint(0, 6))[0])
-        for _ in range(8):
-            resources = rng.sample(system.resources, rng.randint(1, len(system.resources)))
-            unit_req = {r: rng.randint(1, 3) for r in system.resources if r in resources}
+        running = random_running(rng, system, rng.randint(0, 6))[0]
+        ledger = Ledger.of(system, running)
+        free, freed = FreeRuns(ledger), False
+        for _ in range(16):
+            step = rng.choice(("occupy", "release", "copy", "hold", "free", "place", "place"))
+            if step == "occupy":
+                entry = random_entry(rng, system)
+                lo = entry.position - 1
+                if all(ledger.free[entry.resource][lo : lo + entry.extent]):
+                    running.append(one_entry_job(next(job_ids), entry))
+                    ledger.occupy(running[-1])
+            elif step == "release" and running:
+                ledger.release(running.pop(rng.randrange(len(running))))
+            elif step == "copy":
+                free = FreeRuns(free)
+            elif step == "hold":
+                free.hold((random_entry(rng, system),))
+            elif step == "free":
+                entry = random_entry(rng, system)
+                free.free_range(entry.resource, entry.position, entry.position + entry.extent - 1)
+                freed = True
+            if step in ("occupy", "release"):
+                free, freed = FreeRuns(ledger), False  # a copy is valid at its ledger's instant
+                check_free_index(system, ledger)
+            if step != "place":
+                steps[step] += 1
+                best(system, free, random_unit(system))
+                continue
+            unit_req = random_unit(system)
             before = ({r: mask[:] for r, mask in free.free.items()}, set(free.busy))
             rn = rng.randint(1, 4)
             pick = best if rng.random() < 0.5 else first
@@ -495,8 +554,66 @@ def test_node_choice_matches_a_full_scan():
                 placed += 1
                 nodes = {system.owner[a.resource][a.position - 1] for a in allocation}
                 assert free.busy == before[1] | nodes
-    # the draw covers both rules and both outcomes, many times over
+    # the draw covers both rules, both outcomes and every step, many times over
     assert min(checked.values()) > 1000 and min(placed, failed) > 200
+    assert min(steps.values()) > 200, steps
+
+
+def test_best_fit_reads_do_not_grow_with_the_busy_nodes():
+    # 20,000 nodes; each busy node holds its lowest cells, as claims take
+    # them.  Per unit, best fit reads each node its copy changed (one count,
+    # and a find per resource where its key improves) and the first node
+    # that fits in each bucket walked: the same with 1,000 or 10,000 busy
+    # nodes.  Only the index refresh reads the busy nodes, once each, and
+    # only after the ledger changed.
+    reads = []
+
+    class CountingMask(bytearray):
+        def count(self, *args):
+            reads.append("count")
+            return super().count(*args)
+
+        def find(self, *args):
+            reads.append("find")
+            return super().find(*args)
+
+    system = support.system_of((10_000, {"core": 4}), (10_000, {"core": 8, "gpu": 1}))
+    span = system.node_span
+    requests = [
+        ({"core": 3}, 3, [1, 2, 3]),  # tight on thin busy nodes; each claim adds one changed node
+        ({"core": 4}, 2, [1, 2]),  # the lowest wholly free thin node
+        ({"core": 2, "gpu": 1}, 2, [2, 5]),  # thin nodes lack gpu; fat busy nodes fit
+        ({"core": 8}, 1, [1]),  # only a wholly free fat node
+    ]
+    per_unit = {}
+    for n_busy in (1_000, 10_000):
+        busy = list(range(1, n_busy // 2 + 1)) + list(range(10_001, 10_001 + n_busy // 2))
+        ledger = Ledger(system)
+        ledger.free = {r: CountingMask(mask) for r, mask in ledger.free.items()}
+        for job_id, node in enumerate(busy, 1):
+            extent = 1 if node <= 10_000 else 2
+            ledger.occupy(one_entry_job(job_id, AllocationEntry(0, "core", span[(node, "core")][0], extent)))
+        reads.clear()
+        ledger.free_index("core")
+        assert len(reads) == n_busy and set(reads) == {"count"}
+        reads.clear()
+        ledger.free_index("core")
+        assert reads == []
+        per_unit[n_busy] = []
+        for unit_req, rn, _ in requests:
+            free = FreeRuns(ledger)
+            free.free = {r: CountingMask(mask) for r, mask in free.free.items()}
+            counts = []
+
+            def pick(system, free, unit_req):
+                reads.clear()
+                node = best_fit_node(system, free, unit_req)
+                counts.append(len(reads))
+                return node
+
+            assert place_job(system, free, rn, unit_req, pick) is not None
+            per_unit[n_busy].append(counts)
+    assert per_unit[1_000] == per_unit[10_000] == [expected for _, _, expected in requests]
 
 
 def test_last_fit_and_top_claims_match_a_full_scan():
