@@ -127,17 +127,15 @@ class FreeRuns:
     """Free positions at a fixed instant: a scratch copy of a ``Ledger``.
 
     It copies the ledger's masks (``free[r][p - 1]`` is 1 while position p
-    of r's flattened space is free) and busy nodes, so claims change the
-    copy, never the ledger, and a new copy costs one ``bytearray`` per
-    resource whatever the running jobs hold.  Another ``FreeRuns`` can be
-    copied the same way.  Like the ledger, it is valid only at the instant
-    of the snapshot it came from, unless its owner frees cells itself, as
-    the serial schedule does for later instants.  Per-node queries read
-    only the node's block ``system.node_span[(node, r)]``, so a claim takes
-    the lowest q consecutive free positions of the block, or with ``top``
-    the highest.  ``busy`` holds every node with a taken cell: the ledger's
-    busy nodes, and every node a claim or ``hold`` took cells from.  It may
-    also hold a node whose cells were all freed again.
+    of r's flattened space is free), so claims change the copy, never the
+    ledger, and a new copy costs one ``bytearray`` per resource whatever
+    the running jobs hold.  Another ``FreeRuns`` can be copied the same
+    way.  Like the ledger, it is valid only at the instant of the snapshot
+    it came from, unless its owner frees cells itself, as the serial
+    schedule does for later instants.  Per-node queries read only the
+    node's block ``system.node_span[(node, r)]``, so a claim takes the
+    lowest q consecutive free positions of the block, or with ``top`` the
+    highest.
 
     Every mask write goes through ``claim``, ``hold`` or ``free_range``,
     and each adds the node it wrote to ``changed``; a copy of a
@@ -147,22 +145,11 @@ class FreeRuns:
     instead of the masks, which it never copies.  ``changed`` may also hold
     a node whose cells are as the ledger has them: it then costs a mask
     read, never another pick.
-
-    A node outside ``busy`` is wholly free, so all such nodes of one
-    ``system.node_classes`` class fit the same units with the same slack.
-    For first fit only the lowest of them can win (for last fit, the
-    highest), and ``candidates`` offers just that one per class next to
-    the busy nodes: node choice costs what the running jobs occupy, not
-    what the machine holds.  A wholly free node left in ``busy`` is one
-    more candidate, never another pick: it ties with its class's offered
-    node, and either rule picks the same node among them as it would
-    among all nodes.
     """
 
     def __init__(self, ledger: Ledger | FreeRuns):
         self.system = ledger.system
         self.free = {r: bytearray(mask) for r, mask in ledger.free.items()}
-        self.busy: set[int] = set(ledger.busy)
         if isinstance(ledger, FreeRuns):
             self.ledger: Ledger = ledger.ledger
             self.changed: set[int] = set(ledger.changed)
@@ -185,7 +172,6 @@ class FreeRuns:
         position = self.find(node, resource, q, top)
         if position is not None:
             self.free[resource][position - 1 : position - 1 + q] = bytes(q)
-            self.busy.add(node)
             self.changed.add(node)
         return position
 
@@ -195,26 +181,12 @@ class FreeRuns:
         for entry in allocation:
             lo = entry.position - 1
             self.free[entry.resource][lo : lo + entry.extent] = bytes(entry.extent)
-            node = owner[entry.resource][lo]
-            self.busy.add(node)
-            self.changed.add(node)
+            self.changed.add(owner[entry.resource][lo])
 
     def free_range(self, resource: str, first: int, last: int) -> None:
         """Free positions first..last of ``resource``, which lie on one node."""
         self.free[resource][first - 1 : last] = b"\1" * (last - first + 1)
         self.changed.add(self.system.owner[resource][first - 1])
-
-    def candidates(self, top: bool = False) -> list[int]:
-        """Busy nodes plus the lowest (``top``: highest) wholly free node of
-        each class, ascending."""
-        busy = self.busy
-        nodes = set(busy)
-        for members in self.system.node_classes:
-            for node in reversed(members) if top else members:
-                if node not in busy:
-                    nodes.add(node)
-                    break
-        return sorted(nodes)
 
 
 def _unit_fits(free: FreeRuns, node: int, unit_req: dict[str, int]) -> bool:
@@ -244,7 +216,7 @@ def best_fit_node(
     ascending, passing over changed nodes.  The first node that fits is
     the class's best, and the walk stops at the first key that does not
     beat the best so far.  So a unit costs the changed nodes and the
-    buckets it walks, not the busy nodes.
+    buckets it walks, not the nodes the running jobs occupy.
 
     Slack is the float (free - need) / cap.  Both numerator and denominator
     lie in [0, cap], so two unequal slacks a/b and c/d differ by at least
@@ -301,20 +273,42 @@ def _class_best_fit(
 def first_fit_node(
     system: SystemModel, free: FreeRuns, unit_req: dict[str, int]
 ) -> int | None:
-    for node in free.candidates():
-        if _unit_fits(free, node, unit_req):
-            return node
-    return None
+    """The lowest node the unit fits."""
+    return _edge_fit_node(system, free, unit_req, top=False)
 
 
 def last_fit_node(
     system: SystemModel, free: FreeRuns, unit_req: dict[str, int]
 ) -> int | None:
     """The highest node the unit fits."""
-    for node in reversed(free.candidates(top=True)):
-        if _unit_fits(free, node, unit_req):
-            return node
-    return None
+    return _edge_fit_node(system, free, unit_req, top=True)
+
+
+def _edge_fit_node(
+    system: SystemModel, free: FreeRuns, unit_req: dict[str, int], top: bool
+) -> int | None:
+    """The lowest (``top``: highest) node the unit fits, read off the masks.
+
+    Each ``system.node_classes`` class whose capacities can hold the unit
+    is walked from its lower (``top``: upper) edge, the classes in their
+    order (``top``: reversed), and the walk stops at the class's first
+    node that fits or at the first node that cannot beat the best so far.
+    A wholly free node of such a class always fits, so the walk passes
+    only nodes with taken cells: a unit costs the taken nodes at the
+    classes' edges, not the machine.
+    """
+    best = None
+    for members in reversed(system.node_classes) if top else system.node_classes:
+        caps = system.caps[members[0] - 1]
+        if any(caps[r] < q for r, q in unit_req.items()):
+            continue
+        for node in reversed(members) if top else members:
+            if best is not None and (node < best if top else node > best):
+                break
+            if _unit_fits(free, node, unit_req):
+                best = node
+                break
+    return best
 
 
 def place_job(
@@ -346,26 +340,20 @@ def place_units_on_nodes(
     (``top``: highest first).
 
     Nodes are drawn one unit at a time, so a lazy ``node_of_unit`` sees
-    the earlier units' claims.  Fails (returning None, masks and ``busy``
-    untouched) on a None node or when some node's free cells are too
-    fragmented for a contiguous claim: every cell claimed so far was free
-    before, so undoing the claims frees them again, and the nodes they made
-    busy leave ``busy``.  They stay in ``changed``, which costs best fit a
-    mask read each and never changes its pick.
+    the earlier units' claims.  Fails (returning None, masks untouched) on
+    a None node or when some node's free cells are too fragmented for a
+    contiguous claim: every cell claimed so far was free before, so undoing
+    the claims frees them again.  Their nodes stay in ``changed``, which
+    costs best fit a mask read each and never changes its pick.
     """
-    busy = free.busy
-    fresh: list[int] = []
     entries: list[AllocationEntry] = []
     for unit, node in enumerate(node_of_unit):
-        if node is not None and node not in busy:
-            fresh.append(node)
         for resource, q in unit_req.items():
             position = None if node is None else free.claim(node, resource, q, top)
             if position is None:
                 for entry in entries:
                     last = entry.position + entry.extent - 1
                     free.free_range(entry.resource, entry.position, last)
-                busy.difference_update(fresh)
                 return None
             entries.append(AllocationEntry(unit, resource, position, q))
     return tuple(entries)

@@ -187,8 +187,7 @@ class Ledger:
     order, and ``ends_total`` is their sum.  A job may run past its
     expected end, so a reader at time t takes ``max(expected_end, t + 1)``
     as its release: ``releases`` gives that per held range, and
-    ``common.horizon`` sums it per job.  ``busy`` maps each node with a
-    held cell to its number of held ranges.
+    ``common.horizon`` sums it per job.
 
     ``occupy`` and ``release`` cost O(the job's allocation entries, each
     with a bisection), so the simulator keeps one ledger per run and
@@ -200,13 +199,14 @@ class Ledger:
 
     ``free_index(r)`` buckets every node, wholly free ones too, by its free
     count of r, one ``FreeCounts`` per node class that has r, for best-fit
-    placement.  It is a cache of the masks, refreshed lazily: ``occupy``
-    and ``release`` only mark each entry's node stale for its resource,
-    and the next ``free_index(r)`` moves r's stale nodes to their buckets,
-    one ``count`` each against the stored count.  So a run that never
-    places by best fit pays one ``set.add`` per entry.  Like the rest of
-    the ledger it serves placement only: the decision check reads
-    ``running``, never the ledger.
+    placement; first and last fit read only a copy's masks.  It is a cache
+    of the masks, refreshed lazily: ``occupy`` and ``release`` only mark
+    each entry's node stale for its resource, and the next
+    ``free_index(r)`` moves r's stale nodes to their buckets, one ``count``
+    each against the stored count.  So a run that never places by best fit
+    pays one ``set.add`` per entry.  Like the rest of the ledger it serves
+    placement only: the decision check reads ``running``, never the
+    ledger.
     """
 
     def __init__(self, system: SystemModel):
@@ -215,7 +215,6 @@ class Ledger:
         self.used = dict.fromkeys(system.resources, 0)
         self.held: dict[str, list[tuple[int, int, int]]] = {r: [] for r in system.resources}
         self.held_ends: dict[str, list[int]] = {r: [] for r in system.resources}
-        self.busy: dict[int, int] = {}
         self.ends: list[int] = []
         self.ends_total = 0
         # The free-count index starts with every node wholly free; per
@@ -242,23 +241,21 @@ class Ledger:
         end = run.start + run.d_expected
         insort(self.ends, end)
         self.ends_total += end
-        owner, busy, stale = self.system.owner, self.busy, self._stale
+        owner, stale = self.system.owner, self._stale
         for entry in run.allocation:
             resource, lo, extent = entry.resource, entry.position - 1, entry.extent
             self.free[resource][lo : lo + extent] = bytes(extent)
             self.used[resource] += extent
             insort(self.held[resource], (entry.position, lo + extent, end))
             insort(self.held_ends[resource], end)
-            node = owner[resource][lo]
-            busy[node] = busy.get(node, 0) + 1
-            stale[resource].add(node)
+            stale[resource].add(owner[resource][lo])
 
     def release(self, run: RunningJob) -> None:
         end = run.start + run.d_expected
         ends = self.ends
         del ends[bisect_left(ends, end)]
         self.ends_total -= end
-        owner, busy, stale = self.system.owner, self.busy, self._stale
+        owner, stale = self.system.owner, self._stale
         for entry in run.allocation:
             resource, lo, extent = entry.resource, entry.position - 1, entry.extent
             self.free[resource][lo : lo + extent] = b"\1" * extent
@@ -267,12 +264,7 @@ class Ledger:
             del held[bisect_left(held, (entry.position,))]
             held_ends = self.held_ends[resource]
             del held_ends[bisect_left(held_ends, end)]
-            node = owner[resource][lo]
-            if busy[node] == 1:
-                del busy[node]
-            else:
-                busy[node] -= 1
-            stale[resource].add(node)
+            stale[resource].add(owner[resource][lo])
 
     def releases(self, resource: str, t: int) -> list[tuple[int, int, int]]:
         """The held ``(first, last, release)`` ranges at t, in position order.

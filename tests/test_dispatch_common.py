@@ -224,7 +224,7 @@ def make_free():
 
 
 def test_free_runs_reflect_running_jobs():
-    _, ledger = make_ledger()
+    system, ledger = make_ledger()
     free = FreeRuns(ledger)
     assert free.find(1, "core", 4) == 5 and free.find(1, "core", 5) is None
     assert free.find(1, "gpu", 1) == 2 and free.find(1, "gpu", 2) is None
@@ -233,7 +233,7 @@ def test_free_runs_reflect_running_jobs():
     assert ledger.total_free(2, "gpu") == total_free(free, 2, "gpu") == 2
     assert free.find(1, "mem", 1) is None  # unknown resource on this system
     assert ledger.total_free(1, "mem") == total_free(free, 1, "mem") == 0
-    assert (ledger.used, ledger.busy) == ({"core": 2, "gpu": 1}, {1: 2})
+    assert ledger.used == {"core": 2, "gpu": 1} and taken_nodes(system, ledger) == {1}
     assert ledger.held == {"core": [(3, 4, 50)], "gpu": [(1, 1, 50)]}
 
 
@@ -248,7 +248,7 @@ def test_claim_takes_the_lowest_free_window():
     assert free.claim(1, "core", 2) is None
     assert free.claim(1, "gpu", 1) == 2
     # claims write to the copy, never to the ledger it came from
-    assert masks_of(ledger) == masks and ledger.busy == {1: 2}
+    assert masks_of(ledger) == masks
 
 
 def test_ledger_release_undoes_occupy():
@@ -262,15 +262,15 @@ def test_ledger_release_undoes_occupy():
     empty = masks_of(Ledger(system))
     alone = (masks_of(ledger), dict(ledger.used), {r: list(h) for r, h in ledger.held.items()})
     ledger.occupy(second)
-    assert ledger.busy == {1: 3, 2: 1}
+    assert taken_nodes(system, ledger) == {1, 2}
     assert ledger.held["core"] == [(3, 4, 50), (7, 8, 15), (9, 16, 15)]
     # at t=20 the second job is overdue: it is released no earlier than t + 1
     assert ledger.releases("core", 20) == [(3, 4, 50), (7, 8, 21), (9, 16, 21)]
     ledger.release(second)
     assert (masks_of(ledger), ledger.used, ledger.held) == alone
-    assert ledger.busy == {1: 1}  # node 1 stays busy while any of its cells is held
+    assert taken_nodes(system, ledger) == {1}  # node 1 keeps the first job's cells
     ledger.release(first)
-    assert masks_of(ledger) == empty and ledger.busy == {}
+    assert masks_of(ledger) == empty
 
 
 def masks_of(free):
@@ -281,11 +281,11 @@ def test_failed_placement_frees_only_its_own_claims():
     system, free = make_free()
     kept = place_units_on_nodes(system, free, [1], {"core": 2})
     assert kept is not None and kept[0].position == 1  # cores 1-2 of node 1
-    masks, busy = masks_of(free), set(free.busy)
+    masks = masks_of(free)
     # node 2 takes cores 9-13 and gpu 3; node 1 then has only 4 free cores
     assert place_units_on_nodes(system, free, [2, 1], {"core": 5, "gpu": 1}) is None
     assert masks_of(free) == masks  # running cells and the kept claim stay taken
-    assert free.busy == busy == {1}
+    assert taken_nodes(system, free) == {1}
     assert place_units_on_nodes(system, free, [2], {"core": 8, "gpu": 2}) is not None
 
 
@@ -398,7 +398,7 @@ def test_best_fit_tests_fit_only_for_an_improving_key(monkeypatch):
         for node, rows in placements.items()
     ]
     free = free_runs(system, running)
-    assert free.candidates() == [1, 3, 40, 500, 1153, 1160]
+    assert taken_nodes(system, free) == {3, 40, 500, 1160}
     tested = []
     find = FreeRuns.find
 
@@ -447,6 +447,26 @@ def scan_first_fit(system, free, unit_req):
     )
 
 
+def scan_last_fit(system, free, unit_req):
+    return next(
+        (
+            node for node in range(system.node_count, 0, -1)
+            if all(free.find(node, r, q) is not None for r, q in unit_req.items())
+        ),
+        None,
+    )
+
+
+def claimed(masks, allocation):
+    """``masks`` with the allocation's cells taken; each was free until then."""
+    out = {r: bytearray(mask) for r, mask in masks.items()}
+    for a in allocation:
+        cells = slice(a.position - 1, a.position - 1 + a.extent)
+        assert all(out[a.resource][cells])
+        out[a.resource][cells] = bytes(a.extent)
+    return {r: bytes(mask) for r, mask in out.items()}
+
+
 def taken_nodes(system, free):
     """Nodes with any taken cell, read off the masks."""
     return {
@@ -487,19 +507,24 @@ def check_free_index(system, ledger):
 def test_node_choice_matches_a_full_scan():
     # Between placements the ledger starts and ends jobs (a new copy reads
     # its refreshed index), and copies are copied, hold cells and free
-    # ranges, so best fit meets stale ledger nodes and changed copy nodes.
+    # ranges, so best fit meets stale ledger nodes and changed copy nodes,
+    # and first and last fit meet taken cells anywhere in a class.
     rng = random.Random(5150)
-    checked = {"best": 0, "first": 0}
+    rules = {
+        "best": (best_fit_node, scan_best_fit),
+        "first": (first_fit_node, scan_first_fit),
+        "last": (last_fit_node, scan_last_fit),
+    }
+    checked = dict.fromkeys(rules, 0)
     steps = dict.fromkeys(("occupy", "release", "copy", "hold", "free"), 0)
-    freed = False  # a free_range may leave wholly free nodes in busy
 
-    def checking(pick, scan, key):
+    def checking(rule):
+        pick, scan = rules[rule]
+
         def choose(system, free, unit_req):
             node = pick(system, free, unit_req)
             assert node == scan(system, free, unit_req)
-            taken = taken_nodes(system, free)
-            assert taken <= free.busy if freed else taken == free.busy
-            checked[key] += 1
+            checked[rule] += 1
             return node
 
         return choose
@@ -508,15 +533,14 @@ def test_node_choice_matches_a_full_scan():
         resources = rng.sample(system.resources, rng.randint(1, len(system.resources)))
         return {r: rng.randint(1, 3) for r in system.resources if r in resources}
 
-    best = checking(best_fit_node, scan_best_fit, "best")
-    first = checking(first_fit_node, scan_first_fit, "first")
+    picks = {rule: checking(rule) for rule in rules}
     placed = failed = 0
     job_ids = iter(range(1000, 10**9))
     for _ in range(300):
         system = random_interleaved_system(rng)
         running = random_running(rng, system, rng.randint(0, 6))[0]
         ledger = Ledger.of(system, running)
-        free, freed = FreeRuns(ledger), False
+        free = FreeRuns(ledger)
         for _ in range(16):
             step = rng.choice(("occupy", "release", "copy", "hold", "free", "place", "place"))
             if step == "occupy":
@@ -534,28 +558,30 @@ def test_node_choice_matches_a_full_scan():
             elif step == "free":
                 entry = random_entry(rng, system)
                 free.free_range(entry.resource, entry.position, entry.position + entry.extent - 1)
-                freed = True
             if step in ("occupy", "release"):
-                free, freed = FreeRuns(ledger), False  # a copy is valid at its ledger's instant
+                free = FreeRuns(ledger)  # a copy is valid at its ledger's instant
                 check_free_index(system, ledger)
             if step != "place":
                 steps[step] += 1
-                best(system, free, random_unit(system))
+                unit_req = random_unit(system)
+                for choose in picks.values():
+                    choose(system, free, unit_req)
                 continue
             unit_req = random_unit(system)
-            before = ({r: mask[:] for r, mask in free.free.items()}, set(free.busy))
-            rn = rng.randint(1, 4)
-            pick = best if rng.random() < 0.5 else first
-            allocation = place_job(system, free, rn, unit_req, pick)
+            before = masks_of(free)
+            rule = rng.choice(tuple(rules))
+            # last fit claims the highest cells, as pcp20's fits-now plan does
+            allocation = place_job(
+                system, free, rng.randint(1, 4), unit_req, picks[rule], top=rule == "last"
+            )
             if allocation is None:
                 failed += 1
-                assert (free.free, free.busy) == before
+                assert masks_of(free) == before
             else:
                 placed += 1
-                nodes = {system.owner[a.resource][a.position - 1] for a in allocation}
-                assert free.busy == before[1] | nodes
-    # the draw covers both rules, both outcomes and every step, many times over
-    assert min(checked.values()) > 1000 and min(placed, failed) > 200
+                assert masks_of(free) == claimed(before, allocation)
+    # the draw covers every rule, both outcomes and every step, many times over
+    assert min(checked.values()) > 1000 and min(placed, failed) > 200, checked
     assert min(steps.values()) > 200, steps
 
 
@@ -627,12 +653,8 @@ def test_last_fit_and_top_claims_match_a_full_scan():
         for _ in range(6):
             resources = rng.sample(system.resources, rng.randint(1, len(system.resources)))
             unit_req = {r: rng.randint(1, 3) for r in system.resources if r in resources}
-            fits = [
-                node for node in range(1, system.node_count + 1)
-                if all(free.find(node, r, q) is not None for r, q in unit_req.items())
-            ]
             node = last_fit_node(system, free, unit_req)
-            assert node == (max(fits) if fits else None)
+            assert node == scan_last_fit(system, free, unit_req)
             if node is None:
                 failed += 1
                 continue
@@ -643,14 +665,15 @@ def test_last_fit_and_top_claims_match_a_full_scan():
                 runs = [p for p in range(first, last - q + 2) if all(mask[p - 1 : p - 1 + q])]
                 highest[r] = max(runs)
                 assert free.find(node, r, q, top=True) == highest[r]
+            before = masks_of(free)
             allocation = place_job(system, free, 1, unit_req, last_fit_node, top=True)
             assert {a.resource: a.position for a in allocation} == highest
-            assert free.busy == taken_nodes(system, free)
+            assert masks_of(free) == claimed(before, allocation)
             placed += 1
     assert min(placed, failed) > 100
 
 
-def test_node_choice_work_does_not_grow_with_the_machine():
+def test_node_choice_work_does_not_grow_with_the_machine(monkeypatch):
     system = support.system_of((10_000, {"core": 4}), (10_000, {"core": 8, "gpu": 1}))
     running = [
         support.running(system, 1, start=0, d_expected=50, placements=[(0, 1, "core", 1, 1)]),
@@ -661,8 +684,7 @@ def test_node_choice_work_does_not_grow_with_the_machine():
         ),
     ]
     free = free_runs(system, running)
-    assert free.busy == {1, 10_001, 15_000}
-    assert free.candidates() == [1, 2, 10_001, 10_002, 15_000]
+    assert taken_nodes(system, free) == {1, 10_001, 15_000}
     assert best_fit_node(system, free, {"core": 2}) == 10_001  # the tightest busy node
     assert best_fit_node(system, free, {"core": 3}) == 1
     # busy node 15 000 fits four cores, but wholly free node 2 leaves no slack
@@ -674,8 +696,60 @@ def test_node_choice_work_does_not_grow_with_the_machine():
 
     allocation = place_job(system, free, rn=3, unit_req={"core": 4}, pick=best_fit_node)
     assert sorted(system.owner["core"][a.position - 1] for a in allocation) == [2, 3, 4]
-    assert free.candidates() == [1, 2, 3, 4, 5, 10_001, 10_002, 15_000]
-    assert len(free.candidates()) <= len(free.busy) + 2
+    assert first_fit_node(system, free, {"core": 4}) == 5
+    assert last_fit_node(system, free, {"core": 4}) == 20_000
+
+    # First and last fit walk each class that can hold the unit from its
+    # edge and stop at its first node that fits, or at one that cannot beat
+    # the best so far: taken nodes away from the edges cost nothing, and
+    # each taken node at an edge that cannot hold the unit costs one fit
+    # test.
+    span = system.node_span
+    calls = []
+    find = FreeRuns.find
+
+    def counting_find(self, node, resource, q, top=False):
+        calls.append(node)
+        return find(self, node, resource, q, top)
+
+    monkeypatch.setattr(FreeRuns, "find", counting_find)
+
+    def ledger_taking(nodes, resource):
+        ledger = Ledger(system)
+        for job_id, node in enumerate(nodes, 1):
+            first, last = span[(node, resource)]
+            ledger.occupy(one_entry_job(job_id, AllocationEntry(0, resource, first, last - first + 1)))
+        return ledger
+
+    def picks(ledger, unit_req):
+        """(node, the nodes fit-tested in order, find calls) for first and last fit."""
+        out = []
+        for pick in (first_fit_node, last_fit_node):
+            calls.clear()
+            node = pick(system, FreeRuns(ledger), unit_req)
+            tested = [n for at, n in enumerate(calls) if at == 0 or calls[at - 1] != n]
+            out.append((node, tested, len(calls)))
+        return out
+
+    requests = [
+        ({"core": 4}, [(1, [1], 1), (20_000, [20_000], 1)]),
+        ({"core": 2, "gpu": 1}, [(10_001, [10_001], 2), (20_000, [20_000], 2)]),  # thin nodes lack gpu
+        ({"core": 8}, [(10_001, [10_001], 1), (20_000, [20_000], 1)]),
+    ]
+    for n_taken in (1_000, 10_000):
+        middle = range(5_001 - n_taken // 4, 5_001 + n_taken // 4)
+        ledger = ledger_taking([*middle, *(10_000 + node for node in middle)], "core")
+        for unit_req, expected in requests:
+            assert picks(ledger, unit_req) == expected, (n_taken, unit_req)
+
+    for k in (1, 10, 1_000):
+        ledger = ledger_taking(range(20_001 - k, 20_001), "gpu")
+        # the thin class cannot hold a gpu unit and is never tested
+        (first, _, _), (last, tested, _) = picks(ledger, {"core": 1, "gpu": 1})
+        assert (first, last) == (10_001, 20_000 - k)
+        assert tested == list(range(20_000, 19_999 - k, -1))
+        # a unit without gpu fits the top node, whose class is walked first
+        assert picks(ledger, {"core": 4})[1] == (20_000, [20_000], 1)
 
 
 def test_place_job_is_all_or_nothing():
@@ -685,7 +759,7 @@ def test_place_job_is_all_or_nothing():
     assert place_job(system, free, rn=3, unit_req={"core": 3}, pick=best_fit_node) is None
     # failed placement leaves no residue
     assert (total_free(free, 1, "core"), total_free(free, 2, "core")) == (4, 4)
-    assert masks_of(free) == masks and free.busy == set()
+    assert masks_of(free) == masks
 
     allocation = place_job(system, free, rn=2, unit_req={"core": 3}, pick=best_fit_node)
     assert allocation is not None
@@ -715,7 +789,7 @@ def test_place_units_on_nodes_respects_choice_and_fragmentation():
     assert place_units_on_nodes(system, free2, [2, 1], {"core": 3}) is None
     # the first unit's claim on node 2 was undone
     assert (total_free(free2, 1, "core"), total_free(free2, 2, "core")) == (3, 4)
-    assert masks_of(free2) == masks and free2.busy == {1}
+    assert masks_of(free2) == masks
 
 
 def test_emergency_dispatch_takes_what_fits():

@@ -455,7 +455,6 @@ def ledger_state(ledger, t):
     """
     return (
         {r: bytes(mask) for r, mask in ledger.free.items()},
-        set(ledger.busy),
         dict(ledger.used),
         {r: list(ledger.releases(r, t)) for r in ledger.held},
         list(ledger.ends),
@@ -468,7 +467,6 @@ def rebuilt_state(instance):
     """``ledger_state`` rebuilt from the running allocations, without a Ledger."""
     system, t = instance.system, instance.t
     free = {r: bytearray(b"\1") * system.total_capacity[r] for r in system.resources}
-    busy = set()
     used = dict.fromkeys(system.resources, 0)
     held = {r: [] for r in system.resources}
     held_ends = {r: [] for r in system.resources}
@@ -478,14 +476,13 @@ def rebuilt_state(instance):
         ends.append(end)
         for a in run.allocation:
             free[a.resource][a.position - 1 : a.position - 1 + a.extent] = bytes(a.extent)
-            busy.add(system.owner[a.resource][a.position - 1])
             used[a.resource] += a.extent
             held[a.resource].append((a.position, a.position + a.extent - 1, max(end, t + 1)))
             held_ends[a.resource].append(end)
     sorted_held = {r: sorted(h) for r, h in held.items()}
     sorted_held_ends = {r: sorted(e) for r, e in held_ends.items()}
     masks = {r: bytes(m) for r, m in free.items()}
-    return masks, busy, used, sorted_held, sorted(ends), sum(ends), sorted_held_ends
+    return masks, used, sorted_held, sorted(ends), sum(ends), sorted_held_ends
 
 
 def watch(monkeypatch, dispatcher, check):
