@@ -5,9 +5,9 @@ dispatcher model, job priorities, the visible queue window, horizon
 arithmetic, the integer objective encoding, heuristic placement on a copy
 of the snapshot ledger's free-position masks (used by the two-stage
 dispatcher, by presence materialization, by the serial schedule, by the
-joint model's plan for a window that fits now, and by the optional
-emergency fallback), and the serial schedule that stands in for the joint
-model's search where it finds nothing.
+plans for a window that fits now, and by the optional emergency
+fallback), and the serial schedule that stands in for the joint model's
+search where it finds nothing.
 """
 
 from __future__ import annotations
@@ -363,6 +363,29 @@ def place_units_on_nodes(
 Plan = list[tuple[int, Allocation]]
 
 
+def fit_now(
+    instance: DispatchInstance,
+    window: Sequence[QueuedJob],
+    pick: Callable[[SystemModel, FreeRuns, dict[str, int]], int | None],
+    top: bool = False,
+) -> Plan | None:
+    """Every window job started at t, or None at the first that does not fit.
+
+    The jobs are placed in window order on one copy of the ledger, each by
+    ``place_job`` with ``pick`` and ``top``, so each sees the claims of the
+    jobs before it.
+    """
+    system, t = instance.system, instance.t
+    free = FreeRuns(instance.ledger)
+    plan: Plan = []
+    for entry in window:
+        allocation = place_job(system, free, entry.rn, unit_demands(system, entry), pick, top)
+        if allocation is None:
+            return None
+        plan.append((t, allocation))
+    return plan
+
+
 def serial_schedule(instance: DispatchInstance, window: Sequence[QueuedJob]) -> Plan:
     """A start and a best-fit allocation for each window job, in window order.
 
@@ -476,11 +499,14 @@ def drive(
     jobs in its ``held`` set kept from starting at t; it returns None when
     the model is infeasible as built and may raise BuildTimeout once
     ``time.perf_counter()`` passes the deadline.  ``now`` runs before any
-    build and gives a plan that starts every window job at t, or None.
-    Every start then takes its least value and every objective weight is
-    positive, so the plan is optimal: once the model is built and its root
-    propagated, the plan is the decision, with no search.  Otherwise the
-    model is searched.  ``decode`` turns an incumbent into one JobDecision
+    build and gives a plan that starts every window job at t, or None.  A
+    plan is taken at once, whatever the budget or node limit, with no
+    build and no solve: status optimal, objective the constant plus the
+    weighted starts, no search counts.
+    Every start takes its least value and every objective weight is
+    positive, so no schedule beats it, and ``now`` must place the jobs
+    where decoding the model's first dive would.  Otherwise the model is
+    built and searched.  ``decode`` turns an incumbent into one JobDecision
     per window job; a job it would start at t but cannot place comes back
     with start t and no allocation.  Such jobs are held and the model
     rebuilt, up to ``attempts`` builds in all, after which they are
@@ -526,8 +552,8 @@ def drive(
         return plan_decisions(window, t, plan)
 
     plan = None if now is None else now(instance, window)
+    jobs: list[JobDecision] | None = None if plan is None else take(plan, STATUS_OPTIMAL)
     held: set[int] = set()
-    jobs: list[JobDecision] | None = None
     while jobs is None:
         try:
             handle = build(instance, window, held, deadline)
@@ -536,16 +562,6 @@ def drive(
             break
         if handle is None:
             stats.status = STATUS_INFEASIBLE
-            break
-        if plan is not None:
-            solver = handle.solver
-            before = solver.stats.propagations
-            root = solver.propagate_all()
-            stats.propagations += solver.stats.propagations - before
-            if not root:
-                stats.status = STATUS_INFEASIBLE
-                break
-            jobs = take(plan, STATUS_OPTIMAL)
             break
         remaining = (deadline - time.perf_counter()) * 1000.0
         values = None

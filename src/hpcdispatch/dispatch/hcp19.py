@@ -6,6 +6,14 @@ prune (``Cumulative.can_prune``).  Stage two tries to realize the promised
 starts with best-fit unit placement on real nodes; jobs the heuristic
 cannot place are pushed past t and the schedule is recomputed.  The loop
 is bounded, and on hitting the bound the placeable subset is dispatched.
+
+When best fit places every window job at t, in window order, that plan
+is the decision and no model is built (``_fits_now``).  It is what the
+two stages would decide: the running jobs all start at t and only end,
+so the pooled peak is at t and a placement on real nodes fits it; every
+start at t meets the objective's root bound, which the branching's first
+dive reaches and where search stops; and stage two then places the same
+jobs by best fit in the same order on the same kind of copy.
 """
 
 from __future__ import annotations
@@ -15,9 +23,11 @@ from dataclasses import dataclass, field
 from hpcdispatch.dispatch.common import (
     DispatchConfig,
     FreeRuns,
+    Plan,
     best_fit_node,
     drive,
     emergency_dispatch,  # noqa: F401 -- a bench/run.py:install_spans hook
+    fit_now,
     horizon,
     objective_terms,
     place_job,
@@ -115,6 +125,11 @@ def _place(
     return out
 
 
+def _fits_now(instance: DispatchInstance, window: list[QueuedJob]) -> Plan | None:
+    """Every window job started at t where ``_place`` would put it, or None."""
+    return fit_now(instance, window, best_fit_node)
+
+
 def _size(instance: DispatchInstance, window: list[QueuedJob]) -> tuple[int, int]:
     return len(window), 0
 
@@ -125,5 +140,5 @@ def build_and_solve_hcp19(
     return drive(
         "hcp19", instance, config,
         size=_size, build=_build_schedule_model, branch=_make_branch, decode=_place,
-        attempts=MAX_ITERATIONS,
+        attempts=MAX_ITERATIONS, now=_fits_now,
     )

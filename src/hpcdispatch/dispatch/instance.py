@@ -521,8 +521,9 @@ class InvocationStats:
     (``CSV_FIELDS``); ``as_row`` formats ``objective``, ``wall_ms`` and
     ``fallback`` and passes the rest through.  ``improvements`` counts the
     incumbents search found; 0 in a decision that did not fall back means
-    it came without search (pcp20's placement of a window that fits now,
-    or its serial schedule).
+    it came without search: pcp20's or hcp19's plan for a window that fits
+    now, which also reads 0 decisions and 0 propagations, or pcp20's
+    serial schedule.
     """
 
     t: int

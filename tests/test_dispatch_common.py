@@ -11,6 +11,7 @@ from hpcdispatch.dispatch.common import (
     DispatchConfig,
     FreeRuns,
     best_fit_node,
+    drive,
     emergency_dispatch,
     first_fit_node,
     horizon,
@@ -18,6 +19,7 @@ from hpcdispatch.dispatch.common import (
     objective_terms,
     place_job,
     place_units_on_nodes,
+    plan_decisions,
     priority,
     select_window,
     serial_schedule,
@@ -873,3 +875,35 @@ def test_empty_window_is_optimal_at_zero(name):
     assert (stats.status, stats.objective) == ("optimal", 0)
     assert (stats.queue_size, stats.window_size, stats.n_vars) == (1, 0, 0)
     assert decision.jobs == [] and not decision.stats.fallback
+
+
+def test_drive_takes_a_plan_without_building():
+    system = support.system_of((2, {"core": 4, "mem": 4}))
+    queued = [
+        support.queued(job_id, submit=0, rn=1, unit_req={"core": 1, "mem": 1}, d_expected=job_id)
+        for job_id in (1, 2)
+    ]
+    instance = support.instance_on(system, t=3, queued_jobs=queued)
+    window = select_window(instance, DispatchConfig())
+    # Allocations out of (unit, resource) order: the decision sorts them.
+    plan = [
+        (3, (AllocationEntry(0, "mem", 5, 1), AllocationEntry(0, "core", 5, 1))),
+        (3, (AllocationEntry(0, "mem", 1, 1), AllocationEntry(0, "core", 1, 1))),
+    ]
+
+    def unbuilt(*args):
+        raise AssertionError("a plan needs no model")
+
+    steps = dict(size=lambda instance, window: (2, 0), build=unbuilt, branch=None, decode=None)
+    decision = drive("test", instance, None, now=lambda instance, window: plan, **steps)
+    weights, constant = objective_terms(window)
+    stats = decision.stats
+    assert decision.jobs == plan_decisions(window, 3, plan)
+    assert [a.resource for d in decision.jobs for a in d.allocation] == ["core", "mem"] * 2
+    assert (stats.status, stats.objective) == ("optimal", constant + 3 * sum(weights))
+    assert (stats.decisions, stats.propagations, stats.fallback) == (0, 0, False)
+    assert stats.dispatched == 2
+
+    # Without a plan the model is built.
+    with pytest.raises(AssertionError, match="needs no model"):
+        drive("test", instance, None, now=lambda instance, window: None, **steps)

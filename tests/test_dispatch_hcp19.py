@@ -3,12 +3,23 @@
 import math
 import random
 
+import pytest
+
 import support
 from hpcdispatch.dispatch import hcp19
-from hpcdispatch.dispatch.common import DispatchConfig
-from hpcdispatch.dispatch.hcp19 import _build_schedule_model, build_and_solve_hcp19
+from hpcdispatch.dispatch.common import DispatchConfig, objective_terms, select_window
+from hpcdispatch.dispatch.hcp19 import (
+    _build_schedule_model,
+    _fits_now,
+    _make_branch,
+    _place,
+    build_and_solve_hcp19,
+)
 from hpcdispatch.dispatch.pcp20 import solve_pcp20
 from hpcdispatch.kernel import Cumulative
+from hpcdispatch.sim import SimConfig, run_simulation
+from hpcdispatch.workload import generate_trace
+from test_sim import GOLDEN_SCENARIOS, watch
 
 
 def unlimited(budget_ms=60_000.0):
@@ -135,14 +146,97 @@ def test_zero_budget_times_out_with_fallback():
 
 
 def test_emergency_first_fit_fills_free_system():
-    system = support.system_of((1, {"core": 2}))
-    instance = support.instance_on(
-        system, t=0,
-        queued_jobs=[support.queued(1, submit=0, rn=1, unit_req={"core": 1}, d_expected=5)],
-    )
+    # scarce_instance's 2-core job waits, so the window does not fit now and
+    # the model is built; at budget 0 its search times out.  The rescue
+    # places the 1-core job behind it on a free core.
+    instance = scarce_instance()
+    instance.queued.append(support.queued(2, submit=10, rn=1, unit_req={"core": 1}, d_expected=4))
+    assert [e.job_id for e in support.window_of(instance)] == [1, 2]
     decision = build_and_solve_hcp19(
         instance, DispatchConfig(budget_ms=0.0, emergency_first_fit=True)
     )
-    assert decision.stats.fallback
-    assert [d.job_id for d in decision.dispatched()] == [1]
+    assert (decision.stats.status, decision.stats.fallback) == ("timeout", True)
+    assert [d.job_id for d in decision.dispatched()] == [2]
     assert decision.violations(instance) == []
+
+
+def test_a_window_that_fits_now_is_decided_without_a_model(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("a window that fits now builds no model")
+
+    monkeypatch.setattr(hcp19, "_build_schedule_model", unbuilt)
+    system = support.system_of((1, {"core": 2}))
+    instance = support.instance_on(
+        system, t=3,
+        queued_jobs=[support.queued(1, submit=0, rn=1, unit_req={"core": 1}, d_expected=5)],
+    )
+    # Neither a spent budget nor a node limit of 0 stops the decision.
+    for config in (
+        DispatchConfig(budget_ms=0.0, emergency_first_fit=True),
+        DispatchConfig(node_limit=0, emergency_first_fit=True),
+    ):
+        decision = build_and_solve_hcp19(instance, config)
+        stats = decision.stats
+        assert (stats.status, stats.objective, stats.fallback) == ("optimal", 16_000, False)
+        assert (stats.decisions, stats.propagations, stats.improvements) == (0, 0, 0)
+        assert [d.job_id for d in decision.dispatched()] == [1]
+        assert decision.violations(instance) == []
+
+
+# -- the fits-now step against the two stages ----------------------------------
+
+
+def by_unit(allocation):
+    return sorted(allocation, key=lambda a: (a.unit, a.resource))
+
+
+def fits_now_differs(instance, window):
+    """None where ``_fits_now`` has no plan, else how its plan differs from
+    what a fresh pooled model, searched to the end, and ``_place`` decide
+    (an empty list where they agree)."""
+    plan = _fits_now(instance, window)
+    if plan is None:
+        return None
+    t = instance.t
+    handle = _build_schedule_model(instance, window, set(), math.inf)
+    result = handle.solver.solve(_make_branch(handle), node_limit=None)
+    weights, constant = objective_terms(window)
+    differs = []
+    if (result.status, result.objective) != ("optimal", constant + t * sum(weights)):
+        differs.append((result.status, result.objective))
+    for jd, (_, allocation) in zip(_place(handle, instance, result.values), plan):
+        if jd.start != t or by_unit(jd.allocation) != by_unit(allocation):
+            differs.append(jd)
+    return differs
+
+
+def test_fits_now_plan_is_the_two_stage_decision_on_tiny_instances():
+    rng = random.Random(24)
+    planned = 0
+    for _ in range(200):
+        instance = support.tiny_instance(rng)
+        differs = fits_now_differs(instance, support.window_of(instance))
+        if differs is not None:
+            planned += 1
+            assert differs == []
+    assert planned > 50
+
+
+@pytest.mark.parametrize("scenario", ["A", "D"])
+def test_fits_now_plan_is_the_two_stage_decision_in_golden_runs(scenario, monkeypatch):
+    spec, system, dispatch = GOLDEN_SCENARIOS[scenario]
+    seen = {"planned": 0, "differs": []}
+
+    def check(instance, decide):
+        differs = fits_now_differs(instance, select_window(instance, dispatch))
+        if differs is not None:
+            seen["planned"] += 1
+            if differs:
+                seen["differs"].append(instance.t)
+        return decide()
+
+    watch(monkeypatch, "hcp19", check)
+    config = SimConfig(dispatcher="hcp19", dispatch=dispatch)
+    result = run_simulation(generate_trace(spec()), system(), config)
+    assert not result.dnf and seen["planned"] > 10
+    assert seen["differs"] == []
